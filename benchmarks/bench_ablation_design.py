@@ -38,7 +38,7 @@ def _mean_satisfied(scenario, model) -> float:
     return float(np.mean(sats))
 
 
-def test_training_algorithm_ablation(benchmark, swan_scenario):
+def test_training_algorithm_ablation(swan_scenario):
     """Direct loss vs. REINFORCE vs. COMA* at an equal step budget."""
     scenario = swan_scenario
     objective = TotalFlowObjective()
@@ -81,7 +81,6 @@ def test_training_algorithm_ablation(benchmark, swan_scenario):
         results["COMA* (4 samples)"]
         >= results["COMA* (1 sample ~ REINFORCE-like)"] - 0.05
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_admm_iteration_sweep(benchmark, swan_scenario, training_config):

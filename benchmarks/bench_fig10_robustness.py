@@ -36,7 +36,7 @@ def swan_schemes(swan_scenario, training_config):
     return schemes
 
 
-def test_fig10a_temporal_fluctuation(benchmark, swan_scenario, swan_schemes):
+def test_fig10a_temporal_fluctuation(swan_scenario, swan_schemes):
     test_trace = TrafficTrace(swan_scenario.split.test)
     results: dict[float, dict] = {}
     for factor in _FLUCTUATIONS:
@@ -70,10 +70,9 @@ def test_fig10a_temporal_fluctuation(benchmark, swan_scenario, swan_schemes):
         results[10]["Teal"].mean_satisfied
         >= results[10]["NCFlow"].mean_satisfied - 1e-9
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_fig10b_spatial_distribution(benchmark, swan_scenario, swan_schemes):
+def test_fig10b_spatial_distribution(swan_scenario, swan_schemes):
     test_trace = TrafficTrace(swan_scenario.split.test)
     results: dict[float, dict] = {}
     for share in _TOP_SHARES:
@@ -112,4 +111,3 @@ def test_fig10b_spatial_distribution(benchmark, swan_scenario, swan_schemes):
         - results[0.2]["Teal"].mean_satisfied
     )
     assert gap_flat <= gap_heavy + 0.05
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

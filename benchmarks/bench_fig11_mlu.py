@@ -39,7 +39,7 @@ def _mlu_runs(scenario):
 
 
 @pytest.mark.parametrize("topology", ["Kdl", "ASN"])
-def test_fig11_series(benchmark, request, topology):
+def test_fig11_series(request, topology):
     scenario = request.getfixturevalue(f"{topology.lower()}_scenario")
     runs = _mlu_runs(scenario)
 
@@ -63,4 +63,3 @@ def test_fig11_series(benchmark, request, topology):
     lp_mlu = np.mean(runs["LP-all"].objective_values)
     teal_mlu = np.mean(runs["Teal"].objective_values)
     assert teal_mlu <= max(lp_mlu * 2.5, lp_mlu + 0.5)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -22,7 +22,7 @@ _SCHEMES = ["LP-all", "LP-top", "Teal"]
 
 
 @pytest.mark.parametrize("topology", ["Kdl", "ASN"])
-def test_fig12_series(benchmark, request, topology):
+def test_fig12_series(request, topology):
     scenario = request.getfixturevalue(f"{topology.lower()}_scenario")
     objective = DelayPenalizedFlowObjective(beta=0.5)
     schemes = dict(
@@ -67,4 +67,3 @@ def test_fig12_series(benchmark, request, topology):
     lp_top = np.mean(runs["LP-top"].objective_values)
     teal = np.mean(runs["Teal"].objective_values)
     assert teal >= 0.7 * lp_top
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -18,7 +18,7 @@ _SCHEMES = ["LP-all", "LP-top", "NCFlow", "POP", "Teal"]
 
 
 @pytest.mark.parametrize("topology", ["Kdl", "ASN"])
-def test_fig13_series(benchmark, request, training_config, topology):
+def test_fig13_series(request, training_config, topology):
     scenario = request.getfixturevalue(f"{topology.lower()}_scenario")
     schemes = dict(make_baselines(scenario))
     schemes["Teal"] = teal_for(scenario, training_config)
@@ -46,4 +46,3 @@ def test_fig13_series(benchmark, request, training_config, topology):
     # Shape 3: Teal within striking distance of LP-all (paper: -4.8% on
     # Kdl; we allow a wider band for the seconds-long training budget).
     assert runs["Teal"].mean_satisfied >= runs["LP-all"].mean_satisfied - 0.2
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

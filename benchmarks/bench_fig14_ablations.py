@@ -100,7 +100,7 @@ def ablation_results(swan_scenario, training_config):
     return results
 
 
-def test_fig14_series(benchmark, ablation_results):
+def test_fig14_series(ablation_results):
     rows = [("variant", "satisfied %")]
     for name, satisfied in ablation_results.items():
         rows.append((name, f"{100 * satisfied:.1f}"))
@@ -113,7 +113,6 @@ def test_fig14_series(benchmark, ablation_results):
     assert full >= ablation_results["Teal w/ naive DNN"] - 0.03
     assert full >= ablation_results["Teal w/ naive GNN"] - 0.03
     assert full >= ablation_results["Teal w/ global policy"] - 0.03
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_cold_start_admm_insufficient(benchmark, swan_scenario):

@@ -38,7 +38,7 @@ def _train_and_eval(scenario, **teal_kwargs) -> float:
     return float(np.mean(sats))
 
 
-def test_fig15a_gnn_layers(benchmark, swan_scenario):
+def test_fig15a_gnn_layers(swan_scenario):
     results = {}
     for layers in [4, 6, 8]:
         hyper = TealHyperparameters(num_gnn_layers=layers)
@@ -51,10 +51,9 @@ def test_fig15a_gnn_layers(benchmark, swan_scenario):
     # Shape: 6 layers is not meaningfully worse than 8 (diminishing
     # returns beyond 6 — §5.7).
     assert results[6] >= results[8] - 0.05
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_fig15b_embedding_dim(benchmark, swan_scenario):
+def test_fig15b_embedding_dim(swan_scenario):
     results = {}
     for growth, label in [(1, 6), (2, 11), (4, 21)]:
         hyper = TealHyperparameters(embedding_growth=growth)
@@ -66,10 +65,9 @@ def test_fig15b_embedding_dim(benchmark, swan_scenario):
 
     # Shape: larger embeddings give only marginal improvements (§5.7).
     assert results[6] >= max(results.values()) - 0.06
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_fig15c_policy_layers(benchmark, swan_scenario):
+def test_fig15c_policy_layers(swan_scenario):
     results = {}
     for layers in [1, 2, 4]:
         results[layers] = _train_and_eval(
@@ -85,4 +83,3 @@ def test_fig15c_policy_layers(benchmark, swan_scenario):
     # a seconds-scale training budget.
     spread = max(results.values()) - min(results.values())
     assert spread < 0.2
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

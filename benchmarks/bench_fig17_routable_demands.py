@@ -17,7 +17,7 @@ from conftest import print_series
 _TOPOLOGIES = ["B4", "UsCarrier", "Kdl", "ASN"]
 
 
-def test_fig17_series(benchmark, request, b4_scenario):
+def test_fig17_series(request, b4_scenario):
     distributions = {}
     for name in _TOPOLOGIES:
         scenario = (
@@ -51,4 +51,3 @@ def test_fig17_series(benchmark, request, b4_scenario):
     assert np.median(distributions["ASN"]) <= min(
         np.median(distributions[n]) for n in _TOPOLOGIES if n != "ASN"
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -23,7 +23,7 @@ from conftest import print_series, teal_for
 _SCHEMES = ["LP-all", "LP-top", "NCFlow", "POP", "Teal"]
 
 
-def test_fig18_timeline(benchmark, asn_scenario, training_config):
+def test_fig18_timeline(asn_scenario, training_config):
     scenario = asn_scenario
     schemes = dict(
         make_baselines(scenario, include=("LP-all", "LP-top", "NCFlow", "POP"))
@@ -74,7 +74,6 @@ def test_fig18_timeline(benchmark, asn_scenario, training_config):
     # most demand in each time interval").
     assert online["Teal"].mean_satisfied >= online["NCFlow"].mean_satisfied
     assert online["Teal"].mean_satisfied >= online["POP"].mean_satisfied - 0.02
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_teal_inference_benchmark(benchmark, asn_scenario, training_config):

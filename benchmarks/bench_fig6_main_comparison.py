@@ -77,7 +77,7 @@ def test_fig6a_computation_time(
     assert result.split_ratios.shape[0] == scenario.pathset.num_demands
 
 
-def test_fig6_summary(benchmark, request, training_config):
+def test_fig6_summary(request, training_config):
     """Print both Figure 6 panels and assert the headline shape."""
     rows_time = [("topology", *(s for s in _SCHEMES), "(mean compute s)")]
     rows_sat = [("topology", *(s for s in _SCHEMES), "(online satisfied %)")]
@@ -134,5 +134,3 @@ def test_fig6_summary(benchmark, request, training_config):
     online = _results["ASN"]["online"]
     assert online["Teal"].mean_satisfied >= online["NCFlow"].mean_satisfied
     assert online["Teal"].mean_satisfied >= online["POP"].mean_satisfied - 0.02
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

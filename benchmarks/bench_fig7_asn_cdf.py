@@ -30,7 +30,7 @@ def asn_runs(asn_scenario, training_config):
     return run_offline_comparison(asn_scenario, schemes, batched=False)
 
 
-def test_fig7a_time_cdf(benchmark, asn_runs):
+def test_fig7a_time_cdf(asn_runs):
     """Print time percentiles; assert Teal's runtime stability (§5.2)."""
     percentiles = [10, 25, 50, 75, 90, 100]
     rows = [("scheme", *(f"p{q}" for q in percentiles))]
@@ -46,10 +46,9 @@ def test_fig7a_time_cdf(benchmark, asn_runs):
     # the paper); LP-based schemes fluctuate much more.
     teal_spread = teal.time_percentile(90) / max(teal.time_percentile(10), 1e-9)
     assert teal_spread < 3.0
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_fig7b_satisfied_cdf(benchmark, asn_runs):
+def test_fig7b_satisfied_cdf(asn_runs):
     """Print satisfied-demand percentiles; Teal dominates NCFlow/POP."""
     percentiles = [10, 25, 50, 75, 90]
     rows = [("scheme", *(f"p{q}" for q in percentiles))]
@@ -76,4 +75,3 @@ def test_fig7b_satisfied_cdf(benchmark, asn_runs):
         asn_runs["Teal"].satisfied_percentile(50)
         >= asn_runs["POP"].satisfied_percentile(50) - 0.02
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -51,7 +51,7 @@ def failure_results(b4_scenario, training_config):
     )
 
 
-def test_fig8_series(benchmark, failure_results):
+def test_fig8_series(failure_results):
     rows = [("scheme", *(f"{f} failure(s)" for f in _FAILURES))]
     for name in _SCHEMES:
         rows.append(
@@ -77,7 +77,6 @@ def test_fig8_series(benchmark, failure_results):
             failure_results[f]["Teal"].mean_satisfied
             >= failure_results[f]["TEAVAR*"].mean_satisfied - 0.03
         )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_teal_failure_reaction_benchmark(benchmark, b4_scenario, training_config):

@@ -64,7 +64,7 @@ def asn_failure_results(asn_scenario, training_config):
     )
 
 
-def test_fig9_series(benchmark, asn_failure_results):
+def test_fig9_series(asn_failure_results):
     rows = [
         (
             "scheme",
@@ -107,4 +107,3 @@ def test_fig9_series(benchmark, asn_failure_results):
         asn_failure_results[worst]["Teal"].mean_satisfied
         >= asn_failure_results[worst]["POP"].mean_satisfied - 0.02
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

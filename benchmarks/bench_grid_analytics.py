@@ -25,8 +25,7 @@ the new persistent scenario cache while doing it:
    resumes (``resume=True``). The merged result must equal the full run
    bit for bit — the resumable-grid contract at benchmark scale.
 6. **Paper figures**: the analytics render through ``repro.cli plot``
-   into the Figure 4-5 / 7 / 8-9 SVG set (the no-matplotlib fallback
-   path in this environment).
+   into the Figure 4-5 / 7 / 8-9 SVG set.
 
 Run standalone::
 

@@ -13,7 +13,7 @@ from repro.harness import make_baselines, run_offline_comparison
 from conftest import print_series, teal_for
 
 
-def test_table2_breakdown(benchmark, uscarrier_scenario, training_config):
+def test_table2_breakdown(uscarrier_scenario, training_config):
     scenario = uscarrier_scenario
     schemes = dict(make_baselines(scenario))
     schemes["Teal"] = teal_for(scenario, training_config)
@@ -35,7 +35,6 @@ def test_table2_breakdown(benchmark, uscarrier_scenario, training_config):
     # LP-top charges model rebuilding on top of solver time (Table 2).
     lp_top_breakdown = runs["LP-top"].time_breakdown()
     assert "model_build_time" in lp_top_breakdown
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 def test_teal_component_benchmark(benchmark, uscarrier_scenario, training_config):

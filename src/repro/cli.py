@@ -9,7 +9,7 @@ Usage (installed as ``teal-repro`` or via ``python -m repro.cli``):
     teal-repro sweep --topologies B4 SWAN # cross-topology scenario grid
     teal-repro stream --topology B4       # event-driven streaming online TE
     teal-repro analyze grid1.json grid2.json  # aggregate grid analytics
-    teal-repro plot grid1.json -o figures # paper-style figures (SVG/PNG)
+    teal-repro plot grid1.json -o figures # paper-style SVG figures
     teal-repro lint                       # RL001-RL004 static analysis
     teal-repro cache prune --cache-dir .cache --max-bytes 500M  # LRU evict
     teal-repro cache prune --cache-dir .cache --evict-stale  # drop old schemas
@@ -56,9 +56,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     schemes = dict(make_baselines(scenario))
     print("training Teal...")
-    schemes["Teal"] = trained_teal(
-        scenario, precision=args.precision, backend=args.backend
-    )
+    schemes["Teal"] = trained_teal(scenario, precision=args.precision)
     runs = run_offline_comparison(
         scenario, schemes, matrices=scenario.split.test[: args.matrices]
     )
@@ -78,9 +76,7 @@ def _cmd_failures(args: argparse.Namespace) -> int:
     scenario = build_scenario(args.topology, scale=args.scale, seed=args.seed)
     schemes = dict(make_baselines(scenario))
     print("training Teal...")
-    schemes["Teal"] = trained_teal(
-        scenario, precision=args.precision, backend=args.backend
-    )
+    schemes["Teal"] = trained_teal(scenario, precision=args.precision)
 
     print(f"{'failures':>9} | " + " | ".join(f"{n:>8}" for n in schemes))
     for count in args.counts:
@@ -112,8 +108,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         log_every=max(1, args.steps // 4),
     )
     teal = trained_teal(
-        scenario, config=config, use_cache=False,
-        precision=args.precision, backend=args.backend,
+        scenario, config=config, use_cache=False, precision=args.precision
     )
     demands = scenario.demands(scenario.split.test[0])
     allocation = teal.allocate(scenario.pathset, demands)
@@ -147,7 +142,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         schemes=tuple(args.schemes),
         mode=args.mode,
         precision=args.precision,
-        backend=args.backend,
         train=args.train,
         validation=args.validation,
         test=args.matrices,
@@ -214,9 +208,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         schemes.update(make_baselines(scenario, include=baseline_names))
     if "Teal" in args.schemes:
         print("training Teal...")
-        schemes["Teal"] = trained_teal(
-            scenario, precision=args.precision, backend=args.backend
-        )
+        schemes["Teal"] = trained_teal(scenario, precision=args.precision)
     schemes = {name: schemes[name] for name in args.schemes}
 
     matrices = scenario.split.test[: args.matrices]
@@ -313,7 +305,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     from .sweep.analytics import analyze, load_grid_results
     from .sweep.plotting import render_figures
 
-    formats = ("svg", "png") if args.format == "both" else (args.format,)
     try:
         results = load_grid_results(args.inputs)
         analytics = analyze(
@@ -327,7 +318,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             analytics,
             args.output_dir,
             prefix=args.prefix,
-            formats=formats,
             failure_count=args.cdf_failures,
         )
     except ReproError as error:
@@ -457,17 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
             "measurably faster — see README 'Precision & performance')",
         )
 
-    def add_backend(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=("numpy", "torch"),
-            default=None,
-            help="array backend of Teal's fused inference (default: the "
-            "REPRO_BACKEND env var, then numpy; the numpy backend is "
-            "bit-identical to the pre-dispatch kernels — see README "
-            "'Backend substrate')",
-        )
-
     p_topo = sub.add_parser("topologies", help="print Table 1 / Table 3 rows")
     p_topo.add_argument("--scale", type=float, default=1.0)
     p_topo.set_defaults(func=_cmd_topologies)
@@ -478,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--matrices", type=int, default=4)
     add_precision(p_cmp)
-    add_backend(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_fail = sub.add_parser("failures", help="link-failure sweep")
@@ -490,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--counts", type=int, nargs="+", default=[0, 1, 2]
     )
     add_precision(p_fail)
-    add_backend(p_fail)
     p_fail.set_defaults(func=_cmd_failures)
 
     p_train = sub.add_parser("train", help="train a Teal model")
@@ -500,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--steps", type=int, default=60)
     p_train.add_argument("--warm-start-steps", type=int, default=220)
     add_precision(p_train)
-    add_backend(p_train)
     p_train.set_defaults(func=_cmd_train)
 
     p_sweep = sub.add_parser(
@@ -536,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rebuilding/retraining (bit-identical results)",
     )
     add_precision(p_sweep)
-    add_backend(p_sweep)
     p_sweep.add_argument(
         "--cell-batch",
         type=int,
@@ -606,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="write per-scheme JSON results here"
     )
     add_precision(p_stream)
-    add_backend(p_stream)
     p_stream.set_defaults(func=_cmd_stream)
 
     p_analyze = sub.add_parser(
@@ -638,8 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plot",
         help="render GridResult JSONs into paper-style figures: speedup "
         "vs topology size (Figs 4-5), satisfied-demand CDFs (Fig 7), "
-        "and failure robustness (Figs 8-9); SVG needs no third-party "
-        "dependency, PNG uses matplotlib when installed",
+        "and failure robustness (Figs 8-9) as dependency-free SVG",
     )
     p_plot.add_argument(
         "inputs", nargs="+", help="GridResult JSON files (from sweep --output)"
@@ -660,11 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument(
         "--prefix", default="grid",
         help="figure filename prefix (default: grid)",
-    )
-    p_plot.add_argument(
-        "--format", choices=("svg", "png", "both"), default="svg",
-        help="output format(s); png falls back to the built-in SVG "
-        "renderer when matplotlib is not installed (default: svg)",
     )
     p_plot.add_argument(
         "--cdf-failures", type=int, default=None,

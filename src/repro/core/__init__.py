@@ -2,14 +2,6 @@
 
 from .ablations import GlobalPolicyModel, NaiveDnnModel, NaiveGnnModel
 from .admm import AdmmFineTuner
-from .backend import (
-    DEFAULT_BACKEND,
-    NUMPY,
-    TORCH,
-    Backend,
-    register_array_ops,
-    resolve_backend,
-)
 from .batching import SegmentOps, Workspace
 from .checkpoint import load_model, save_model, transfer_weights
 from .coma import ComaTrainer, DecomposableReward, TrainingHistory, masked_softmax_np
@@ -28,12 +20,6 @@ from .policy import ActionHead, PolicyNetwork
 from .teal import TealScheme
 
 __all__ = [
-    "Backend",
-    "DEFAULT_BACKEND",
-    "NUMPY",
-    "TORCH",
-    "register_array_ops",
-    "resolve_backend",
     "FlowGNN",
     "FlowGNNLayer",
     "DemandDNNLayer",

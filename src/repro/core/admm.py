@@ -45,7 +45,6 @@ from ..exceptions import ModelError
 from ..nn.precision import EVALUATION_DTYPE, Precision, resolve_precision
 from ..paths.pathset import PathSet
 from ..topology.graph import broadcast_capacities
-from .backend import Backend, array_ops, resolve_backend
 from .batching import (
     SegmentOps,
     Workspace,
@@ -67,13 +66,11 @@ def _project_ratios(ratios: np.ndarray) -> np.ndarray:
     Shared by every ADMM exit path (iterating or not, batched or not) so
     the zero-iteration short-circuit returns allocations with the same
     row-sum guarantee as the full solver. Operates on the trailing (k,)
-    axis, so (D, k) and (T, D, k) inputs both work. Dispatches on the
-    input's backend (see :mod:`repro.core.backend`).
+    axis, so (D, k) and (T, D, k) inputs both work.
     """
-    ops = array_ops(ratios)
-    ratios = ops.clip(ratios, 0.0, 1.0)
+    ratios = np.clip(ratios, 0.0, 1.0)
     sums = ratios.sum(axis=-1, keepdims=True)
-    return ops.where(sums > 1.0, ratios / ops.maximum(sums, _EPS), ratios)
+    return np.where(sums > 1.0, ratios / np.maximum(sums, _EPS), ratios)
 
 
 @dataclass
@@ -121,10 +118,6 @@ class AdmmFineTuner:
             candidates through the float64 evaluator, so float32 storage
             perturbs the iterates but not the accept/reject decisions —
             see :mod:`repro.nn.precision`.
-        backend: Array backend running the update loop (default numpy;
-            see :mod:`repro.core.backend`). Inputs and outputs stay
-            numpy whatever the backend — conversion happens at the
-            fine-tune boundary.
     """
 
     def __init__(
@@ -133,12 +126,10 @@ class AdmmFineTuner:
         config: AdmmConfig | None = None,
         path_values: np.ndarray | None = None,
         precision: Precision | str | None = None,
-        backend: Backend | str | None = None,
     ) -> None:
         self.pathset = pathset
         self.config = config if config is not None else AdmmConfig()
         self.precision = resolve_precision(precision)
-        self.backend = resolve_backend(backend)
         self.structures = _build_structures(pathset)
         if path_values is None:
             path_values = np.ones(pathset.num_paths)
@@ -159,7 +150,7 @@ class AdmmFineTuner:
         # Preallocated buffers of the fused update loop (keyed by batch
         # shape and dtype, so a sweep of equal-sized stacks never
         # re-allocates) and per-dtype casts of the static structures.
-        self._workspace = Workspace(self.backend)
+        self._workspace = Workspace()
         self._static_cache: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _static_arrays(
@@ -233,19 +224,18 @@ class AdmmFineTuner:
             (T, D, k) fine-tuned split ratios.
         """
         s = self.structures
-        ops = self.backend.ops
         dtype = self.precision.dtype
-        split_ratios = ops.asarray(split_ratios, dtype=dtype)
-        demands = ops.asarray(demands, dtype=dtype)
+        split_ratios = np.asarray(split_ratios, dtype=dtype)
+        demands = np.asarray(demands, dtype=dtype)
         num_matrices = demands.shape[0]
         if capacities is None:
             capacities = self.pathset.topology.capacities
-        capacities = ops.asarray(
+        capacities = np.asarray(
             broadcast_capacities(np.asarray(capacities), num_matrices), dtype=dtype
         )
         iters = self.iterations if iterations is None else int(iterations)
         if iters <= 0 or num_matrices == 0:
-            return ops.to_numpy(_project_ratios(split_ratios))
+            return _project_ratios(split_ratios)
 
         # The F-block's Sherman-Morrison solve always runs in the
         # accumulation dtype (float64): its 1/max(d^2 * hops, eps)
@@ -257,11 +247,6 @@ class AdmmFineTuner:
         solve = self.precision.accumulate_dtype
         mixed = dtype != solve
         w_p, one_plus_ppe = self._static_arrays(dtype)
-        # Static operands move onto the backend once per call (identity
-        # for numpy; cached device uploads for torch).
-        w_p = ops.from_numpy(w_p)
-        one_plus_ppe = ops.from_numpy(one_plus_ppe)
-        hops = ops.from_numpy(s.hops)
         ws = self._workspace
         num_pairs = len(s.pair_path)
         shape_tp = (num_matrices, s.num_paths)
@@ -273,39 +258,39 @@ class AdmmFineTuner:
         # computed row by row with the same compacted mean as the
         # historical per-TM loop — a masked whole-row sum can differ in
         # the last ulp, which would break bit-for-bit parity.
-        pos_mean = ops.asarray(
+        pos_mean = np.asarray(
             [
                 float(row[row > 0].mean()) if (row > 0).any() else 1.0
                 for row in capacities
             ]
         )
-        scale = ops.astype(ops.maximum(pos_mean, _EPS), dtype)[:, None]  # (T, 1)
+        scale = np.maximum(pos_mean, _EPS).astype(dtype)[:, None]  # (T, 1)
         d_norm = demands / scale
         c_norm = capacities / scale
         rho = self.config.rho
 
         d_p = d_norm[:, s.path_demand]  # (T, P)
-        d_p_solve = ops.astype(d_p, solve) if mixed else d_p
-        w_p_solve = ops.from_numpy(self.path_values)  # float64 master
-        a = ops.maximum(d_p_solve * d_p_solve * hops, _EPS)
+        d_p_solve = d_p.astype(solve) if mixed else d_p
+        w_p_solve = self.path_values  # float64 master
+        a = np.maximum(d_p_solve * d_p_solve * s.hops, _EPS)
         # Loop invariants of the F-solve, hoisted (identical values).
         inv_a = 1.0 / a
         inv_a_over_rho = inv_a / rho
         correction_denom = 1.0 + self._path_to_demand.sum(inv_a)
 
         # Warm start (primal), stacked.
-        F = ops.clip(split_ratios, 0.0, 1.0)
-        F_flat = ops.zeros(shape_tp, dtype=dtype)
+        F = np.clip(split_ratios, 0.0, 1.0)
+        F_flat = np.zeros(shape_tp, dtype=dtype)
         valid = self.pathset.path_mask
         F_flat[:, self.pathset.demand_path_ids[valid]] = F[:, valid]
         z = ws.buffer("z", shape_ti, dtype)
         flow_pairs = ws.buffer("flow_pairs", shape_ti, dtype)  # (F*d) gathers
         tp_buf = ws.buffer("tp", shape_tp, dtype)  # per-path scratch
-        ops.multiply(F_flat, d_p, out=tp_buf)
-        ops.take(tp_buf, s.pair_path, axis=1, out=z)  # z_pe = F_p * d_p
+        np.multiply(F_flat, d_p, out=tp_buf)
+        np.take(tp_buf, s.pair_path, axis=1, out=z)  # z_pe = F_p * d_p
         sum_z = self._pair_to_edge.sum(z, dtype=dtype)
-        s1 = ops.maximum(0.0, 1.0 - self._path_to_demand.sum(F_flat, dtype=dtype))
-        s3 = ops.maximum(0.0, c_norm - sum_z)
+        s1 = np.maximum(0.0, 1.0 - self._path_to_demand.sum(F_flat, dtype=dtype))
+        s3 = np.maximum(0.0, c_norm - sum_z)
         # Dual warm start via complementary slackness: lam1_d estimates
         # the marginal value of demand d's constraint. Saturated edges
         # carry a unit congestion price; a demand's marginal value is its
@@ -314,22 +299,22 @@ class AdmmFineTuner:
         # to *reduce* their over-allocation (the behaviour softmax
         # outputs need most), while uncongested demands keep the
         # stationarity pressure that preserves good warm starts.
-        with ops.errstate(divide="ignore", invalid="ignore"):
-            warm_util = ops.where(
+        with np.errstate(divide="ignore", invalid="ignore"):
+            warm_util = np.where(
                 c_norm > 0,
-                sum_z / ops.maximum(c_norm, _EPS),
-                ops.where(sum_z > _EPS, np.inf, 0.0),
+                sum_z / np.maximum(c_norm, _EPS),
+                np.where(sum_z > _EPS, np.inf, 0.0),
             )
-        congestion_price = ops.astype(warm_util > 1.0, dtype)
+        congestion_price = (warm_util > 1.0).astype(dtype)
         path_price = self._pair_to_path.sum(
             congestion_price[:, s.pair_edge], dtype=dtype
         )
-        reduced_value = ops.maximum(0.0, w_p - path_price)
+        reduced_value = np.maximum(0.0, w_p - path_price)
         best_reduced = self._path_to_demand.max(reduced_value)
         demand_volume = self._path_to_demand.max(d_p)
         lam1 = demand_volume * best_reduced
-        lam3 = ops.zeros(shape_te, dtype=dtype)
-        lam4 = ops.zeros(shape_ti, dtype=dtype)
+        lam3 = np.zeros(shape_te, dtype=dtype)
+        lam4 = np.zeros(shape_ti, dtype=dtype)
 
         # Per-iteration scratch (preallocated; see core.batching). The
         # F-solve buffers live in the accumulation dtype.
@@ -349,30 +334,30 @@ class AdmmFineTuner:
             # accumulation dtype the solve wants.
             lam4_per_path = self._pair_to_path.sum(lam4)
             z_per_path = self._pair_to_path.sum(z)
-            ops.take(lam1, s.path_demand, axis=1, out=gather_p)  # lam1 gather
-            ops.take(s1, s.path_demand, axis=1, out=tp_scratch)  # s1 gather
+            np.take(lam1, s.path_demand, axis=1, out=gather_p)  # lam1 gather
+            np.take(s1, s.path_demand, axis=1, out=tp_scratch)  # s1 gather
             admm_f_rhs_into(
                 d_p_solve, w_p_solve, gather_p, lam4_per_path, tp_scratch,
                 z_per_path, rho, b, tp_solve,
             )
-            ops.multiply(b, inv_a, out=tp_solve)
+            np.multiply(b, inv_a, out=tp_solve)
             correction = self._path_to_demand.sum(tp_solve)
             correction /= correction_denom
-            ops.take(correction, s.path_demand, axis=1, out=tp_solve)
+            np.take(correction, s.path_demand, axis=1, out=tp_solve)
             admm_f_solve_into(b, inv_a_over_rho, tp_solve, f_solve)
             if mixed:
-                ops.copyto(F_flat, f_solve)  # store single precision
+                np.copyto(F_flat, f_solve)  # store single precision
 
             # ---- z-update: per-edge rank-1 + identity system ------------
-            ops.subtract(c_norm, s3, out=te_buf)
-            ops.take(te_buf, s.pair_edge, axis=1, out=ti_buf)  # (c - s3) gather
-            ops.multiply(F_flat, d_p, out=tp_buf)
-            ops.take(tp_buf, s.pair_path, axis=1, out=flow_pairs)  # F*d gather
-            ops.take(lam3, s.pair_edge, axis=1, out=beta)  # lam3 gather
+            np.subtract(c_norm, s3, out=te_buf)
+            np.take(te_buf, s.pair_edge, axis=1, out=ti_buf)  # (c - s3) gather
+            np.multiply(F_flat, d_p, out=tp_buf)
+            np.take(tp_buf, s.pair_path, axis=1, out=flow_pairs)  # F*d gather
+            np.take(lam3, s.pair_edge, axis=1, out=beta)  # lam3 gather
             admm_z_rhs_into(beta, lam4, ti_buf, flow_pairs, rho, beta)
             sum_beta = self._pair_to_edge.sum(beta, dtype=dtype)
             sum_beta /= one_plus_ppe
-            ops.take(sum_beta, s.pair_edge, axis=1, out=ti_buf)
+            np.take(sum_beta, s.pair_edge, axis=1, out=ti_buf)
             admm_z_solve_into(beta, ti_buf, rho, z)
 
             # ---- s-updates (non-negative slacks) -------------------------
@@ -384,15 +369,15 @@ class AdmmFineTuner:
             # ---- dual updates -------------------------------------------
             admm_dual_step_(lam1, sum_F, s1, 1.0, rho, td_buf)
             admm_dual_step_(lam3, sum_z, s3, c_norm, rho, te_buf)
-            ops.multiply(F_flat, d_p, out=tp_buf)
-            ops.take(tp_buf, s.pair_path, axis=1, out=flow_pairs)
-            ops.subtract(flow_pairs, z, out=flow_pairs)
+            np.multiply(F_flat, d_p, out=tp_buf)
+            np.take(tp_buf, s.pair_path, axis=1, out=flow_pairs)
+            np.subtract(flow_pairs, z, out=flow_pairs)
             flow_pairs *= rho
             lam4 += flow_pairs
 
-        ratios = ops.zeros_like(F)
+        ratios = np.zeros_like(F)
         ratios[:, valid] = F_flat[:, self.pathset.demand_path_ids[valid]]
-        return ops.to_numpy(_project_ratios(ratios))
+        return _project_ratios(ratios)
 
     def constraint_violation(
         self,

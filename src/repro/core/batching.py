@@ -62,13 +62,10 @@ shape, strides): the safe elementwise case actually used by call
 sites. Partial overlap is never legal. All other argument pairs
 involving a clobbered buffer must be disjoint.
 
-**Backend dispatch.** Every kernel routes its array calls through
-:mod:`repro.core.backend`: ``array_ops(out)`` picks the ops namespace
-owning the output array (numpy by default, torch for torch tensors).
-The numpy namespace aliases the exact ``np.*`` callables these kernels
-always used, so the dispatched numpy path is bit-identical to the
-pre-dispatch kernels — the only numpy-path cost is one ``type`` check
-per kernel call (benchmarks/bench_backend.py keeps that honest).
+**Lint seam.** This is the one module where the hot path may call
+``np.matmul`` or allocate raw scratch (lint rule RL004, see
+:mod:`repro.lint.rules`): every other hot-path module reaches matrix
+products through these kernels and scratch through :class:`Workspace`.
 """
 
 from __future__ import annotations
@@ -79,7 +76,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import NUMPY_OPS, array_ops, foreign_ops, resolve_ops
+try:  # scipy's typed C kernels; fall back to `csr @ dense` if moved.
+    from scipy.sparse import _sparsetools
+
+    _CSR_MATVECS = _sparsetools.csr_matvecs
+except (ImportError, AttributeError):  # pragma: no cover - scipy internal
+    _CSR_MATVECS = None
 
 #: Armed by repro.lint.sanitize.install_sanitizers (REPRO_SANITIZE=1):
 #: Workspace.buffer NaN-poisons fresh allocations when set.
@@ -113,23 +115,19 @@ class SegmentOps:
 
         Row ``t`` equals ``np.bincount(index, weights[t], minlength=S)``
         bit for bit (same accumulation order per segment). Accumulation
-        is always float64 (bincount's accumulator — backends implement
-        the same contract, e.g. ``index_add_`` on a float64 buffer);
-        ``dtype`` selects the storage dtype of the result (default:
-        float64, the historic behaviour).
+        is always float64 (bincount's accumulator); ``dtype`` selects the
+        storage dtype of the result (default: float64, the historic
+        behaviour).
         """
-        ops = foreign_ops(weights)
-        if ops is None:
-            ops = NUMPY_OPS
-            weights = np.asarray(weights)
+        weights = np.asarray(weights)
         batch = weights.shape[0]
-        out = ops.segment_sum(
+        out = np.bincount(
             self.tiled_index(batch),
-            weights.reshape(-1),
-            batch * self.num_segments,
+            weights=weights.reshape(-1),
+            minlength=batch * self.num_segments,
         ).reshape(batch, self.num_segments)
-        if dtype is not None and ops.dtype_of(out) != np.dtype(dtype):
-            out = ops.astype(out, dtype)
+        if dtype is not None and out.dtype != np.dtype(dtype):
+            out = out.astype(dtype)
         return out
 
     def max(
@@ -141,26 +139,23 @@ class SegmentOps:
         """Per-segment maxima: (T, N) values -> (T, S), empty segments
         keep ``initial``. ``dtype`` selects the result dtype (default:
         the values' own dtype)."""
-        ops = foreign_ops(values)
-        if ops is None:
-            ops = NUMPY_OPS
-            values = np.asarray(values)
+        values = np.asarray(values)
         batch = values.shape[0]
-        out = ops.full(
+        out = np.full(
             batch * self.num_segments,
             initial,
-            dtype=ops.dtype_of(values) if dtype is None else dtype,
+            dtype=values.dtype if dtype is None else dtype,
         )
-        ops.segment_max_into(out, self.tiled_index(batch), values.reshape(-1))
+        np.maximum.at(out, self.tiled_index(batch), values.reshape(-1))
         return out.reshape(batch, self.num_segments)
 
     def expand(self, per_segment: np.ndarray) -> np.ndarray:
         """Gather per-segment values back to elements: (T, S) -> (T, N)."""
-        return array_ops(per_segment).expand_segments(per_segment, self.index)
+        return np.asarray(per_segment)[:, self.index]
 
     def expand_into(self, per_segment: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fused :meth:`expand`: gather (T, S) -> (T, N) into ``out``."""
-        array_ops(out).take(per_segment, self.index, axis=-1, out=out)
+        np.take(per_segment, self.index, axis=-1, out=out)
         return out
 
 
@@ -190,29 +185,13 @@ class Workspace:
     respects this by construction (each grid job builds its own
     schemes); share across threads only behind a lock, or use separate
     scheme instances.
-
-    Args:
-        backend: Where buffers live — a :class:`~repro.core.backend.
-            Backend`, a backend name, or a duck-typed ops namespace.
-            Defaults to numpy (the owner resolves ``REPRO_BACKEND``;
-            a bare workspace never consults the environment). Buffers
-            are keyed per *device* as well as per call site, so the
-            same workspace keeps serving its keys correctly across a
-            backend switch instead of handing one backend another's
-            memory.
     """
 
-    __slots__ = ("_backing", "_buffers", "_ops")
+    __slots__ = ("_backing", "_buffers")
 
-    def __init__(self, backend=None) -> None:
-        self._ops = resolve_ops(backend)
+    def __init__(self) -> None:
         self._buffers: dict[object, np.ndarray] = {}
         self._backing: dict[object, np.ndarray] = {}
-
-    @property
-    def ops(self):
-        """The ops namespace buffers are allocated through."""
-        return self._ops
 
     def buffer(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         """The buffer registered under ``key``, re-sliced or reallocated
@@ -233,30 +212,20 @@ class Workspace:
         """
         shape = tuple(shape)
         dtype = np.dtype(dtype)
-        ops = self._ops
-        slot = (ops.device_key, key)
-        buf = self._buffers.get(slot)
-        if (
-            buf is not None
-            and tuple(buf.shape) == shape
-            and ops.dtype_of(buf) == dtype
-        ):
+        buf = self._buffers.get(key)
+        if buf is not None and buf.shape == shape and buf.dtype == dtype:
             return buf
         needed = 1
         for dim in shape:
             needed *= int(dim)
-        backing = self._backing.get(slot)
-        if (
-            backing is None
-            or ops.dtype_of(backing) != dtype
-            or ops.size_of(backing) < needed
-        ):
-            backing = ops.empty((needed,), dtype)
-            self._backing[slot] = backing
+        backing = self._backing.get(key)
+        if backing is None or backing.dtype != dtype or backing.size < needed:
+            backing = np.empty((needed,), dtype)
+            self._backing[key] = backing
         buf = backing[:needed].reshape(shape)
         if _SANITIZE and dtype.kind == "f":
-            ops.fill_nan(buf)
-        self._buffers[slot] = buf
+            buf.fill(np.nan)
+        self._buffers[key] = buf
         return buf
 
     def clear(self) -> None:
@@ -271,7 +240,7 @@ class Workspace:
     @property
     def total_bytes(self) -> int:
         """Resident scratch memory (diagnostic for the benchmarks)."""
-        return sum(self._ops.nbytes(buf) for buf in self._backing.values())
+        return sum(buf.nbytes for buf in self._backing.values())
 
 
 # ----------------------------------------------------------------------
@@ -280,18 +249,40 @@ class Workspace:
 def csr_matmul_into(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = csr @ dense`` through a preallocated buffer.
 
-    The sparse-aggregation kernel of the FlowGNN fast path. The numpy
-    backend uses scipy's ``csr_matvecs`` C routine directly (it
-    *accumulates* into the output buffer, so the buffer is zeroed
-    first); a (B, N, F) batched operand runs one call per batch row —
-    per output element the accumulation order over the row's nonzeros
-    is identical to ``csr @ dense``, so the result is bit-identical to
-    the allocating product (with an allocating fallback when scipy's
-    internals are unavailable or the operands are not
-    contiguous/dtype-matched). See
-    :meth:`repro.core.backend.NumpyOps.csr_matmul_into`.
+    The sparse-aggregation kernel of the FlowGNN fast path. Uses scipy's
+    ``csr_matvecs`` C routine directly (it *accumulates* into the output
+    buffer, so the buffer is zeroed first); a (B, N, F) batched operand
+    runs one call per batch row — per output element the accumulation
+    order over the row's nonzeros is identical to ``csr @ dense``, so the
+    result is bit-identical to the allocating product. Falls back to the
+    allocating product if scipy's internals are unavailable or the
+    operands are not contiguous/dtype-matched.
     """
-    return array_ops(out).csr_matmul_into(csr, dense, out)
+    if dense.ndim > 2:
+        for b in range(dense.shape[0]):
+            csr_matmul_into(csr, dense[b], out[b])
+        return out
+    if (
+        _CSR_MATVECS is None
+        or csr.data.dtype != dense.dtype
+        or not dense.flags.c_contiguous
+        or not out.flags.c_contiguous
+    ):
+        out[...] = csr @ dense
+        return out
+    n_row, n_col = csr.shape
+    out[...] = 0.0
+    _CSR_MATVECS(
+        n_row,
+        n_col,
+        dense.shape[1],
+        csr.indptr,
+        csr.indices,
+        csr.data,
+        dense.reshape(-1),
+        out.reshape(-1),
+    )
+    return out
 
 
 def pair_linear_into(
@@ -308,10 +299,9 @@ def pair_linear_into(
     the same op order (top product, plus bottom product, plus bias), so
     forward values are bit-identical at fixed dtype.
     """
-    ops = array_ops(out)
     split = a.shape[-1]
-    ops.matmul(a, weight[:split], out=out)
-    ops.matmul(b, weight[split:], out=scratch)
+    np.matmul(a, weight[:split], out=out)
+    np.matmul(b, weight[split:], out=scratch)
     out += scratch
     if bias is not None:
         out += bias
@@ -322,7 +312,7 @@ def linear_into(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, out: np.ndarray
 ) -> np.ndarray:
     """``out = x @ weight (+ bias)`` — fused affine map."""
-    array_ops(out).matmul(x, weight, out=out)
+    np.matmul(x, weight, out=out)
     if bias is not None:
         out += bias
     return out
@@ -330,12 +320,12 @@ def linear_into(
 
 def tanh_(x: np.ndarray) -> np.ndarray:
     """In-place tanh (activation of the fused forward)."""
-    return array_ops(x).tanh(x, out=x)
+    return np.tanh(x, out=x)
 
 
 def relu_(x: np.ndarray) -> np.ndarray:
     """In-place ReLU, same expression as ``F.relu`` (max(x, 0))."""
-    return array_ops(x).maximum(x, 0.0, out=x)
+    return np.maximum(x, 0.0, out=x)
 
 
 def take_rows_into(x: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -344,7 +334,7 @@ def take_rows_into(x: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.nd
     Raw-array twin of :func:`repro.nn.functional.take_rows` (forward
     only — the fast path never needs the scatter-add backward).
     """
-    array_ops(out).take(x, indices, axis=-2, out=out)
+    np.take(x, indices, axis=-2, out=out)
     return out
 
 
@@ -361,7 +351,7 @@ def padded_take_rows_into(
     ``invalid_rows`` the flat positions of those padding slots (both
     precomputed once per model — the masks are static).
     """
-    array_ops(out).take(x, safe_indices, axis=-2, out=out)
+    np.take(x, safe_indices, axis=-2, out=out)
     if invalid_rows.size:
         out[..., invalid_rows, :] = 0.0
     return out
@@ -382,16 +372,15 @@ def masked_softmax_into(
     it is static per pathset); ``reduce_buf`` holds the keepdims
     max/denominator, shape ``out.shape[:-1] + (1,)``.
     """
-    ops = array_ops(out)
     if out is not logits:
-        ops.copyto(out, logits)
-    ops.copyto(out, ops.typed_scalar(out, -1e30), where=not_mask)
-    ops.max(out, axis=-1, keepdims=True, out=reduce_buf)
+        np.copyto(out, logits)
+    np.copyto(out, out.dtype.type(-1e30), where=not_mask)
+    np.max(out, axis=-1, keepdims=True, out=reduce_buf)
     out -= reduce_buf
-    ops.exp(out, out=out)
-    ops.copyto(out, 0.0, where=not_mask)
-    ops.sum(out, axis=-1, keepdims=True, out=reduce_buf)
-    ops.maximum(reduce_buf, 1e-30, out=reduce_buf)
+    np.exp(out, out=out)
+    np.copyto(out, 0.0, where=not_mask)
+    np.sum(out, axis=-1, keepdims=True, out=reduce_buf)
+    np.maximum(reduce_buf, 1e-30, out=reduce_buf)
     out /= reduce_buf
     return out
 
@@ -419,17 +408,16 @@ def admm_f_rhs_into(
     dtype: lower-precision operands (e.g. float32 duals/slacks under the
     mixed-precision policy) are promoted, never the reverse.
     """
-    ops = array_ops(out)
-    ops.multiply(d_p, w_p, out=out)
+    np.multiply(d_p, w_p, out=out)
     out -= lam1_g
-    ops.multiply(d_p, lam4_pp, out=tmp)
+    np.multiply(d_p, lam4_pp, out=tmp)
     out -= tmp
     # A dtype-strong 1.0 keeps the subtraction in out's precision even
     # when s1_g is a float32 gather.
-    ops.subtract(ops.typed_scalar(tmp, 1.0), s1_g, out=tmp)
+    np.subtract(tmp.dtype.type(1.0), s1_g, out=tmp)
     tmp *= rho
     out += tmp
-    ops.multiply(d_p, rho, out=tmp)
+    np.multiply(d_p, rho, out=tmp)
     tmp *= z_pp
     out += tmp
     return out
@@ -445,10 +433,9 @@ def admm_f_solve_into(
 
     ``out = clip(inv_a_over_rho * (b - correction_g), 0, 1)``.
     """
-    ops = array_ops(out)
-    ops.subtract(b, correction_g, out=out)
+    np.subtract(b, correction_g, out=out)
     out *= inv_a_over_rho
-    ops.clip(out, 0.0, 1.0, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
     return out
 
 
@@ -466,7 +453,7 @@ def admm_z_rhs_into(
     ``slack_g`` and ``flow_g`` are scaled in place (they are scratch
     gathers of ``(c - s3)`` and ``F*d``).
     """
-    array_ops(out).negative(lam3_g, out=out)
+    np.negative(lam3_g, out=out)
     out += lam4
     slack_g *= rho
     out += slack_g
@@ -479,7 +466,7 @@ def admm_z_solve_into(
     beta: np.ndarray, correction_g: np.ndarray, rho: float, out: np.ndarray
 ) -> np.ndarray:
     """Rank-1-plus-identity z-solve: ``out = (beta - correction_g) / rho``."""
-    array_ops(out).subtract(beta, correction_g, out=out)
+    np.subtract(beta, correction_g, out=out)
     out /= rho
     return out
 
@@ -493,11 +480,10 @@ def admm_slack_into(
     tmp: np.ndarray,
 ) -> np.ndarray:
     """Non-negative slack update: ``out = max(0, (bound - total) - dual/rho)``."""
-    ops = array_ops(out)
-    ops.subtract(bound, total, out=out)
-    ops.divide(dual, rho, out=tmp)
+    np.subtract(bound, total, out=out)
+    np.divide(dual, rho, out=tmp)
     out -= tmp
-    ops.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -510,7 +496,7 @@ def admm_dual_step_(
     tmp: np.ndarray,
 ) -> np.ndarray:
     """Dual ascent step, fused: ``dual += rho * (total + slack - bound)``."""
-    array_ops(dual).add(total, slack, out=tmp)
+    np.add(total, slack, out=tmp)
     tmp -= bound
     tmp *= rho
     dual += tmp

@@ -31,7 +31,6 @@ from ..nn.layers import Linear, Module
 from ..nn.tensor import Tensor
 from ..paths.pathset import PathSet
 from ..topology.graph import broadcast_capacities
-from .backend import Backend, array_ops, resolve_backend
 from .batching import (
     Workspace,
     csr_matmul_into,
@@ -160,11 +159,6 @@ class FlowGNN(Module):
         pathset: The path set defining the bipartite structure.
         num_layers: Number of (GNN, DNN) layer pairs (paper: 6).
         seed: Weight-init seed.
-        backend: Array backend of the fused inference path (default
-            numpy; see :mod:`repro.core.backend`). Weights stay numpy
-            (training and checkpointing are numpy-side); the fused
-            forward moves them onto the backend through its param
-            cache. Inputs/outputs of the public API remain numpy.
 
     Raises:
         ModelError: On invalid layer counts.
@@ -175,14 +169,12 @@ class FlowGNN(Module):
         pathset: PathSet,
         num_layers: int = 6,
         seed: int = 0,
-        backend: Backend | str | None = None,
     ) -> None:
         if num_layers < 1:
             raise ModelError("FlowGNN needs at least one layer")
         self.pathset = pathset
         self.num_layers = num_layers
-        self.backend = resolve_backend(backend)
-        rng = self.backend.ops.default_rng(seed)
+        rng = np.random.default_rng(seed)
 
         self.incidence = pathset.edge_path_incidence.tocsr()
         self.incidence_t = self.incidence.T.tocsr()
@@ -224,7 +216,7 @@ class FlowGNN(Module):
         # scales). The fused inference path reuses the workspace buffers.
         self._dtype = np.dtype(np.float64)
         self._aggregates64 = None
-        self.workspace = Workspace(self.backend)
+        self.workspace = Workspace()
 
         # Layer dims grow 1, 2, ..., num_layers (§4 embedding growth).
         self.gnn_layers = [
@@ -392,7 +384,6 @@ class FlowGNN(Module):
         workspace buffer — callers copy before retaining it.
         """
         ws = self.workspace
-        ops = self.backend.ops
         dtype = edge_init.dtype
         lead = edge_init.shape[:-2]
         num_edges = edge_init.shape[-2]
@@ -400,11 +391,6 @@ class FlowGNN(Module):
         num_demands = self.pathset.num_demands
         k = self.pathset.max_paths
 
-        # The initial embeddings are built numpy-side; move them (and
-        # each layer's weights, below) onto the backend once. Identity
-        # for numpy; cached device uploads for torch.
-        edge_init = ops.from_numpy(edge_init)
-        path_init = ops.from_numpy(path_init)
         edge_emb = edge_init
         path_emb = path_init
         for layer in range(self.num_layers):
@@ -422,8 +408,8 @@ class FlowGNN(Module):
             pair_linear_into(
                 edge_emb,
                 agg_e,
-                ops.param(gnn.edge_update.weight.data),
-                None if bias is None else ops.param(bias.data),
+                gnn.edge_update.weight.data,
+                None if bias is None else bias.data,
                 new_edge,
                 scratch_e,
             )
@@ -439,8 +425,8 @@ class FlowGNN(Module):
             pair_linear_into(
                 path_emb,
                 agg_p,
-                ops.param(gnn.path_update.weight.data),
-                None if bias is None else ops.param(bias.data),
+                gnn.path_update.weight.data,
+                None if bias is None else bias.data,
                 new_path,
                 scratch_p,
             )
@@ -459,8 +445,8 @@ class FlowGNN(Module):
             bias = dnn.transform.bias
             linear_into(
                 flat,
-                ops.param(dnn.transform.weight.data),
-                None if bias is None else ops.param(bias.data),
+                dnn.transform.weight.data,
+                None if bias is None else bias.data,
                 updated,
             )
             tanh_(updated)
@@ -497,7 +483,7 @@ class FlowGNN(Module):
         grouped = self.workspace.buffer(
             "features",
             lead + (num_demands * k, dim),
-            array_ops(path_emb).dtype_of(path_emb),
+            path_emb.dtype,
         )
         padded_take_rows_into(
             path_emb, self.safe_gather_index, self.invalid_gather_rows, grouped

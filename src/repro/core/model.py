@@ -16,7 +16,6 @@ from ..nn.precision import EVALUATION_DTYPE
 from ..nn.tensor import Tensor
 from ..paths.pathset import PathSet
 from ..topology.graph import broadcast_capacities
-from .backend import NUMPY_OPS, Backend, array_ops
 from .batching import linear_into, masked_softmax_into, relu_, tanh_
 from .flowgnn import FlowGNN
 from .policy import PolicyNetwork
@@ -93,7 +92,7 @@ class AllocatorModel(Module):
         num_demands = self.pathset.num_demands
         max_paths = self.pathset.max_paths
         if demands.shape[0] == 0:
-            return Tensor(NUMPY_OPS.zeros((0, num_demands, max_paths)))
+            return Tensor(np.zeros((0, num_demands, max_paths)))
         return F.concat(
             [
                 self.logits(demands[i], capacities[i]).reshape(
@@ -144,8 +143,6 @@ class TealModel(AllocatorModel):
         hyper: Architecture hyperparameters (defaults match §4).
         num_policy_layers: Hidden layers in the policy net (Figure 15c).
         seed: Weight-init seed.
-        backend: Array backend of the fused inference path (default
-            numpy; see :mod:`repro.core.backend`).
     """
 
     def __init__(
@@ -154,13 +151,11 @@ class TealModel(AllocatorModel):
         hyper: TealHyperparameters | None = None,
         num_policy_layers: int = 1,
         seed: int = 0,
-        backend: Backend | str | None = None,
     ) -> None:
         self.pathset = pathset
         self.hyper = hyper if hyper is not None else TealHyperparameters()
         self.flow_gnn = FlowGNN(
-            pathset, num_layers=self.hyper.num_gnn_layers, seed=seed,
-            backend=backend,
+            pathset, num_layers=self.hyper.num_gnn_layers, seed=seed
         )
         input_dim = pathset.max_paths * self.flow_gnn.embedding_dim
         self.policy = PolicyNetwork(
@@ -223,27 +218,21 @@ class TealModel(AllocatorModel):
         """Compute dtype of the forward (see :mod:`repro.nn.precision`)."""
         return self.flow_gnn.dtype
 
-    @property
-    def backend(self) -> Backend:
-        """Array backend of the fused inference path."""
-        return self.flow_gnn.backend
-
     def _policy_fused(self, features: np.ndarray) -> np.ndarray:
         """Raw-array policy MLP through the FlowGNN workspace buffers."""
         ws = self.flow_gnn.workspace
-        ops = self.flow_gnn.backend.ops
         x = features
         for i, module in enumerate(self.policy.net.modules):
             if isinstance(module, Linear):
                 out = ws.buffer(
                     ("policy", i),
                     tuple(x.shape[:-1]) + (module.out_features,),
-                    array_ops(x).dtype_of(x),
+                    x.dtype,
                 )
                 bias = module.bias
                 linear_into(
-                    x, ops.param(module.weight.data),
-                    None if bias is None else ops.param(bias.data), out,
+                    x, module.weight.data,
+                    None if bias is None else bias.data, out,
                 )
                 x = out
             elif isinstance(module, ReLU):
@@ -277,15 +266,13 @@ class TealModel(AllocatorModel):
         if not_mask is None:
             not_mask = ~self.pathset.path_mask
             self._not_path_mask = not_mask
-        ops = array_ops(logits)
         reduce_buf = fg.workspace.buffer(
-            "softmax_reduce", tuple(logits.shape[:-1]) + (1,), ops.dtype_of(logits)
+            "softmax_reduce", tuple(logits.shape[:-1]) + (1,), logits.dtype
         )
         masked_softmax_into(logits, not_mask, logits, reduce_buf)
         # The result lives in a reused workspace buffer: hand the caller
-        # an owned (numpy) copy so the next forward cannot mutate it —
-        # the pipeline boundary stays numpy whatever the backend.
-        return ops.to_numpy_copy(logits)
+        # an owned copy so the next forward cannot mutate it.
+        return logits.copy()
 
     def split_ratios(
         self,
@@ -318,7 +305,7 @@ class TealModel(AllocatorModel):
             return self.forward_batch(demands, capacities).numpy()
         demands = np.asarray(demands)
         if demands.ndim == 2 and demands.shape[0] == 0:
-            return NUMPY_OPS.zeros(
+            return np.zeros(
                 (0, self.pathset.num_demands, self.pathset.max_paths),
                 dtype=self.dtype,
             )

@@ -35,7 +35,6 @@ from ..paths.pathset import PathSet
 from ..simulation.evaluator import Allocation
 from ..traffic.matrix import TrafficMatrix
 from .admm import AdmmFineTuner
-from .backend import Backend, resolve_backend
 from .coma import ComaTrainer, TrainingHistory
 from .direct_loss import DirectLossTrainer
 from .model import TealModel
@@ -60,10 +59,6 @@ class TealScheme(TEScheme):
             first ``allocate`` call, and the ADMM acceptance check
             scores both candidates through the float64 evaluator
             whatever the storage dtype.
-        backend: Array backend running the fused forward and the ADMM
-            loop (default: the ``REPRO_BACKEND`` environment variable,
-            then numpy — see :mod:`repro.core.backend`). Scheme inputs
-            and outputs stay numpy whatever the backend.
     """
 
     name = "Teal"
@@ -78,15 +73,13 @@ class TealScheme(TEScheme):
         seed: int = 0,
         use_admm: bool | None = None,
         precision: Precision | str | None = None,
-        backend: Backend | str | None = None,
     ) -> None:
         super().__init__(objective)
         self.pathset = pathset
         self.precision = resolve_precision(precision)
-        self.backend = resolve_backend(backend)
         self.model = TealModel(
             pathset, hyper=hyper, num_policy_layers=num_policy_layers,
-            seed=seed, backend=self.backend,
+            seed=seed,
         )
         if use_admm is None:
             # §5.5: "we opt to omit ADMM in these [MLU / delay] experiments"
@@ -98,7 +91,7 @@ class TealScheme(TEScheme):
             path_values = self.objective.path_values(pathset)
         self.admm = AdmmFineTuner(
             pathset, config=admm, path_values=path_values,
-            precision=self.precision, backend=self.backend,
+            precision=self.precision,
         )
         self.trained = False
 
@@ -322,7 +315,6 @@ class TealScheme(TEScheme):
             seed=seed,
             use_admm=self.use_admm,
             precision=self.precision,
-            backend=self.backend,
         )
         # Warm-start from full-precision weights (the donor may have been
         # cast for inference; retraining always begins in float64).

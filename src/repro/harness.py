@@ -30,7 +30,6 @@ from .baselines import LpAll, LpTop, NCFlow, Pop, TeavarStar
 from .cache import touch
 from .config import POP_REPLICAS, AdmmConfig, TrainingConfig
 from .core import TealScheme
-from .core.backend import Backend, resolve_backend
 from .core.checkpoint import load_model, save_model
 from .exceptions import ModelError, ReproError
 from .lp.objectives import Objective, TotalFlowObjective, get_objective
@@ -436,10 +435,9 @@ def teal_cache_path(cache_dir: str | Path, key: tuple) -> Path:
 
     The filename is a content hash of the cache key (scenario build
     key, objective, frozen TrainingConfig, seed, and resolved
-    TealScheme kwargs — the PR-3 collision-free key minus the
-    precision/backend components, which only affect the in-memory
-    twin), so every distinct training configuration gets its own
-    on-disk entry.
+    TealScheme kwargs — the collision-free in-memory key minus the
+    precision component, which only affects the in-memory twin), so
+    every distinct training configuration gets its own on-disk entry.
     """
     token = hashlib.sha256(repr(key).encode()).hexdigest()[:20]
     return Path(cache_dir) / f"teal-{token}.npz"
@@ -452,7 +450,6 @@ def trained_teal(
     seed: int = 0,
     use_cache: bool = True,
     precision: Precision | str | None = None,
-    backend: Backend | str | None = None,
     cache_dir: str | Path | None = None,
     **teal_kwargs,
 ) -> TealScheme:
@@ -469,11 +466,6 @@ def trained_teal(
             :mod:`repro.nn.precision`). Training always runs float64 and
             checkpoints store float64 weights, so one on-disk entry
             serves every inference precision's in-memory twin.
-        backend: Array backend of the fused inference path (default:
-            ``REPRO_BACKEND`` env, then numpy — see
-            :mod:`repro.core.backend`). Like precision, the backend is
-            part of the in-memory key but not the on-disk key:
-            checkpoints are plain float64 numpy weights either way.
         cache_dir: Optional persistent cache directory. When set, the
             trained model's weights are stored as an ``.npz`` checkpoint
             keyed by the full config (see :func:`teal_cache_path`) and
@@ -486,7 +478,6 @@ def trained_teal(
     """
     config = config if config is not None else BENCH_TRAINING
     precision = resolve_precision(precision, default=DEFAULT_INFERENCE_PRECISION)
-    backend = resolve_backend(backend)
     # The paper tunes 2/5 ADMM iterations for its GPU pipeline; our numpy
     # ADMM converges a little slower per iteration, so the benchmark
     # harness uses 12 (still sub-millisecond per iteration; DESIGN.md §2).
@@ -497,9 +488,8 @@ def trained_teal(
     # different failure_rate / batch size / training seed. The scenario's
     # build_key likewise distinguishes workloads that share (name, seed,
     # num_demands) but differ in splits, headroom, or scale. Precision
-    # and backend are part of the key: a float32-inference scheme must
-    # not be handed to a caller that asked for float64 parity numbers,
-    # and a torch-dispatched scheme must not stand in for a numpy one.
+    # is part of the key: a float32-inference scheme must not be handed
+    # to a caller that asked for float64 parity numbers.
     key = (
         scenario.name,
         scenario.seed,
@@ -509,15 +499,14 @@ def trained_teal(
         config,
         seed,
         precision.name,
-        backend.name,
         tuple(sorted(teal_kwargs.items())),
     )
-    # On-disk tier: checkpoints are precision- and backend-independent
-    # (float64 numpy weights, saved before the lazy inference cast), so
-    # the disk key drops both components of the in-memory key.
+    # On-disk tier: checkpoints are precision-independent (float64
+    # weights, saved before the lazy inference cast), so the disk key
+    # drops the precision component of the in-memory key.
     checkpoint = None
     if cache_dir is not None:
-        checkpoint = teal_cache_path(cache_dir, key[:7] + key[9:])
+        checkpoint = teal_cache_path(cache_dir, key[:7] + key[8:])
     if use_cache and key in _TEAL_CACHE:
         cached = _TEAL_CACHE[key]
         if checkpoint is not None and not checkpoint.exists():
@@ -541,7 +530,7 @@ def trained_teal(
     objective = get_objective(objective_name)
     teal = TealScheme(
         scenario.pathset, objective=objective, seed=seed,
-        precision=precision, backend=backend, **teal_kwargs,
+        precision=precision, **teal_kwargs,
     )
     # use_cache=False means "do not reuse" for the disk tier too: train
     # fresh and overwrite the stored entry instead of loading it.

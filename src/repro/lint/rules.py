@@ -29,14 +29,14 @@ The four rules and the invariants they guard:
   serialization, and wall-clock reads outside the timing-designated
   modules all introduce run-to-run variance that those guarantees
   cannot survive.
-- **RL004 dispatch-seam** — every hot-path tensor op must reach the
-  array library through the ops namespaces in
-  :mod:`repro.core.backend` (the fused kernels in
-  :mod:`repro.core.batching` already do) so backend selection
-  (numpy/torch) stays a one-point change. A direct ``np.matmul`` /
-  ``np.einsum`` / ``@`` — or a raw ``np.empty``/``np.zeros``
-  allocation — in a hot-path module is a second dispatch point the
-  swap would miss.
+- **RL004 dispatch-seam** — hot-path matrix products and scratch
+  allocations live in the fused kernels of :mod:`repro.core.batching`,
+  whose docstrings pin the op order the bit-identity tests rely on, and
+  whose :class:`~repro.core.batching.Workspace` reuses buffers across
+  calls. A direct ``np.matmul`` / ``np.einsum`` / ``@`` — or a raw
+  ``np.empty``/``np.zeros`` allocation — elsewhere in a hot-path module
+  is an unpinned product or a per-call allocation the kernels were
+  built to remove.
 """
 
 from __future__ import annotations
@@ -123,13 +123,13 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             id="RL004",
-            title="hot-path tensor ops must go through core/backend.py",
+            title="hot-path tensor ops must go through core/batching.py",
             rationale=(
                 "direct np.matmul/np.einsum/@/.dot calls and raw "
                 "np.empty/np.zeros allocations in hot-path modules bypass "
-                "the backend dispatch seam (repro.core.backend) that "
-                "selects the array library; route through the "
-                "core/batching kernels or the backend ops namespace."
+                "the fused kernels and Workspace of repro.core.batching; "
+                "route products through a core/batching kernel and "
+                "scratch through Workspace.buffer."
             ),
             scope="hot-path modules (see HOT_PATH_MODULES)",
         ),
@@ -159,13 +159,8 @@ TIMING_MODULES = (
 )
 
 #: Hot-path modules (RL004): the inference/ADMM pipeline plus the
-#: autodiff reference path that the fused kernels mirror. Since the
-#: backend refactor the fused kernels in core/batching.py are hot-path
-#: too — they must dispatch through the ops namespaces. The seam
-#: itself (core/backend.py) is the sole exempt module: it is the one
-#: place direct numpy/torch calls are *supposed* to live.
+#: autodiff reference path that the fused kernels mirror.
 HOT_PATH_MODULES = (
-    "/repro/core/batching.py",
     "/repro/core/flowgnn.py",
     "/repro/core/model.py",
     "/repro/core/admm.py",
@@ -177,7 +172,9 @@ HOT_PATH_MODULES = (
     "/repro/simulation/streaming.py",
 )
 
-DISPATCH_SEAM_MODULE = "/repro/core/backend.py"
+#: The fused kernels themselves: the one module where hot-path products
+#: and raw scratch allocations are *supposed* to live (exempt from RL004).
+DISPATCH_SEAM_MODULE = "/repro/core/batching.py"
 
 
 def _norm(path: str) -> str:

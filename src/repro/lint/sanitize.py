@@ -23,15 +23,6 @@ arms :class:`~repro.core.batching.Workspace` buffer poisoning:
 The wrappers are opt-in because the checks cost real time
 (``np.isfinite`` over every kernel output); CI runs the tier-1 suite
 once with the sanitizer armed.
-
-The tripwires survive the backend dispatch layer
-(:mod:`repro.core.backend`): the wrappers rebind the same batching
-globals the dispatch refactor kept, and the helpers below duck-type
-array arguments — numpy arrays go through ``np.may_share_memory`` /
-``np.isfinite``, torch tensors through ``data_ptr``-interval overlap
-and ``Tensor.isfinite`` — without this module ever importing torch (or
-``repro.core.backend``, which would be an import cycle through
-batching).
 """
 
 from __future__ import annotations
@@ -54,67 +45,14 @@ def sanitize_enabled(environ=os.environ) -> bool:
     return environ.get(_ENV_VAR, "") not in ("", "0")
 
 
-def _is_array(value) -> bool:
-    """Array-like payloads the tripwires understand (numpy or torch).
-
-    Duck-typed: a torch tensor exposes ``data_ptr`` and ``shape``;
-    anything else (scalars, None, index lists) is skipped.
-    """
-    if isinstance(value, np.ndarray):
-        return True
-    return hasattr(value, "data_ptr") and hasattr(value, "shape")
-
-
-def _byte_span(t) -> tuple[int, int]:
-    """[start, end) byte interval of a torch tensor's storage region."""
-    start = t.data_ptr()
-    return start, start + t.numel() * t.element_size()
-
-
-def _may_share(a, b) -> bool:
-    """Cheap bounds-overlap check across both array families.
-
-    Numpy pairs use ``np.may_share_memory``; torch pairs compare
-    ``data_ptr`` byte intervals (over-approximate for strided views,
-    like ``may_share_memory``). Mixed numpy/torch pairs never share
-    memory — one lives in numpy's allocator, the other in torch's.
-    """
-    a_np, b_np = isinstance(a, np.ndarray), isinstance(b, np.ndarray)
-    if a_np and b_np:
-        return bool(np.may_share_memory(a, b))
-    if a_np or b_np:
-        return False
-    a0, a1 = _byte_span(a)
-    b0, b1 = _byte_span(b)
-    return a0 < b1 and b0 < a1
-
-
-def _exact_alias(a, b) -> bool:
+def _exact_alias(a: np.ndarray, b: np.ndarray) -> bool:
     """True when ``a`` and ``b`` address the identical memory layout."""
-    if a is b:
-        return True
-    if isinstance(a, np.ndarray) != isinstance(b, np.ndarray):
-        return False
-    if isinstance(a, np.ndarray):
-        return (
-            a.__array_interface__["data"] == b.__array_interface__["data"]
-            and a.shape == b.shape
-            and a.strides == b.strides
-            and a.dtype == b.dtype
-        )
-    return (
-        a.data_ptr() == b.data_ptr()
-        and tuple(a.shape) == tuple(b.shape)
-        and a.stride() == b.stride()
+    return a is b or (
+        a.__array_interface__["data"] == b.__array_interface__["data"]
+        and a.shape == b.shape
+        and a.strides == b.strides
         and a.dtype == b.dtype
     )
-
-
-def _all_finite(value) -> bool:
-    """Finiteness across both array families (bool, not array)."""
-    if isinstance(value, np.ndarray):
-        return bool(np.all(np.isfinite(value)))
-    return bool(value.isfinite().all().item())
 
 
 def wrap_kernel(func, contract, name: str | None = None):
@@ -137,7 +75,7 @@ def wrap_kernel(func, contract, name: str | None = None):
         arrays = {
             param: value
             for param, value in bound.items()
-            if _is_array(value)
+            if isinstance(value, np.ndarray)
         }
         for target in clobbered:
             target_arr = arrays.get(target)
@@ -148,7 +86,7 @@ def wrap_kernel(func, contract, name: str | None = None):
                     continue
                 # Bounds-overlap check (cheap, slightly over-approximate;
                 # exact shares_memory can be exponential on strided views).
-                if not _may_share(target_arr, other_arr):
+                if not np.may_share_memory(target_arr, other_arr):
                     continue
                 if frozenset((target, other)) in allowed and _exact_alias(
                     target_arr, other_arr
@@ -163,7 +101,7 @@ def wrap_kernel(func, contract, name: str | None = None):
         result = func(*args, **kwargs)
         for target in checked:
             target_arr = arrays.get(target)
-            if target_arr is not None and not _all_finite(target_arr):
+            if target_arr is not None and not np.isfinite(target_arr).all():
                 raise SanitizerError(
                     f"{kernel_name}: non-finite values in '{target}' after "
                     "the kernel ran — NaN/Inf escaped into a kernel "

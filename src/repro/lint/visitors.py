@@ -357,14 +357,13 @@ class DeterminismVisitor(_RuleVisitor):
 
 class DispatchSeamVisitor(_RuleVisitor):
     """RL004: direct matmul/einsum/@/.dot or raw np.empty/np.zeros in
-    hot-path modules (the seam module itself, core/backend.py, is
+    hot-path modules (the kernel module itself, core/batching.py, is
     exempted by :func:`in_hot_path`)."""
 
     rule = "RL004"
 
-    #: Raw numpy allocators: hot-path buffers must come from
-    #: ``Workspace.buffer`` / the backend ops namespace so a non-numpy
-    #: backend allocates on its own device.
+    #: Raw numpy allocators: hot-path scratch must come from
+    #: ``Workspace.buffer`` so repeated calls stop allocating.
     _RAW_ALLOCATORS = frozenset({"empty", "zeros"})
 
     @classmethod
@@ -403,10 +402,9 @@ class DispatchSeamVisitor(_RuleVisitor):
                 self.add(
                     node,
                     f"np.{func.attr} in a hot-path module allocates a "
-                    "numpy buffer outside the backend dispatch seam; "
-                    "use Workspace.buffer or the backend ops namespace "
-                    "(repro.core.backend) so non-numpy backends "
-                    "allocate on their own device",
+                    "fresh buffer per call; take scratch from "
+                    "Workspace.buffer (repro.core.batching) or baseline "
+                    "a result allocation with a justification",
                 )
             elif func.attr == "dot":
                 self.add(

@@ -58,13 +58,6 @@ def _as_array(value) -> np.ndarray:
     if isinstance(value, (np.float32, np.float64)):
         # Reductions of float32 arrays yield numpy scalars; keep them.
         return np.asarray(value)
-    if type(value).__module__.partition(".")[0] == "torch":
-        # Backend interop (repro.core.backend): torch payloads crossing
-        # the no-tape fast-path boundary land on the host, preserving
-        # their dtype. Duck-typed so torch is never imported here.
-        value = value.detach().cpu().numpy()
-        if value.dtype in _FLOAT_DTYPES:
-            return value
     return np.asarray(value, dtype=DEFAULT_PRECISION.dtype)
 
 

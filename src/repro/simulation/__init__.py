@@ -6,7 +6,6 @@ from .evaluator import (
     FlowReport,
     evaluate_allocation,
     evaluate_allocations_batch,
-    path_bottleneck_utilization,
     satisfied_demand_fraction,
 )
 from .fallback import FallbackScheme
@@ -34,7 +33,6 @@ __all__ = [
     "FlowReport",
     "evaluate_allocation",
     "evaluate_allocations_batch",
-    "path_bottleneck_utilization",
     "satisfied_demand_fraction",
     "OnlineSimulator",
     "OnlineRunResult",

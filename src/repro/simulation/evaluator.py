@@ -151,35 +151,6 @@ class FlowReport:
     intended_mlu: float
 
 
-def path_bottleneck_utilization(
-    pathset: PathSet, intended_flows: np.ndarray, capacities: np.ndarray
-) -> np.ndarray:
-    """Max utilization along each path given intended (pre-drop) flows.
-
-    Paths that traverse a zero-capacity link while carrying flow get
-    infinite utilization (their traffic is fully dropped); zero-capacity
-    links with zero load contribute nothing.
-    """
-    # Function-level import: a top-level one would cycle through
-    # repro.core.__init__ -> coma -> lp.objectives -> this module.
-    from ..core.backend import NUMPY_OPS
-
-    loads = pathset.edge_loads(intended_flows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(
-            capacities > 0,
-            loads / np.maximum(capacities, 1e-300),
-            np.where(loads > 0, _INFINITE_UTILIZATION, 0.0),
-        )
-    incidence = pathset.edge_path_incidence.tocsc()
-    bottleneck = NUMPY_OPS.zeros(pathset.num_paths)
-    for p in range(pathset.num_paths):
-        edges = incidence.indices[incidence.indptr[p] : incidence.indptr[p + 1]]
-        if edges.size:
-            bottleneck[p] = util[edges].max()
-    return bottleneck
-
-
 def _path_max_utilization_batch(
     pathset: PathSet, util: np.ndarray, workspace=None
 ) -> np.ndarray:
@@ -192,18 +163,14 @@ def _path_max_utilization_batch(
     across calls instead of reallocated — the buffer is internal to
     this function, so workspace reuse never aliases returned arrays.
     """
-    # Function-level import: a top-level one would cycle through
-    # repro.core.__init__ -> coma -> lp.objectives -> this module.
-    from ..core.backend import NUMPY_OPS
-
     coo = pathset.edge_path_incidence.tocoo()
     shape = (pathset.num_paths, util.shape[0])
     if workspace is None:
-        bottleneck = NUMPY_OPS.zeros(shape)
+        bottleneck = np.zeros(shape)
     else:
         bottleneck = workspace.buffer(("evaluator", "bottleneck"), shape, np.float64)
         bottleneck[...] = 0.0
-    NUMPY_OPS.segment_max_into(bottleneck, coo.col, util.T[coo.row])
+    np.maximum.at(bottleneck, coo.col, util.T[coo.row])
     # A view: the single caller consumes it before its next request, and
     # the downstream scale/delivered arrays are fresh allocations.
     return bottleneck.T
@@ -223,9 +190,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     ``demands.sum()`` by construction. T is a handful of grid rows, so
     the Python loop is noise next to the kernels it sits between.
     """
-    from ..core.backend import NUMPY_OPS
-
-    out = NUMPY_OPS.empty((x.shape[0],), x.dtype)
+    out = np.empty((x.shape[0],), x.dtype)
     for i in range(x.shape[0]):
         out[i] = x[i].sum()
     return out
@@ -348,22 +313,24 @@ def evaluate_allocations_batch(
         )
     total_demand = _row_sums(demands)
     delivered_total = _row_sums(delivered)
+    # Per-path flows are rounded products, so a fully routed demand can
+    # deliver a hair more than it offers; clamp to keep the fraction in
+    # [0, 1].
     with np.errstate(divide="ignore", invalid="ignore"):
-        satisfied = np.where(
-            total_demand > 0,
-            delivered_total / np.maximum(total_demand, 1e-300),
-            0.0,
+        satisfied = np.minimum(
+            np.where(
+                total_demand > 0,
+                delivered_total / np.maximum(total_demand, 1e-300),
+                0.0,
+            ),
+            1.0,
         )
     if post_util.shape[-1]:
         max_util = post_util.max(axis=-1)
         intended_mlu = util.max(axis=-1)
     else:
-        # Function-level import; top-level would cycle (see
-        # _path_max_utilization_batch).
-        from ..core.backend import NUMPY_OPS
-
-        max_util = NUMPY_OPS.zeros(num_matrices)
-        intended_mlu = NUMPY_OPS.zeros(num_matrices)
+        max_util = np.zeros(num_matrices)
+        intended_mlu = np.zeros(num_matrices)
     return BatchFlowReport(
         delivered_path_flows=delivered,
         intended_path_flows=intended,

@@ -13,7 +13,7 @@ The :mod:`~repro.sweep.checkpoint` layer persists completed cells into
 the cache dir so interrupted grids resume (``resume=True`` /
 ``repro.cli sweep --resume``) bit-identically, and the
 :mod:`~repro.sweep.plotting` layer renders analytics into the paper's
-figures (``repro.cli plot``).
+figures as SVG (``repro.cli plot``).
 """
 
 from .analytics import (
@@ -66,7 +66,6 @@ from .plotting import (
     Series,
     build_figures,
     cdf_figure,
-    have_matplotlib,
     render_figures,
     render_svg,
     robustness_figure,
@@ -99,7 +98,6 @@ __all__ = [
     "cell_seed",
     "chunk_level_keys",
     "format_analytics",
-    "have_matplotlib",
     "load_cell_checkpoint",
     "load_completed_cells",
     "load_grid_results",

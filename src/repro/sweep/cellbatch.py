@@ -1,11 +1,10 @@
 """Intra-device grid-cell batching: fuse compatible cells into one kernel.
 
 The grid engine gets parallelism *across* (topology, seed) jobs from
-process pools; this module adds the within-device axis the ROADMAP's
-backend milestone 2 names: compatible grid cells — same topology,
-path set, precision, backend, and scheme, differing only in failure
-level, trace seed, and demand matrix — are *bucketed* and executed
-through one stacked ``allocate_batch`` / ``split_ratios_batch`` /
+process pools; this module adds the within-device axis: compatible
+grid cells — same topology, path set, precision, and scheme, differing
+only in failure level, trace seed, and demand matrix — are *bucketed*
+and executed through one stacked ``allocate_batch`` / ``split_ratios_batch`` /
 ``evaluate_allocations_batch`` invocation per bucket chunk, the PR-2
 ``run_failure_sweep`` recipe lifted from within-cell to across-cell.
 
@@ -14,8 +13,8 @@ Two layers:
 **Bucket keying** (:func:`cell_bucket_key`, :func:`plan_cell_batches`).
 The bucket key is everything that must match for two cells to share a
 stacked kernel invocation: mode, topology, scale, demand-pair budget,
-precision, backend, objective, and scheme. Failure level and trace seed
-are deliberately *absent* — they are the axes the capacity/demand
+precision, objective, and scheme. Failure level and trace seed are
+deliberately *absent* — they are the axes the capacity/demand
 stacks carry as batch rows. Seed variants share a bucket (they are
 compatible work), but execution still groups a bucket's cells by their
 concrete (topology, seed) job: different seeds build different path
@@ -33,10 +32,10 @@ today's behavior), N > 0 = chunks of at most N levels in level order,
 1 = a strict per-cell loop (the unbatched baseline the benchmarks
 compare against).
 
-Selection follows the ``--backend``/``--precision`` precedence pattern:
-:func:`resolve_cell_batch` implements *env < config < CLI* via the
-``REPRO_CELL_BATCH`` environment variable, the suite's ``cell_batch``
-field, and ``repro.cli sweep --cell-batch``.
+Selection follows an *env < config < CLI* precedence:
+:func:`resolve_cell_batch` implements it via the ``REPRO_CELL_BATCH``
+environment variable, the suite's ``cell_batch`` field, and
+``repro.cli sweep --cell-batch``.
 
 Bit-identity contract: every ``cell_batch`` value produces identical
 results bit for bit at both precisions. Chunks build their stacks
@@ -67,10 +66,9 @@ DEFAULT_CELL_BATCH = 0
 def resolve_cell_batch(spec: int | str | None = None) -> int:
     """Resolve a cell-batch spec with precedence *env < config < CLI*.
 
-    Mirrors :func:`repro.core.backend.resolve_backend`: an explicit
-    ``spec`` (CLI flag or suite field) wins; when ``spec`` is None the
-    ``REPRO_CELL_BATCH`` environment variable is consulted; when that
-    is unset too, the fully-fused default (0) applies.
+    An explicit ``spec`` (CLI flag or suite field) wins; when ``spec``
+    is None the ``REPRO_CELL_BATCH`` environment variable is consulted;
+    when that is unset too, the fully-fused default (0) applies.
 
     Raises:
         ReproError: On a negative or non-integer value.
@@ -122,13 +120,13 @@ def cell_bucket_key(suite, topology: str, scheme: str) -> tuple:
 
     Args:
         suite: The :class:`~repro.sweep.grid.ScenarioSuite` (supplies
-            mode, scale, pair budget, precision, backend, objective).
+            mode, scale, pair budget, precision, objective).
         topology: The cell's topology name.
         scheme: The cell's scheme name.
 
     Returns:
         A hashable tuple. Cells that differ in topology, precision,
-        backend, scheme, mode, scale, pair budget, or objective get
+        scheme, mode, scale, pair budget, or objective get
         distinct keys; cells that differ only in failure level or trace
         seed share one.
     """
@@ -138,7 +136,6 @@ def cell_bucket_key(suite, topology: str, scheme: str) -> tuple:
         suite.scale,
         suite.max_pairs,
         suite.precision,
-        suite.backend,
         suite.objective,
         scheme,
     )

@@ -81,10 +81,6 @@ class ScenarioSuite:
             default, measured to match float64 sweep results within 1e-4
             relative — or ``"float64"``). Training always runs float64;
             see :mod:`repro.nn.precision`.
-        backend: Array backend for Teal's fused inference
-            (``"numpy"``, ``"torch"``, or None to defer to the
-            ``REPRO_BACKEND`` env then numpy — see
-            :mod:`repro.core.backend`).
         scale: Topology size factor (None = per-topology benchmark scale).
         max_pairs: Demand-pair budget (None = all ordered pairs).
         train: Training matrices per scenario.
@@ -99,8 +95,8 @@ class ScenarioSuite:
             cell of a job into one batched kernel invocation (the
             default), 1 runs a strict per-cell loop, N > 1 fuses chunks
             of at most N failure levels. None defers to the
-            ``REPRO_CELL_BATCH`` env then 0 — the same *env < config <
-            CLI* precedence as ``backend``. Every value is bit-identical.
+            ``REPRO_CELL_BATCH`` env then 0 (*env < config < CLI*
+            precedence). Every value is bit-identical.
     """
 
     topologies: tuple[str, ...]
@@ -111,7 +107,6 @@ class ScenarioSuite:
     objective: str = "total_flow"
     training: TrainingConfig | None = None
     precision: str = "float32"
-    backend: str | None = None
     scale: float | None = None
     max_pairs: int | None = 1200
     train: int = 8
@@ -140,11 +135,6 @@ class ScenarioSuite:
             raise ReproError(
                 f"unknown precision {self.precision!r}; "
                 "expected 'float32' or 'float64'"
-            )
-        if self.backend not in (None, "numpy", "torch"):
-            raise ReproError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'numpy' or 'torch'"
             )
         if self.cell_batch is not None:
             # Validate eagerly so a bad config fails at suite build, not
@@ -431,7 +421,6 @@ def _run_topology_job(
             config=suite.training,
             seed=seed,
             precision=suite.precision,
-            backend=suite.backend,
             cache_dir=cache_dir,
         )
         train_seconds = time.perf_counter() - start
@@ -452,8 +441,6 @@ def _run_topology_job(
 
     start = time.perf_counter()
     cells: list[GridCell] = []
-    # Evaluation always runs on numpy arrays regardless of the scheme
-    # backend, so the shared per-job workspace is a numpy one.
     workspace = Workspace()
     if suite.mode == "offline":
         sweep = harness.run_failure_sweep(
@@ -598,7 +585,7 @@ def run_scenario_grid(
     cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
     # Precedence: explicit argument (the CLI flag) beats the suite
     # field, which beats the REPRO_CELL_BATCH env, which beats the
-    # fully-fused default — the --backend/--precision pattern.
+    # fully-fused default.
     spec = cell_batch if cell_batch is not None else suite.cell_batch
     resolved_cell_batch = resolve_cell_batch(spec)
     plan = plan_cell_batches(suite, resolved_cell_batch)

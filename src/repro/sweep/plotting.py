@@ -14,9 +14,8 @@ paper instead of raw JSON: ``repro.cli plot`` (and
 The primary output is SVG through a built-in renderer with **no
 third-party dependencies** — pure string assembly, deterministic to
 the byte for the same inputs (no timestamps, no randomness), so
-figures are diffable and safe to commit. PNG output uses matplotlib
-when it is installed; when it is not, PNG requests fall back to SVG
-with a warning instead of failing.
+figures are diffable and safe to commit. SVG is the only output
+format.
 
 Chart conventions (held throughout): categorical colors come from one
 fixed-order palette and follow the *scheme* (``SCHEME_SLOTS``) — a
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -112,11 +110,7 @@ class Series:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Renderer-agnostic description of one figure.
-
-    The same spec drives both the built-in SVG renderer and the
-    matplotlib PNG renderer, so the two outputs always agree.
-    """
+    """Description of one figure, rendered by :func:`render_svg`."""
 
     slug: str
     title: str
@@ -503,65 +497,6 @@ def render_svg(spec: FigureSpec) -> str:
 
 
 # ----------------------------------------------------------------------
-# Optional matplotlib PNG renderer (import-gated)
-# ----------------------------------------------------------------------
-def have_matplotlib() -> bool:
-    """Whether the optional PNG renderer's dependency is importable."""
-    try:
-        import matplotlib  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def render_png(spec: FigureSpec, path: str | Path) -> Path:
-    """Render one figure as PNG via matplotlib (requires matplotlib)."""
-    import matplotlib
-
-    matplotlib.use("Agg")
-    from matplotlib import pyplot as plt
-
-    fig, ax = plt.subplots(figsize=(7.2, 4.4), dpi=100)
-    fig.patch.set_facecolor(SURFACE)
-    ax.set_facecolor(SURFACE)
-    for series in spec.series:
-        if spec.step:
-            ax.step(
-                series.x, series.y, where="post", color=series.color,
-                linewidth=2, label=series.name,
-            )
-        else:
-            ax.plot(
-                series.x, series.y, color=series.color, linewidth=2,
-                marker="o" if spec.markers else None, markersize=6,
-                markeredgecolor=SURFACE, label=series.name,
-            )
-    if spec.xlog:
-        ax.set_xscale("log")
-    if spec.ylog:
-        ax.set_yscale("log")
-    if spec.x_percent:
-        ax.xaxis.set_major_formatter(lambda v, _: f"{v * 100:g}%")
-    if spec.y_percent:
-        ax.yaxis.set_major_formatter(lambda v, _: f"{v * 100:g}%")
-    ax.set_title(f"{spec.title}\n{spec.subtitle}", fontsize=11, color=INK)
-    ax.set_xlabel(spec.xlabel, color=INK_SECONDARY)
-    ax.set_ylabel(spec.ylabel, color=INK_SECONDARY)
-    ax.grid(axis="y", color=GRIDLINE, linewidth=1)
-    for spine in ax.spines.values():
-        spine.set_color(AXIS)
-    ax.tick_params(colors=INK_MUTED)
-    if len(spec.series) >= 2:
-        ax.legend(frameon=False)
-    fig.tight_layout()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fig.savefig(path, facecolor=SURFACE)
-    plt.close(fig)
-    return path
-
-
-# ----------------------------------------------------------------------
 # The file-writing entry point
 # ----------------------------------------------------------------------
 def render_figures(
@@ -569,7 +504,6 @@ def render_figures(
     analytics: GridAnalytics,
     output_dir: str | os.PathLike,
     prefix: str = "grid",
-    formats: tuple[str, ...] = ("svg",),
     failure_count: int | None = None,
 ) -> list[Path]:
     """Render the paper-figure set into ``output_dir``.
@@ -578,40 +512,16 @@ def render_figures(
         results: Loaded grid results (raw CDF samples come from here).
         analytics: Their :func:`~repro.sweep.analytics.analyze` record.
         output_dir: Destination directory (created if needed).
-        prefix: Filename prefix: ``{prefix}_{slug}.{format}``.
-        formats: Any of ``"svg"``/``"png"``. PNG without matplotlib
-            falls back to SVG with a ``RuntimeWarning`` instead of
-            failing (the no-dependency guarantee).
+        prefix: Filename prefix: ``{prefix}_{slug}.svg``.
         failure_count: Restrict the CDF figure to one failure level.
 
     Returns:
-        The written paths, in figure order (SVG before PNG per figure).
+        The written paths, in figure order.
     """
-    unknown = [f for f in formats if f not in ("svg", "png")]
-    if unknown:
-        raise ReproError(
-            f"unknown figure format(s) {unknown!r}; expected 'svg'/'png'"
-        )
-    wanted = list(dict.fromkeys(formats))
-    if "png" in wanted and not have_matplotlib():
-        warnings.warn(
-            "matplotlib is not installed; falling back to the built-in "
-            "SVG renderer for all figures",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        wanted = [f for f in wanted if f != "png"]
-        if "svg" not in wanted:
-            wanted.append("svg")
     output_dir = Path(output_dir)
     written: list[Path] = []
     for spec in build_figures(results, analytics, failure_count):
-        if "svg" in wanted:
-            path = output_dir / f"{prefix}_{spec.slug}.svg"
-            atomic_write_text(path, render_svg(spec))
-            written.append(path)
-        if "png" in wanted:
-            written.append(
-                render_png(spec, output_dir / f"{prefix}_{spec.slug}.png")
-            )
+        path = output_dir / f"{prefix}_{spec.slug}.svg"
+        atomic_write_text(path, render_svg(spec))
+        written.append(path)
     return written

@@ -144,6 +144,21 @@ class TestCheckpoint:
         with np.load(checkpoint) as data:
             assert int(data["meta_format"]) == CHECKPOINT_FORMAT
 
+    def test_harness_checkpoint_name_is_pinned(self, tmp_path):
+        """The on-disk model key must not drift: existing ``teal-*.npz``
+        caches would silently stop hitting. Update the pinned name only
+        together with a deliberate cache-format change."""
+        from repro.config import TrainingConfig
+        from repro.harness import build_scenario, trained_teal
+
+        scenario = build_scenario(
+            "B4", seed=0, max_pairs=20, train=2, validation=1, test=1
+        )
+        config = TrainingConfig(steps=0, warm_start_steps=0)
+        trained_teal(scenario, config=config, cache_dir=tmp_path)
+        names = [p.name for p in tmp_path.glob("teal-*.npz")]
+        assert names == ["teal-c338d857f23d088a179b.npz"]
+
     def test_transfer_weights_across_topologies(self, b4_pathset):
         """Teal's weights are topology-size agnostic (§3.2-§3.3, §4)."""
         other_topology = swan(num_nodes=15, seed=2, capacity=90.0)

@@ -42,19 +42,6 @@ class TestParser:
         args = build_parser().parse_args(["sweep", "--cache-dir", "cache"])
         assert args.cache_dir == "cache"
 
-    @pytest.mark.parametrize(
-        "command", ["compare", "failures", "train", "sweep", "stream"]
-    )
-    def test_backend_flag(self, command):
-        args = build_parser().parse_args([command])
-        assert args.backend is None  # defer to REPRO_BACKEND, then numpy
-        args = build_parser().parse_args([command, "--backend", "numpy"])
-        assert args.backend == "numpy"
-        args = build_parser().parse_args([command, "--backend", "torch"])
-        assert args.backend == "torch"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--backend", "cupy"])
-
     def test_cell_batch_flag(self):
         args = build_parser().parse_args(["sweep"])
         assert args.cell_batch is None  # defer to REPRO_CELL_BATCH, then 0

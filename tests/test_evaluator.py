@@ -86,6 +86,25 @@ class TestEvaluateAllocation:
         assert report.satisfied_fraction == 0.0
         assert report.delivered_total == 0.0
 
+    def test_satisfied_fraction_never_exceeds_one(self, diamond_pathset):
+        """Rounded per-path flows of a fully routed demand can sum past the
+        demand itself; the satisfied fraction must still stay in [0, 1]."""
+        valid = diamond_pathset.path_mask[0]
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            demand = rng.uniform(0.1, 3.0)
+            ratios = np.zeros((1, 4))
+            head = rng.uniform(0.0, 0.5, size=int(valid.sum()) - 1)
+            ratios[0, np.flatnonzero(valid)] = [*head, 1.0 - head.sum()]
+            if ratios.sum() != 1.0:
+                continue
+            report = evaluate_allocation(diamond_pathset, ratios, [demand])
+            if report.delivered_total > demand:
+                break
+        else:
+            pytest.fail("no overshooting split found")
+        assert 0.0 <= report.satisfied_fraction <= 1.0
+
     def test_shape_validation(self, diamond_pathset):
         with pytest.raises(SimulationError):
             evaluate_allocation(diamond_pathset, np.zeros((1, 4)), np.zeros(2))

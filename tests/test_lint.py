@@ -73,10 +73,8 @@ def test_path_scoping():
     assert in_timing_scope("benchmarks/bench_online.py")
     assert not in_timing_scope("src/repro/core/admm.py")
     assert in_hot_path("src/repro/core/flowgnn.py")
-    # Since the backend refactor the fused kernels are hot-path too...
-    assert in_hot_path("src/repro/core/batching.py")
-    # ...and the ops-namespace module is the sole exempt seam.
-    assert not in_hot_path("src/repro/core/backend.py")
+    # The fused-kernel module is the one exempt hot-path module.
+    assert not in_hot_path("src/repro/core/batching.py")
     assert not in_hot_path("src/repro/lp/solver.py")
 
 
@@ -251,7 +249,7 @@ def test_rl004_ignores_non_hot_path_and_the_seam_itself(tmp_path):
             return np.matmul(a @ b, b)
         """
     _write_module(tmp_path, "repro/lp/solver.py", source)
-    _write_module(tmp_path, "repro/core/backend.py", source)
+    _write_module(tmp_path, "repro/core/batching.py", source)
     assert "RL004" not in _rules_hit(tmp_path)
 
 
@@ -262,10 +260,10 @@ def test_rl004_flags_raw_allocations_in_hot_path(tmp_path):
         """
         import numpy as np
 
-        def f(n, ops):
+        def f(n, ws, dtype):
             a = np.empty(n)              # positive
             b = np.zeros((n, n))         # positive
-            c = ops.empty(n)             # negative: dispatched
+            c = ws.buffer("c", n, dtype) # negative: workspace scratch
             d = np.ones(n)               # negative: not an allocator we flag
             return a, b, c, d
         """,

@@ -12,7 +12,6 @@ from repro.exceptions import ReproError
 from repro.sweep import (
     build_figures,
     cdf_figure,
-    have_matplotlib,
     load_grid_results,
     render_figures,
     render_svg,
@@ -157,27 +156,6 @@ class TestRenderFigures:
         ]
         for path in written:
             assert svg_texts(path.read_text())
-
-    def test_unknown_format_is_rejected(self, results, analytics, tmp_path):
-        with pytest.raises(ReproError, match="unknown figure format"):
-            render_figures(
-                results, analytics, tmp_path, formats=("pdf",)
-            )
-
-    def test_png_without_matplotlib_falls_back_to_svg(
-        self, results, analytics, tmp_path
-    ):
-        if have_matplotlib():
-            written = render_figures(
-                results, analytics, tmp_path, formats=("png",)
-            )
-            assert all(p.suffix == ".png" for p in written)
-            return
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            written = render_figures(
-                results, analytics, tmp_path, formats=("png",)
-            )
-        assert written and all(p.suffix == ".svg" for p in written)
 
 
 class TestCliPlot:

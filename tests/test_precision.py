@@ -26,8 +26,11 @@ from repro.core.batching import (
     SegmentOps,
     Workspace,
     csr_matmul_into,
+    linear_into,
     masked_softmax_into,
     pair_linear_into,
+    relu_,
+    tanh_,
 )
 from repro.exceptions import ReproError
 from repro.nn import functional as F
@@ -40,7 +43,10 @@ from repro.nn.precision import (
     resolve_precision,
 )
 from repro.nn.tensor import Parameter, Tensor
+from repro.paths import PathSet
 from repro.simulation.evaluator import evaluate_allocations_batch
+from repro.topology import get_topology
+from repro.traffic import TrafficTrace
 
 #: Documented float32-vs-float64 relative tolerance on allocation
 #: quality (delivered flow, MLU) — see README "Precision & performance".
@@ -171,6 +177,50 @@ class TestFusedKernels:
         expected = np.stack([csr @ xb[i] for i in range(4)])
         assert np.array_equal(outb, expected)
 
+    def test_kernels_match_inline_numpy(self, dtype):
+        """Each kernel runs the numpy calls its docstring names, in order."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((5, 8)).astype(dtype)
+        w = rng.standard_normal((8, 6)).astype(dtype)
+        b = rng.standard_normal(6).astype(dtype)
+
+        out = np.empty((5, 6), dtype=dtype)
+        linear_into(x, w, b, out)
+        expected = np.matmul(x, w)
+        np.add(expected, b, out=expected)
+        assert np.array_equal(out, expected)
+
+        y = rng.standard_normal((5, 6)).astype(dtype)
+        w2 = rng.standard_normal((8 + 6, 7)).astype(dtype)
+        b2 = rng.standard_normal(7).astype(dtype)
+        pair_out = np.empty((5, 7), dtype=dtype)
+        scratch = np.empty((5, 7), dtype=dtype)
+        pair_linear_into(x, y, w2, b2, pair_out, scratch)
+        ref2 = np.matmul(x, w2[:8])
+        ref2 += np.matmul(y, w2[8:])
+        ref2 += b2
+        assert np.array_equal(pair_out, ref2)
+
+        t = x.copy()
+        tanh_(t)
+        assert np.array_equal(t, np.tanh(x))
+        r = x.copy()
+        relu_(r)
+        assert np.array_equal(r, np.maximum(x, 0.0))
+
+        logits = rng.standard_normal((3, 5, 4)).astype(dtype)
+        mask = rng.random((5, 4)) < 0.3
+        soft = np.empty_like(logits)
+        reduce_buf = np.empty((3, 5, 1), dtype=dtype)
+        masked_softmax_into(logits, mask, soft, reduce_buf)
+        ref = logits.copy()
+        ref[..., mask] = dtype(-1e30)
+        ref = ref - ref.max(axis=-1, keepdims=True)
+        ref = np.exp(ref)
+        ref[..., mask] = 0.0
+        denom = np.maximum(ref.sum(axis=-1, keepdims=True), 1e-30)
+        assert np.array_equal(soft, ref / denom)
+
     def test_model_fused_equals_naive(self, dtype, b4_pathset, b4_trace):
         model = TealModel(b4_pathset, seed=3).astype(dtype)
         demands = np.stack(
@@ -212,6 +262,94 @@ class TestWorkspace:
         ws = Workspace()
         ws.buffer("x", (4,), np.float32)
         assert ws.total_bytes == 16
+
+
+class TestWorkspaceGrowthBacking:
+    """Cell-batched sweeps resize buffers per chunk without reallocating."""
+
+    def test_same_shape_rerequest_is_identity(self):
+        ws = Workspace()
+        a = ws.buffer("scratch", (3, 5), np.float64)
+        assert ws.buffer("scratch", (3, 5), np.float64) is a
+
+    def test_shrink_reuses_backing(self):
+        """A ragged tail chunk must not reallocate the big chunk's buffer."""
+        ws = Workspace()
+        big = ws.buffer("scratch", (6, 8), np.float64)
+        small = ws.buffer("scratch", (2, 8), np.float64)
+        assert small.shape == (2, 8)
+        assert np.shares_memory(big, small)
+        bytes_after_shrink = ws.total_bytes
+        # Growing back within capacity reuses the same backing too.
+        again = ws.buffer("scratch", (6, 8), np.float64)
+        assert np.shares_memory(big, again)
+        assert ws.total_bytes == bytes_after_shrink
+
+    def test_growth_reallocates(self):
+        ws = Workspace()
+        small = ws.buffer("scratch", (2, 8), np.float64)
+        before = ws.total_bytes
+        big = ws.buffer("scratch", (6, 8), np.float64)
+        assert big.shape == (6, 8)
+        assert not np.shares_memory(small, big)
+        assert ws.total_bytes > before
+
+    def test_dtype_switch_reallocates(self):
+        ws = Workspace()
+        f64 = ws.buffer("scratch", (4, 4), np.float64)
+        f32 = ws.buffer("scratch", (4, 4), np.float32)
+        assert f32.dtype == np.float32
+        assert not np.shares_memory(f64, f32)
+
+    def test_total_bytes_tracks_backing_capacity(self):
+        ws = Workspace()
+        ws.buffer("scratch", (6, 8), np.float64)
+        assert ws.total_bytes == 6 * 8 * 8
+        ws.buffer("scratch", (2, 8), np.float64)  # shrink: capacity kept
+        assert ws.total_bytes == 6 * 8 * 8
+        ws.clear()
+        assert ws.total_bytes == 0
+
+    def test_sanitizer_poisons_every_shape_transition(self, monkeypatch):
+        """Unwritten scratch must trip NaN checks even on a reused backing."""
+        from repro.core import batching
+
+        monkeypatch.setattr(batching, "_SANITIZE", True)
+        ws = Workspace()
+        big = ws.buffer("scratch", (6, 8), np.float64)
+        assert np.isnan(big).all()
+        big[...] = 1.0
+        # Shrinking serves a view of the written backing: without
+        # re-poisoning, stale finite values would mask missing writes.
+        small = ws.buffer("scratch", (2, 8), np.float64)
+        assert np.isnan(small).all()
+        small[...] = 2.0
+        # Same shape and dtype: the served buffer is returned as-is so
+        # chunk loops keep their contents between kernel calls.
+        assert not np.isnan(ws.buffer("scratch", (2, 8), np.float64)).any()
+
+
+def _small_case(name: str):
+    scale = {"B4": 1.0, "SWAN": 0.2, "UsCarrier": 0.12}[name]
+    topology = get_topology(name, scale=scale, seed=1)
+    pathset = PathSet.from_topology(topology, max_pairs=60, seed=5)
+    trace = TrafficTrace.generate(topology.num_nodes, 3, seed=11)
+    demands = np.stack([pathset.demand_volumes(m.values) for m in trace])
+    return pathset, demands
+
+
+@pytest.mark.parametrize("name", ["B4", "SWAN", "UsCarrier"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_bit_identical_to_tensor_path_end_to_end(name, dtype):
+    """The fused forward equals the tape-building Tensor forward, bit for
+    bit, batched and single-matrix, across topologies and precisions."""
+    pathset, demands = _small_case(name)
+    model = TealModel(pathset, seed=3).astype(dtype)
+    fused = model.split_ratios_batch(demands, fused=True)
+    assert fused.dtype == dtype
+    assert np.array_equal(fused, model.split_ratios_batch(demands, fused=False))
+    one = model.split_ratios(demands[0], fused=True)
+    assert np.array_equal(one, model.split_ratios(demands[0], fused=False))
 
 
 class TestSegmentOpsDtype:

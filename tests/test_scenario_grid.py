@@ -339,12 +339,6 @@ class TestCellBucketKey:
             "Teal",
         )
         assert f32 != f64
-        torch_key = cell_bucket_key(
-            tiny_suite(topologies=("B4", "SWAN"), backend="torch"),
-            "B4",
-            "Teal",
-        )
-        assert torch_key != f32
 
     def test_plan_counts_and_chunks(self):
         suite = tiny_suite(
