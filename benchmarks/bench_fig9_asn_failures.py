@@ -17,6 +17,7 @@ from repro.harness import (
     run_online_failure_sweep,
     scaled_te_interval,
 )
+from repro.simulation import EventSchedule
 from repro.topology import physical_links, sample_link_failures
 
 from conftest import print_series, teal_for
@@ -40,28 +41,25 @@ def asn_failure_results(asn_scenario, training_config):
     interval = scaled_te_interval(offline)
     num_links = len(physical_links(asn_scenario.topology))
 
-    # Per-matrix capacity stacks: every (fraction, interval) pair becomes
-    # one row of a single batched forward per scheme; the online
-    # staleness semantics are applied per fraction on the slices
+    # One event schedule per failure fraction: every (fraction, interval)
+    # pair becomes one row of a single batched forward per scheme, and
+    # the online staleness semantics apply per schedule
     # (run_online_failure_sweep).
-    failure_cases: dict[float, tuple] = {}
+    schedules: dict[float, EventSchedule] = {}
     for fraction in _FAILURE_FRACTIONS:
         num_failures = int(round(fraction * num_links))
-        if num_failures == 0:
-            failure_cases[fraction] = (None, None)
-            continue
-        caps = asn_scenario.capacities.copy()
-        failed = sample_link_failures(
-            asn_scenario.topology, num_failures, seed=7
+        failed = ()
+        if num_failures:
+            failed = tuple(
+                sample_link_failures(asn_scenario.topology, num_failures, seed=7)
+            )
+        schedules[fraction] = EventSchedule.from_failure_case(
+            asn_scenario.split.test,
+            interval,
+            failed_edges=failed,
+            failure_at=2 if failed else None,
         )
-        caps[failed] = 0.0
-        failure_cases[fraction] = (2, caps)
-    return run_online_failure_sweep(
-        asn_scenario,
-        schemes,
-        interval_seconds=interval,
-        failure_cases=failure_cases,
-    )
+    return run_online_failure_sweep(asn_scenario, schemes, schedules)
 
 
 def test_fig9_series(asn_failure_results):

@@ -55,8 +55,6 @@ def main() -> None:
     failed = sample_link_failures(
         scenario.topology, max(2, scenario.topology.num_edges // 100), seed=3
     )
-    failed_caps = scenario.capacities.copy()
-    failed_caps[failed] = 0.0
     print(f"failing {len(failed)} directed edges at interval 4")
 
     online = run_online_comparison(
@@ -65,7 +63,7 @@ def main() -> None:
         interval_seconds=interval,
         matrices=scenario.split.test,
         failure_at=4,
-        failed_capacities=failed_caps,
+        failed_edges=tuple(failed),
     )
 
     header = "interval | " + " | ".join(f"{name:>8}" for name in schemes)

@@ -193,6 +193,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         run_streaming_sweep,
         trained_teal,
     )
+    from .exceptions import ReproError
     from .simulation.streaming import EventSchedule
     from .topology import sample_link_failures
 
@@ -225,13 +226,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 scenario.topology, args.failures, seed=args.seed
             )
         )
-    schedule = EventSchedule.from_failure_case(
-        matrices,
-        interval_seconds=args.interval_seconds,
-        failed_edges=failed_edges,
-        failure_at=failure_at,
-        recover_at=recover_at,
-    )
+    try:
+        schedule = EventSchedule.from_failure_case(
+            matrices,
+            interval_seconds=args.interval_seconds,
+            failed_edges=failed_edges,
+            failure_at=failure_at,
+            recover_at=recover_at,
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(
         f"streaming {schedule.num_intervals} interval(s), "
         f"{len(schedule.events)} event(s) "
@@ -571,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument(
         "--cold", action="store_true",
         help="disable the ADMM warm-start path (full pipeline per "
-        "decision; the mode equivalent to the offline replay)",
+        "decision; the mode equivalent to the batched online replay)",
     )
     p_stream.add_argument(
         "--warm-iterations", type=int, default=None,

@@ -37,6 +37,7 @@ from .nn.precision import DEFAULT_INFERENCE_PRECISION, Precision, resolve_precis
 from .paths.pathset import PathSet
 from .simulation.evaluator import evaluate_allocations_batch
 from .simulation.metrics import SchemeRun
+from .simulation.online import allocate_all
 from .topology.generators import get_topology, provision_capacities
 from .topology.graph import Topology, broadcast_capacities
 from .traffic.matrix import TrafficMatrix
@@ -561,36 +562,6 @@ def trained_teal(
     return teal
 
 
-def _allocate_all(
-    scheme,
-    pathset: PathSet,
-    demands_all: np.ndarray,
-    capacities: np.ndarray,
-    batched: bool = True,
-) -> list:
-    """Per-matrix allocations via ``allocate_batch`` when available.
-
-    The single allocate-or-loop fallback shared by the offline
-    comparison and both failure sweeps.
-
-    Args:
-        scheme: The TE scheme (duck-typed; ``allocate_batch`` optional).
-        pathset: The path set.
-        demands_all: (T, D) stacked demand volumes.
-        capacities: (E,) shared or (T, E) per-matrix capacities.
-        batched: Allow the scheme's batched path (False forces the
-            per-TM loop for strict per-matrix latency numbers).
-    """
-    allocate_batch = getattr(scheme, "allocate_batch", None)
-    if batched and allocate_batch is not None:
-        return allocate_batch(pathset, demands_all, capacities)
-    caps = broadcast_capacities(capacities, demands_all.shape[0])
-    return [
-        scheme.allocate(pathset, demands_all[t], caps[t])
-        for t in range(demands_all.shape[0])
-    ]
-
-
 def _objective_values(
     objective: Objective,
     pathset: PathSet,
@@ -655,9 +626,16 @@ def run_offline_comparison(
         np.stack([m.values for m in matrices])
     )
     for name, scheme in schemes.items():
-        allocations = _allocate_all(
-            scheme, scenario.pathset, demands_all, caps, batched
-        )
+        if batched:
+            allocations = allocate_all(
+                scheme, scenario.pathset, demands_all, caps
+            )
+        else:
+            per_matrix = broadcast_capacities(caps, len(matrices))
+            allocations = [
+                scheme.allocate(scenario.pathset, demands, per_matrix[t])
+                for t, demands in enumerate(demands_all)
+            ]
         ratios_all = np.stack([a.split_ratios for a in allocations])
         batch_report = evaluate_allocations_batch(
             scenario.pathset, ratios_all, demands_all, caps
@@ -750,7 +728,7 @@ def run_failure_sweep(
             axis=0,
         )
         for name, scheme in schemes.items():
-            allocations = _allocate_all(
+            allocations = allocate_all(
                 scheme, scenario.pathset, demands_all, caps_all
             )
             ratios_all = np.stack([a.split_ratios for a in allocations])
@@ -776,86 +754,61 @@ def run_failure_sweep(
 def run_online_failure_sweep(
     scenario: Scenario,
     schemes: dict[str, object],
-    interval_seconds: float,
-    failure_cases: dict,
-    matrices: list[TrafficMatrix] | None = None,
+    schedules: dict,
     cell_batch: int = 0,
 ) -> dict:
-    """Online comparisons across failure scenarios sharing one forward.
+    """Online comparisons across event schedules sharing one forward.
 
-    Each failure case replays the same trace with its own per-interval
-    capacity timeline (nominal until the failure strikes, degraded
-    after). All cases' (interval, capacity) rows are stacked and every
-    scheme allocates for the whole sweep in one ``allocate_batch`` call;
-    the slices are then fed back into :meth:`OnlineSimulator.run` as
-    precomputed allocations, which keeps the staleness/deployment
-    semantics per case.
+    Each schedule (e.g. one failure level) replays its own demand and
+    capacity timeline. All schedules' (interval, demand, capacity) rows
+    are stacked and every scheme allocates for the whole sweep in one
+    :func:`~repro.simulation.online.allocate_all` call; each schedule's
+    slice then runs through
+    :meth:`~repro.simulation.streaming.StreamingEngine.run` as
+    precomputed decisions, which applies the staleness/deployment
+    semantics per schedule.
 
     Args:
-        scenario: The workload.
+        scenario: The workload (supplies pathset and nominal capacities).
         schemes: Mapping name -> scheme.
-        interval_seconds: TE interval (see :func:`scaled_te_interval`).
-        failure_cases: Mapping sweep key -> ``(failure_at,
-            failed_capacities)``; use ``(None, None)`` for a no-failure
-            case.
-        matrices: Matrices to replay (default: the test split).
-        cell_batch: Maximum failure cases per stacked ``allocate_batch``
+        schedules: Mapping sweep key ->
+            :class:`~repro.simulation.streaming.EventSchedule` (e.g.
+            built per failure level via
+            ``EventSchedule.from_grid_cell``/``from_failure_case``).
+        cell_batch: Maximum schedules per stacked ``allocate_batch``
             invocation — same semantics (and the same bit-identity
             guarantee) as :func:`run_failure_sweep`'s ``cell_batch``:
-            0 stacks every case, 1 loops per case.
+            0 stacks every schedule, 1 loops per schedule.
 
     Returns:
         Mapping sweep key -> (mapping scheme name ->
-        :class:`~repro.simulation.online.OnlineRunResult`). Empty inputs
-        follow the same contract as :func:`run_failure_sweep`: no sweep
-        keys yields an empty mapping, no matrices yields one empty
-        (zero-interval) result per (key, scheme) cell — neither raises.
+        :class:`~repro.simulation.streaming.StreamingRunResult`). No
+        schedules yields an empty mapping.
     """
-    from .simulation.online import OnlineRunResult, OnlineSimulator, interval_capacities
+    from .simulation.streaming import StreamingEngine
     from .sweep.cellbatch import chunk_level_keys
 
-    if matrices is None:
-        matrices = scenario.split.test
-    num_intervals = len(matrices)
-    keys = list(failure_cases)
-    simulator = OnlineSimulator(scenario.pathset, interval_seconds)
-    if not matrices or not keys:
-        return {
-            key: {name: OnlineRunResult(scheme=name) for name in schemes}
-            for key in keys
-        }
-
-    demands_one = scenario.pathset.demand_volumes_batch(
-        np.stack([m.values for m in matrices])
-    )
-    results: dict = {key: {} for key in keys}
-    for chunk in chunk_level_keys(keys, cell_batch):
-        demands_all = np.tile(demands_one, (len(chunk), 1))
+    pathset = scenario.pathset
+    results: dict = {key: {} for key in schedules}
+    for chunk in chunk_level_keys(list(schedules), cell_batch):
+        demands_all = np.concatenate(
+            [schedules[key].demand_stack(pathset) for key in chunk]
+        )
         caps_all = np.concatenate(
-            [
-                interval_capacities(
-                    scenario.capacities, num_intervals, *failure_cases[key]
-                )
-                for key in chunk
-            ]
+            [schedules[key].capacity_stack(scenario.capacities) for key in chunk]
         )
         for name, scheme in schemes.items():
-            allocations = _allocate_all(
-                scheme, scenario.pathset, demands_all, caps_all
-            )
-            for index, key in enumerate(chunk):
-                failure_at, failed = failure_cases[key]
-                case_slice = allocations[
-                    index * num_intervals : (index + 1) * num_intervals
-                ]
-                results[key][name] = simulator.run(
-                    scheme,
-                    matrices,
-                    capacities=scenario.capacities,
-                    failure_at=failure_at,
-                    failed_capacities=failed,
-                    allocations=case_slice,
+            allocations = allocate_all(scheme, pathset, demands_all, caps_all)
+            engine = StreamingEngine(pathset, scheme, warm_start=False)
+            start = 0
+            for key in chunk:
+                stop = start + schedules[key].num_intervals
+                results[key][name] = engine.run(
+                    schedules[key],
+                    scenario.capacities,
+                    allocations=allocations[start:stop],
                 )
+                start = stop
     return results
 
 
@@ -868,14 +821,12 @@ def run_streaming_sweep(
 ) -> dict:
     """Run every scheme through the streaming engine per event schedule.
 
-    The streaming analogue of :func:`run_online_failure_sweep`: each
-    (schedule, scheme) cell drives a
+    The per-decision counterpart of :func:`run_online_failure_sweep`
+    (which precomputes every decision in one batch): each (schedule,
+    scheme) cell drives a
     :class:`~repro.simulation.streaming.StreamingEngine` through its
-    event stream. Decisions are made one event at a time — genuine
-    per-decision wall-clock, the p50/p99 latency the engine reports —
-    while each run's interval scoring reuses the batched
-    :func:`~repro.simulation.evaluator.evaluate_allocations_batch` path,
-    so a sweep's evaluation cost matches the replay-based sweeps.
+    event stream, one decision per traffic update — genuine
+    per-decision wall-clock, the p50/p99 latency the engine reports.
 
     Args:
         scenario: The workload (supplies pathset and nominal capacities).
@@ -885,8 +836,8 @@ def run_streaming_sweep(
             built per failure level via
             ``EventSchedule.from_grid_cell``/``from_failure_case``).
         warm_start: Use the incremental ADMM warm-start path where the
-            scheme supports it (False = cold decisions only, the mode
-            equivalent to :meth:`OnlineSimulator.run`).
+            scheme supports it (False = cold decisions only, one
+            ``allocate`` call per traffic update).
         warm_iterations: ADMM iteration budget of warm decisions.
 
     Returns:
@@ -947,10 +898,11 @@ def run_online_comparison(
     interval_seconds: float,
     matrices: list[TrafficMatrix] | None = None,
     failure_at: int | None = None,
-    failed_capacities: np.ndarray | None = None,
-    batched: bool = True,
+    failed_edges: tuple[int, ...] = (),
 ):
     """Run every scheme through the online control loop (§5.1 metric).
+
+    The one-schedule case of :func:`run_online_failure_sweep`.
 
     Args:
         scenario: The workload.
@@ -958,29 +910,23 @@ def run_online_comparison(
         interval_seconds: TE interval (see :func:`scaled_te_interval`).
         matrices: Matrices to replay (default: the test split).
         failure_at: Optional failure interval.
-        failed_capacities: Capacities after the failure.
-        batched: Use the vectorized replay (default) or the streaming
-            per-interval loop (see :meth:`OnlineSimulator.run`).
+        failed_edges: Directed edge ids failing at ``failure_at``.
 
     Returns:
-        Mapping name -> :class:`~repro.simulation.online.OnlineRunResult`.
+        Mapping name ->
+        :class:`~repro.simulation.streaming.StreamingRunResult`.
     """
-    from .simulation.online import OnlineSimulator
+    from .simulation.streaming import EventSchedule
 
     if matrices is None:
         matrices = scenario.split.test
-    simulator = OnlineSimulator(scenario.pathset, interval_seconds)
-    return {
-        name: simulator.run(
-            scheme,
-            matrices,
-            capacities=scenario.capacities,
-            failure_at=failure_at,
-            failed_capacities=failed_capacities,
-            batched=batched,
-        )
-        for name, scheme in schemes.items()
-    }
+    schedule = EventSchedule.from_failure_case(
+        matrices,
+        interval_seconds,
+        failed_edges=failed_edges,
+        failure_at=failure_at,
+    )
+    return run_online_failure_sweep(scenario, schemes, {0: schedule})[0]
 
 
 def clear_caches() -> None:

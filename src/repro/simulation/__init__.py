@@ -13,9 +13,8 @@ from .metrics import SchemeRun, format_comparison_table, speedup
 from .online import (
     DeploymentTracker,
     IntervalResult,
-    OnlineRunResult,
     OnlineSimulator,
-    interval_capacities,
+    allocate_all,
 )
 from .streaming import (
     DecisionRecord,
@@ -35,10 +34,9 @@ __all__ = [
     "evaluate_allocations_batch",
     "satisfied_demand_fraction",
     "OnlineSimulator",
-    "OnlineRunResult",
     "IntervalResult",
     "DeploymentTracker",
-    "interval_capacities",
+    "allocate_all",
     "StreamingEngine",
     "StreamingRunResult",
     "EventSchedule",

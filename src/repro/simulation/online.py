@@ -1,10 +1,8 @@
-"""Online TE simulation with control delay (§5.1 "satisfied demand", Fig 18).
+"""Online TE semantics with control delay (§5.1 "satisfied demand", Fig 18).
 
 The paper's headline metric is measured in a *practical online setting*:
 a scheme that takes longer than the 5-minute interval to compute keeps
-serving traffic with stale routes until its new allocation is ready.
-:class:`OnlineSimulator` replays a traffic trace through that control
-loop:
+serving traffic with stale routes until its new allocation is ready:
 
 - at the start of interval ``t`` the scheme begins computing on matrix
   ``t``; the result becomes effective ``floor(compute_time / interval)``
@@ -13,25 +11,28 @@ loop:
   budget = fresh" semantics);
 - each interval is evaluated with whatever allocation is currently
   deployed (initially: everything on shortest paths);
-- link failures can be injected at a chosen interval, changing the
+- link failures can strike at a chosen interval, changing the
   capacities the schemes see *and* the capacities traffic experiences.
 
-This reproduces both Figure 18's timeline and the mechanism behind
-Figures 6b/9 (slow schemes lose demand while recomputing).
+This module holds the pieces of that loop — :class:`DeploymentTracker`
+(the staleness rule) and :func:`allocate_all` (every interval's
+allocation up front) — while the loop itself is
+:meth:`repro.simulation.streaming.StreamingEngine.run`.
+:class:`OnlineSimulator` is the trace-plus-failure front end to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import TE_INTERVAL_SECONDS
 from ..exceptions import SimulationError
-from ..nn.precision import EVALUATION_DTYPE
 from ..paths.pathset import PathSet
+from ..topology.graph import broadcast_capacities
 from ..traffic.matrix import TrafficMatrix
-from .evaluator import Allocation, evaluate_allocation, evaluate_allocations_batch
+from .evaluator import Allocation
 
 
 @dataclass(frozen=True)
@@ -55,82 +56,37 @@ class IntervalResult:
     stale: bool
 
 
-@dataclass
-class OnlineRunResult:
-    """Aggregate of an online simulation run."""
+def allocate_all(
+    scheme, pathset: PathSet, demands: np.ndarray, capacities: np.ndarray
+) -> list[Allocation]:
+    """Per-matrix allocations via ``allocate_batch`` when available.
 
-    scheme: str
-    intervals: list[IntervalResult] = field(default_factory=list)
+    Computing every interval's allocation up front is equivalent to
+    deciding interval by interval, because an allocation depends only on
+    that interval's demands and capacities, never on the replay state.
 
-    @property
-    def mean_satisfied(self) -> float:
-        """Mean per-interval satisfied fraction."""
-        if not self.intervals:
-            return 0.0
-        return float(np.mean([r.satisfied_fraction for r in self.intervals]))
-
-    @property
-    def mean_compute_time(self) -> float:
-        """Mean compute time per traffic matrix."""
-        if not self.intervals:
-            return 0.0
-        return float(np.mean([r.compute_time for r in self.intervals]))
-
-    @property
-    def stale_fraction(self) -> float:
-        """Fraction of intervals served by stale routes."""
-        if not self.intervals:
-            return 0.0
-        return float(np.mean([r.stale for r in self.intervals]))
-
-    def satisfied_series(self) -> np.ndarray:
-        """(T,) satisfied fractions in interval order (Figure 18 series)."""
-        return np.array([r.satisfied_fraction for r in self.intervals])
-
-
-def interval_capacities(
-    capacities: np.ndarray,
-    num_intervals: int,
-    failure_at: int | None = None,
-    failed_capacities: np.ndarray | None = None,
-) -> np.ndarray:
-    """(T, E) per-interval capacity stack with an optional failure event.
-
-    The single source of the failure-timeline semantics: nominal
-    capacities up to ``failure_at``, failed capacities from then on.
-    Shared by :meth:`OnlineSimulator.run` and the harness failure sweeps
-    (which stack several of these into one batched forward).
-
-    Raises:
-        SimulationError: If ``failure_at`` is set without capacities
-            (``np.asarray(None)`` would otherwise broadcast NaN rows).
+    Args:
+        scheme: The TE scheme (duck-typed; ``allocate_batch`` optional).
+        pathset: The path set.
+        demands: (T, D) stacked demand volumes.
+        capacities: (E,) shared or (T, E) per-matrix capacities.
     """
-    capacities = np.asarray(capacities, dtype=EVALUATION_DTYPE)
-    stack = np.broadcast_to(
-        capacities, (num_intervals, capacities.shape[0])
-    ).copy()
-    if failure_at is not None:
-        if failed_capacities is None:
-            raise SimulationError(
-                "failure_at requires failed_capacities"
-            )
-        failed = np.asarray(failed_capacities, dtype=EVALUATION_DTYPE)
-        if failed.shape != capacities.shape:
-            raise SimulationError(
-                f"failed_capacities shape {failed.shape} != {capacities.shape}"
-            )
-        stack[failure_at:] = failed
-    return stack
+    allocate_batch = getattr(scheme, "allocate_batch", None)
+    if allocate_batch is not None:
+        return allocate_batch(pathset, demands, capacities)
+    caps = broadcast_capacities(capacities, demands.shape[0])
+    return [
+        scheme.allocate(pathset, demands[t], caps[t])
+        for t in range(demands.shape[0])
+    ]
 
 
 class DeploymentTracker:
     """Tracks which allocation is deployed as decisions complete (§5.1).
 
     The single implementation of the control loop's deployment
-    semantics, shared by :meth:`OnlineSimulator._deployment_schedule`
-    (whole-trace replay) and
-    :class:`repro.simulation.streaming.StreamingEngine` (event-driven),
-    so both agree bit for bit:
+    semantics, used by
+    :meth:`repro.simulation.streaming.StreamingEngine.run`:
 
     - a decision started on interval ``t`` deploys
       ``floor(compute_time / interval)`` intervals later (0 = within
@@ -199,7 +155,7 @@ class DeploymentTracker:
 
 
 class OnlineSimulator:
-    """Replays traffic through the TE control loop with computation delay.
+    """Replays a trace, with an optional link failure, through the loop.
 
     Args:
         pathset: The path set (fixed across the run).
@@ -214,160 +170,51 @@ class OnlineSimulator:
         self.pathset = pathset
         self.interval_seconds = interval_seconds
 
-    def _initial_allocation(self) -> Allocation:
-        """Everything on shortest paths — the pre-TE default routes."""
-        ratios = np.zeros((self.pathset.num_demands, self.pathset.max_paths))
-        ratios[:, 0] = 1.0
-        return Allocation(split_ratios=ratios, scheme="shortest-path-default")
-
     def run(
         self,
         scheme,
         matrices: list[TrafficMatrix],
         capacities: np.ndarray | None = None,
         failure_at: int | None = None,
-        failed_capacities: np.ndarray | None = None,
-        batched: bool = True,
-        allocations: list[Allocation] | None = None,
-    ) -> OnlineRunResult:
+        failed_edges: tuple[int, ...] = (),
+    ):
         """Run the control loop over a trace.
 
-        With ``batched=True`` (default) the replay is three vectorized
-        stages instead of a per-interval Python loop:
-
-        1. every interval's allocation is computed up front — via the
-           scheme's ``allocate_batch`` (one batched forward for Teal) or a
-           loop for schemes without one — which is equivalent because an
-           allocation depends only on that interval's demands and
-           capacities, never on the replay state;
-        2. the deployment schedule (staleness, §5.1) is resolved in plain
-           Python over the precomputed compute times;
-        3. all intervals are scored in one
-           :func:`evaluate_allocations_batch` call.
-
-        ``batched=False`` preserves the original streaming loop as a
-        reference path (equivalence-tested against the batched one).
+        Every interval's allocation is computed up front through
+        :func:`allocate_all` (one batched forward for Teal), then
+        :meth:`~repro.simulation.streaming.StreamingEngine.run` resolves
+        the staleness schedule and scores all intervals at once.
 
         Args:
             scheme: A :class:`~repro.baselines.base.TEScheme` (or any
                 object with a compatible ``allocate``).
             matrices: Consecutive traffic matrices to replay.
             capacities: Nominal capacities (default: topology's).
-            failure_at: Interval index at which failures strike (optional).
-            failed_capacities: Capacities in effect from ``failure_at`` on.
-            batched: Use the vectorized replay (default) or the
-                interval-by-interval reference loop.
-            allocations: Optional precomputed per-interval allocations
-                (e.g. a slice of one big ``allocate_batch`` covering
-                several failure scenarios, see
-                :func:`repro.harness.run_online_failure_sweep`); skips
-                the allocation stage but keeps scoring and staleness.
+            failure_at: Interval index at which ``failed_edges`` fail.
+            failed_edges: Directed edge ids that drop to capacity 0.
 
         Returns:
-            An :class:`OnlineRunResult` with per-interval records.
+            A :class:`~repro.simulation.streaming.StreamingRunResult`.
 
         Raises:
             SimulationError: On empty traces or inconsistent failure args.
         """
-        if not matrices:
-            raise SimulationError("online run needs at least one matrix")
-        if (failure_at is None) != (failed_capacities is None):
-            raise SimulationError(
-                "failure_at and failed_capacities must be provided together"
-            )
+        # Imported lazily: the streaming engine imports this module.
+        from .streaming import EventSchedule, StreamingEngine
+
+        schedule = EventSchedule.from_failure_case(
+            matrices,
+            self.interval_seconds,
+            failed_edges=failed_edges,
+            failure_at=failure_at,
+        )
         if capacities is None:
             capacities = self.pathset.topology.capacities
-
-        num_intervals = len(matrices)
-        caps_per_interval = interval_capacities(
-            capacities, num_intervals, failure_at, failed_capacities
+        allocations = allocate_all(
+            scheme,
+            self.pathset,
+            schedule.demand_stack(self.pathset),
+            schedule.capacity_stack(capacities),
         )
-        demands_all = self.pathset.demand_volumes_batch(
-            np.stack([m.values for m in matrices])
-        )
-
-        if allocations is None:
-            allocations = self._compute_allocations(
-                scheme, demands_all, caps_per_interval, batched
-            )
-        elif len(allocations) != num_intervals:
-            raise SimulationError(
-                f"{len(allocations)} precomputed allocations for "
-                f"{num_intervals} intervals"
-            )
-        deployed_ratios, ages = self._deployment_schedule(allocations)
-
-        results = OnlineRunResult(scheme=getattr(scheme, "name", "scheme"))
-        if batched:
-            batch_report = evaluate_allocations_batch(
-                self.pathset, deployed_ratios, demands_all, caps_per_interval
-            )
-            satisfied = batch_report.satisfied_fraction
-        else:
-            satisfied = np.array(
-                [
-                    evaluate_allocation(
-                        self.pathset,
-                        deployed_ratios[t],
-                        demands_all[t],
-                        caps_per_interval[t],
-                    ).satisfied_fraction
-                    for t in range(num_intervals)
-                ]
-            )
-        for t in range(num_intervals):
-            results.intervals.append(
-                IntervalResult(
-                    interval=t,
-                    satisfied_fraction=float(satisfied[t]),
-                    allocation_age=int(ages[t]),
-                    compute_time=allocations[t].compute_time,
-                    stale=bool(ages[t] > 0),
-                )
-            )
-        return results
-
-    def _compute_allocations(
-        self,
-        scheme,
-        demands_all: np.ndarray,
-        caps_per_interval: np.ndarray,
-        batched: bool,
-    ) -> list[Allocation]:
-        """Per-interval allocations, via ``allocate_batch`` when available."""
-        allocate_batch = getattr(scheme, "allocate_batch", None)
-        if batched and allocate_batch is not None:
-            return allocate_batch(self.pathset, demands_all, caps_per_interval)
-        return [
-            scheme.allocate(self.pathset, demands_all[t], caps_per_interval[t])
-            for t in range(demands_all.shape[0])
-        ]
-
-    def _deployment_schedule(
-        self, allocations: list[Allocation]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve which allocation serves each interval (§5.1 staleness).
-
-        Interval ``t`` kicks off computation on matrix ``t``; the result
-        deploys ``floor(compute_time / interval)`` intervals later (0 =
-        within budget = serves interval ``t`` itself). Deployment
-        semantics — including the guard against a slow in-flight
-        allocation regressing routes to an older matrix — live in
-        :class:`DeploymentTracker`. Returns the stacked (T, D, k)
-        deployed ratios and the (T,) allocation ages.
-        """
-        num_intervals = len(allocations)
-        tracker = DeploymentTracker(
-            self._initial_allocation(), self.interval_seconds
-        )
-        ratios = np.empty(
-            (num_intervals, self.pathset.num_demands, self.pathset.max_paths)
-        )
-        ages = np.empty(num_intervals, dtype=int)
-
-        for t in range(num_intervals):
-            tracker.resolve(t)
-            tracker.submit(t, allocations[t])
-            ratios[t] = tracker.deployed.split_ratios
-            ages[t] = tracker.age(t)
-        return ratios, ages
+        engine = StreamingEngine(self.pathset, scheme, warm_start=False)
+        return engine.run(schedule, capacities, allocations=allocations)

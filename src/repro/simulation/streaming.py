@@ -9,7 +9,7 @@ recoveries) drives incremental re-allocation, and the engine records the
 measured wall-clock of every decision so a run reports p50/p99 decision
 latency.
 
-Two decision modes:
+Three decision modes:
 
 - **cold** — every traffic update runs the scheme's full ``allocate``
   pipeline (for Teal: FlowGNN forward + ADMM fine-tuning);
@@ -21,16 +21,18 @@ Two decision modes:
   only if it scores at least as well (the same acceptance rule as
   :class:`repro.core.teal.TealScheme`). Capacity events (failures,
   recoveries) need no special casing — ADMM repairs violations against
-  whatever capacities the next decision sees.
+  whatever capacities the next decision sees;
+- **precomputed** — the caller passes every interval's allocation
+  (e.g. rows of one batched ``allocate_batch`` over several failure
+  scenarios, see :func:`repro.harness.run_online_failure_sweep`), and
+  the engine only replays deployment and scoring.
 
-Deployment follows the §5.1 staleness semantics via the same
-:class:`~repro.simulation.online.DeploymentTracker` the offline replay
-uses, so a failure-at-one-interval schedule replayed through this engine
-reproduces :meth:`OnlineSimulator.run` per-interval satisfied fractions
-exactly. Scoring reuses the batched evaluator: decisions are made one
-event at a time (genuine per-decision wall-clock), but all intervals are
-scored in one :func:`~repro.simulation.evaluator.evaluate_allocations_batch`
-pass at the end of the run.
+:meth:`StreamingEngine.run` is the one online control loop of the
+library: deployment follows the §5.1 staleness semantics via
+:class:`~repro.simulation.online.DeploymentTracker`, and all intervals
+are scored in one
+:func:`~repro.simulation.evaluator.evaluate_allocations_batch` pass at
+the end of the run.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from ..nn.precision import EVALUATION_DTYPE
 from ..paths.pathset import PathSet
 from ..traffic.matrix import TrafficMatrix
 from .evaluator import Allocation, evaluate_allocations_batch
-from .online import DeploymentTracker, IntervalResult, OnlineRunResult
+from .online import DeploymentTracker, IntervalResult
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,23 @@ Event = TrafficUpdate | LinkFailure | LinkRecovery
 
 #: Tie-break at equal timestamps: capacity events apply before the
 #: traffic update, so a decision made "at" a failure instant already
-#: sees the degraded capacities (matching the offline replay, where
-#: ``interval_capacities`` degrades interval ``failure_at`` itself).
+#: sees the degraded capacities.
 _PRIORITY = {LinkFailure: 0, LinkRecovery: 0, TrafficUpdate: 1}
+
+#: Event-count key of each event type (:attr:`StreamingRunResult.event_counts`).
+_KIND = {TrafficUpdate: "traffic", LinkFailure: "failure", LinkRecovery: "recovery"}
+
+
+def _checked_edges(event: LinkFailure | LinkRecovery, num_edges: int) -> list[int]:
+    """The event's edge ids, rejecting any outside ``[0, num_edges)``."""
+    edges = [int(e) for e in event.edges]
+    for edge in edges:
+        if not 0 <= edge < num_edges:
+            raise SimulationError(
+                f"{type(event).__name__} at t={event.time} names edge "
+                f"{edge}, outside [0, {num_edges})"
+            )
+    return edges
 
 
 @dataclass(frozen=True)
@@ -108,11 +124,9 @@ class EventSchedule:
     Events are stored sorted by ``(time, kind)``; capacity events sort
     before the traffic update at the same timestamp (see the tie-break
     note above). The constructors cover the common shapes: a plain
-    trace, a failure(-and-recovery) case equivalent to
-    :meth:`OnlineSimulator.run`'s ``failure_at`` semantics, and a
-    :class:`~repro.sweep.grid.ScenarioSuite` grid cell — closing the
-    "online-mode grids with per-cell failure timing" loop: every cell's
-    failure sampling and timing becomes an explicit event schedule.
+    trace, a failure(-and-recovery) case, and a
+    :class:`~repro.sweep.grid.ScenarioSuite` grid cell, whose failure
+    sampling and timing become an explicit event schedule.
 
     Attributes:
         events: The sorted event tuple (any iterable is accepted and
@@ -136,15 +150,56 @@ class EventSchedule:
         object.__setattr__(self, "events", events)
 
     @property
+    def updates(self) -> list[TrafficUpdate]:
+        """Traffic updates in event order (one decision each)."""
+        return [e for e in self.events if isinstance(e, TrafficUpdate)]
+
+    @property
     def num_intervals(self) -> int:
         """Number of traffic updates (= decisions a run will make)."""
-        return sum(1 for e in self.events if isinstance(e, TrafficUpdate))
+        return len(self.updates)
 
     def matrices(self) -> list[TrafficMatrix]:
         """Traffic matrices in event order."""
-        return [
-            e.matrix for e in self.events if isinstance(e, TrafficUpdate)
-        ]
+        return [e.matrix for e in self.updates]
+
+    def demand_stack(self, pathset: PathSet) -> np.ndarray:
+        """(T, D) demand volumes; decision ``t`` reads row ``t``."""
+        return pathset.demand_volumes_batch(
+            np.stack([m.values for m in self.matrices()])
+        )
+
+    def capacity_stack(self, nominal: np.ndarray) -> np.ndarray:
+        """(T, E) capacities in effect at each decision; row ``t`` is ``t``'s.
+
+        Failures zero their edges from the failure event on; recoveries
+        copy the nominal values back, so a recovered row equals
+        ``nominal`` bit for bit.
+
+        Raises:
+            SimulationError: If an event names an edge outside ``[0, E)``.
+        """
+        nominal = np.asarray(nominal, dtype=EVALUATION_DTYPE)
+        num_edges = nominal.shape[0]
+        stack = np.broadcast_to(
+            nominal, (self.num_intervals, num_edges)
+        ).copy()
+        current = nominal.copy()
+        failed: set[int] = set()
+        interval = 0
+        for event in self.events:
+            if isinstance(event, LinkFailure):
+                edges = _checked_edges(event, num_edges)
+                current[edges] = 0.0
+                failed.update(edges)
+            elif isinstance(event, LinkRecovery):
+                edges = sorted(_checked_edges(event, num_edges) or failed)
+                current[edges] = nominal[edges]
+                failed.difference_update(edges)
+            else:
+                stack[interval] = current
+                interval += 1
+        return stack
 
     @classmethod
     def from_trace(
@@ -173,11 +228,9 @@ class EventSchedule:
         """A trace with one failure (and optional recovery) event.
 
         The failure strikes at interval ``failure_at`` *before* that
-        interval's traffic update, reproducing
-        :meth:`OnlineSimulator.run`'s ``failure_at`` timeline: interval
-        ``failure_at`` already computes — and is scored — against the
-        degraded capacities. ``recover_at`` (exclusive of further
-        degradation) restores the failed edges the same way.
+        interval's traffic update: interval ``failure_at`` already
+        computes — and is scored — against the degraded capacities.
+        ``recover_at`` restores the failed edges the same way.
 
         Args:
             matrices: Consecutive traffic matrices.
@@ -188,21 +241,28 @@ class EventSchedule:
             recover_at: Optional interval index the links recover.
 
         Raises:
-            SimulationError: On inconsistent failure arguments.
+            SimulationError: On inconsistent failure arguments, a
+                negative ``failure_at``, or a recovery without a failure.
         """
+        failed_edges = tuple(int(e) for e in failed_edges)
         if bool(failed_edges) != (failure_at is not None):
             raise SimulationError(
                 "failed_edges and failure_at must be provided together"
             )
+        if recover_at is not None and failure_at is None:
+            raise SimulationError("recover_at requires a failure")
         events: list[Event] = [
             TrafficUpdate(time=t * interval_seconds, matrix=m)
             for t, m in enumerate(matrices)
         ]
         if failure_at is not None:
+            if failure_at < 0:
+                raise SimulationError(
+                    f"failure_at must be non-negative, got {failure_at}"
+                )
             events.append(
                 LinkFailure(
-                    time=failure_at * interval_seconds,
-                    edges=tuple(int(e) for e in failed_edges),
+                    time=failure_at * interval_seconds, edges=failed_edges
                 )
             )
             if recover_at is not None:
@@ -212,8 +272,7 @@ class EventSchedule:
                     )
                 events.append(
                     LinkRecovery(
-                        time=recover_at * interval_seconds,
-                        edges=tuple(int(e) for e in failed_edges),
+                        time=recover_at * interval_seconds, edges=failed_edges
                     )
                 )
         return cls(events=tuple(events), interval_seconds=interval_seconds)
@@ -227,8 +286,7 @@ class EventSchedule:
         Reuses the grid's own determinism contract: the failed links are
         sampled with :func:`repro.sweep.grid.cell_seed` (stable across
         processes) and the failure strikes at ``suite.failure_at``
-        (mid-trace when unset), so the schedule replays exactly the
-        scenario the cell's batched sweep evaluates.
+        (mid-trace when unset).
 
         Args:
             suite: The :class:`~repro.sweep.grid.ScenarioSuite`.
@@ -268,7 +326,8 @@ class DecisionRecord:
         interval: Interval index the decision was computed for.
         time: Timestamp of the triggering traffic update.
         latency: Measured wall-clock seconds of the decision pipeline
-            (the quantity p50/p99 decision latency is reported over).
+            (the quantity p50/p99 decision latency is reported over);
+            a precomputed decision reports its ``compute_time``.
         compute_time: The scheme-reported compute time that drives the
             deployment schedule (equals ``latency`` for warm decisions;
             test doubles may report synthetic times).
@@ -286,7 +345,7 @@ class DecisionRecord:
 
 @dataclass
 class StreamingRunResult:
-    """Aggregate of one streaming run: decisions, intervals, latencies."""
+    """Aggregate of one online run: decisions, intervals, latencies."""
 
     scheme: str
     decisions: list[DecisionRecord] = field(default_factory=list)
@@ -335,12 +394,8 @@ class StreamingRunResult:
         return float(np.mean([r.stale for r in self.intervals]))
 
     def satisfied_series(self) -> np.ndarray:
-        """(T,) satisfied fractions in interval order."""
+        """(T,) satisfied fractions in interval order (Figure 18 series)."""
         return np.array([r.satisfied_fraction for r in self.intervals])
-
-    def to_online_result(self) -> OnlineRunResult:
-        """The run as an :class:`OnlineRunResult` (replay-compatible view)."""
-        return OnlineRunResult(scheme=self.scheme, intervals=list(self.intervals))
 
     def to_dict(self) -> dict:
         """JSON-ready summary (CLI/benchmark output)."""
@@ -373,8 +428,7 @@ class StreamingEngine:
             ratios — instead of running the full pipeline every
             interval. Falls back to cold decisions for the first
             interval and for schemes without an ADMM seam. Pass False
-            for the cold-only mode that reproduces
-            :meth:`OnlineSimulator.run` exactly.
+            for cold-only decisions.
         warm_iterations: ADMM iteration budget of warm decisions
             (None = the fine-tuner's configured count).
     """
@@ -458,123 +512,99 @@ class StreamingEngine:
         self,
         schedule: EventSchedule,
         capacities: np.ndarray | None = None,
+        allocations: list[Allocation] | None = None,
     ) -> StreamingRunResult:
         """Drive the controller through an event schedule.
 
-        Decisions happen one event at a time — each traffic update
-        resolves pending deployments, computes a new allocation (timed
-        with ``perf_counter``), and submits it to the deployment
-        tracker — while scoring is deferred to one batched
-        :func:`evaluate_allocations_batch` pass over all intervals. The
-        scoring inputs are constructed through the very same recipe
-        :meth:`OnlineSimulator.run` uses (one ``demand_volumes_batch``
-        over the schedule's matrices, a broadcast-and-copy capacity
-        stack updated row by row, a preallocated deployed-ratio stack),
-        so a failure-case schedule reproduces the replay bit for bit —
-        identical float construction, not just identical values.
+        Decision ``t`` reads row ``t`` of the schedule's demand and
+        capacity stacks (:meth:`EventSchedule.demand_stack`,
+        :meth:`EventSchedule.capacity_stack`). Each traffic update
+        resolves pending deployments, takes a decision (timed with
+        ``perf_counter``) and submits it to the deployment tracker;
+        scoring is deferred to one batched
+        :func:`evaluate_allocations_batch` pass over all intervals.
 
         Args:
             schedule: The event stream.
             capacities: Nominal capacities (default: the topology's).
                 Failure events zero edges of these; recovery events
                 restore the nominal values exactly.
+            allocations: Optional precomputed per-interval decisions
+                (e.g. a slice of one :func:`~repro.simulation.online.allocate_all`
+                over several schedules); the scheme is then not called
+                and each decision's latency is its ``compute_time``.
 
         Returns:
             A :class:`StreamingRunResult`.
+
+        Raises:
+            SimulationError: If ``allocations`` does not hold one
+                decision per traffic update, or an event names an edge
+                outside the topology.
         """
-        nominal = np.asarray(
-            self.pathset.topology.capacities
-            if capacities is None
-            else capacities,
-            dtype=EVALUATION_DTYPE,
-        )
-        current = nominal.copy()
-        failed: set[int] = set()
+        if capacities is None:
+            capacities = self.pathset.topology.capacities
+        updates = schedule.updates
+        num_intervals = len(updates)
+        if allocations is not None and len(allocations) != num_intervals:
+            raise SimulationError(
+                f"{len(allocations)} precomputed allocations for "
+                f"{num_intervals} intervals"
+            )
+        demands_all = schedule.demand_stack(self.pathset)
+        caps_stack = schedule.capacity_stack(capacities)
         tracker = DeploymentTracker(
             self._initial_allocation(), schedule.interval_seconds
         )
         result = StreamingRunResult(
             scheme=getattr(self.scheme, "name", "scheme")
         )
-        counts = {"traffic": 0, "failure": 0, "recovery": 0}
-        previous_ratios: np.ndarray | None = None
-        interval = -1
-
-        # Scoring stacks, built with the same construction recipe as
-        # OnlineSimulator.run so the batched evaluator sees arrays that
-        # are not merely equal in value but identically constructed
-        # (summation order in numpy reductions is layout-sensitive at
-        # the last ulp). The schedule is fully known here, so demand
-        # volumes for every traffic update can go through the one
-        # batched transform the replay uses; per-decision the engine
-        # reads row views of these stacks — exactly what the replay
-        # hands its scheme.
-        num_intervals = schedule.num_intervals
-        demands_all = self.pathset.demand_volumes_batch(
-            np.stack([m.values for m in schedule.matrices()])
-        )
-        caps_stack = np.broadcast_to(
-            nominal, (num_intervals, nominal.shape[0])
-        ).copy()
         ratio_stack = np.empty(
             (num_intervals, self.pathset.num_demands, self.pathset.max_paths)
         )
         ages = np.empty(num_intervals, dtype=int)
+        previous_ratios: np.ndarray | None = None
 
-        for event in schedule.events:
-            if isinstance(event, LinkFailure):
-                counts["failure"] += 1
-                edges = list(event.edges)
-                current[edges] = 0.0
-                failed.update(event.edges)
-            elif isinstance(event, LinkRecovery):
-                counts["recovery"] += 1
-                edges = sorted(event.edges or failed)
-                current[edges] = nominal[edges]
-                failed.difference_update(edges)
-            else:
-                counts["traffic"] += 1
-                interval += 1
-                tracker.resolve(interval)
-                caps_stack[interval] = current
-                demands = demands_all[interval]
-                caps_now = caps_stack[interval]
-
+        for t, update in enumerate(updates):
+            tracker.resolve(t)
+            if allocations is None:
                 start = time.perf_counter()
                 allocation, warm = self._decide(
-                    demands, caps_now, previous_ratios
+                    demands_all[t], caps_stack[t], previous_ratios
                 )
                 latency = time.perf_counter() - start
-                previous_ratios = allocation.split_ratios
-                delay = tracker.submit(interval, allocation)
-
-                result.decisions.append(
-                    DecisionRecord(
-                        interval=interval,
-                        time=event.time,
-                        latency=latency,
-                        compute_time=allocation.compute_time,
-                        warm=warm,
-                        deploy_delay=delay,
-                    )
+            else:
+                allocation, warm = allocations[t], False
+                latency = allocation.compute_time
+            previous_ratios = allocation.split_ratios
+            delay = tracker.submit(t, allocation)
+            result.decisions.append(
+                DecisionRecord(
+                    interval=t,
+                    time=update.time,
+                    latency=latency,
+                    compute_time=allocation.compute_time,
+                    warm=warm,
+                    deploy_delay=delay,
                 )
-                ratio_stack[interval] = tracker.deployed.split_ratios
-                ages[interval] = tracker.age(interval)
+            )
+            ratio_stack[t] = tracker.deployed.split_ratios
+            ages[t] = tracker.age(t)
 
-        batch_report = evaluate_allocations_batch(
+        satisfied = evaluate_allocations_batch(
             self.pathset, ratio_stack, demands_all, caps_stack
-        )
-        for t in range(num_intervals):
+        ).satisfied_fraction
+        for t, decision in enumerate(result.decisions):
             result.intervals.append(
                 IntervalResult(
                     interval=t,
-                    satisfied_fraction=float(
-                        batch_report.satisfied_fraction[t]
-                    ),
+                    satisfied_fraction=float(satisfied[t]),
                     allocation_age=int(ages[t]),
-                    compute_time=result.decisions[t].compute_time,
+                    compute_time=decision.compute_time,
                     stale=bool(ages[t] > 0),
                 )
             )
-        result.event_counts = counts
+        result.event_counts = {kind: 0 for kind in _KIND.values()}
+        for event in schedule.events:
+            result.event_counts[_KIND[type(event)]] += 1
         return result

@@ -39,6 +39,7 @@ from ..cache import atomic_write_json
 from ..config import TE_INTERVAL_SECONDS, TrainingConfig
 from ..exceptions import ReproError
 from ..simulation.metrics import SchemeRun, format_comparison_table
+from ..simulation.streaming import EventSchedule, LinkFailure
 from .cellbatch import plan_cell_batches, resolve_cell_batch
 
 #: Executors accepted by :func:`run_scenario_grid`.
@@ -131,6 +132,10 @@ class ScenarioSuite:
                 raise ReproError(f"duplicate values in suite axis {name!r}")
         if self.mode not in ("offline", "online"):
             raise ReproError(f"unknown sweep mode {self.mode!r}")
+        if self.failure_at is not None and self.failure_at < 0:
+            raise ReproError(
+                f"failure_at must be non-negative, got {self.failure_at}"
+            )
         if self.precision not in ("float32", "float64"):
             raise ReproError(
                 f"unknown precision {self.precision!r}; "
@@ -348,7 +353,7 @@ class GridResult:
 
 
 def _online_to_scheme_run(name: str, result) -> tuple[SchemeRun, dict]:
-    """Flatten an OnlineRunResult into the unified per-cell SchemeRun."""
+    """Flatten a StreamingRunResult into the unified per-cell SchemeRun."""
     run = SchemeRun(scheme=name)
     for record in result.intervals:
         run.add(
@@ -426,74 +431,69 @@ def _run_topology_job(
         train_seconds = time.perf_counter() - start
     schemes = {name: schemes[name] for name in suite.schemes}
 
-    capacity_sets: dict[int, object] = {}
-    failed_edges: dict[int, list[int]] = {}
-    for count in suite.failure_counts:
-        caps = scenario.capacities.copy()
-        edges: list[int] = []
-        if count:
-            edges = sample_link_failures(
-                scenario.topology, count, seed=cell_seed(topology, seed, count)
-            )
-            caps[edges] = 0.0
-        capacity_sets[count] = caps
-        failed_edges[count] = [int(e) for e in edges]
-
     start = time.perf_counter()
-    cells: list[GridCell] = []
-    workspace = Workspace()
+    failed_edges: dict[int, list[int]] = {}
     if suite.mode == "offline":
+        capacity_sets: dict[int, object] = {}
+        for count in suite.failure_counts:
+            edges = (
+                sample_link_failures(
+                    scenario.topology, count, seed=cell_seed(topology, seed, count)
+                )
+                if count
+                else []
+            )
+            failed_edges[count] = [int(e) for e in edges]
+            capacity_sets[count] = scenario.capacities.copy()
+            capacity_sets[count][edges] = 0.0
         sweep = harness.run_failure_sweep(
             scenario,
             schemes,
             capacity_sets,
             objective=objective,
             cell_batch=cell_batch,
-            workspace=workspace,
+            workspace=Workspace(),
         )
-        for count in suite.failure_counts:
-            for name in suite.schemes:
-                cells.append(
-                    GridCell(
-                        topology=topology,
-                        seed=seed,
-                        failure_count=count,
-                        scheme=name,
-                        run=sweep[count][name],
-                        extras={"failed_edges": failed_edges[count]},
-                    )
-                )
-    else:
-        failure_at = suite.failure_at
-        if failure_at is None:
-            failure_at = len(scenario.split.test) // 2
-        failure_cases = {
-            count: (
-                (failure_at, capacity_sets[count]) if count else (None, None)
-            )
+        results = {
+            count: {name: (sweep[count][name], {}) for name in suite.schemes}
             for count in suite.failure_counts
         }
+    else:
+        schedules = {
+            count: EventSchedule.from_grid_cell(suite, scenario, count)
+            for count in suite.failure_counts
+        }
+        for count, schedule in schedules.items():
+            failed_edges[count] = [
+                edge
+                for event in schedule.events
+                if isinstance(event, LinkFailure)
+                for edge in event.edges
+            ]
         sweep = harness.run_online_failure_sweep(
-            scenario,
-            schemes,
-            suite.interval_seconds,
-            failure_cases,
-            cell_batch=cell_batch,
+            scenario, schemes, schedules, cell_batch=cell_batch
         )
-        for count in suite.failure_counts:
-            for name in suite.schemes:
-                run, extras = _online_to_scheme_run(name, sweep[count][name])
-                extras["failed_edges"] = failed_edges[count]
-                cells.append(
-                    GridCell(
-                        topology=topology,
-                        seed=seed,
-                        failure_count=count,
-                        scheme=name,
-                        run=run,
-                        extras=extras,
-                    )
+        results = {
+            count: {
+                name: _online_to_scheme_run(name, sweep[count][name])
+                for name in suite.schemes
+            }
+            for count in suite.failure_counts
+        }
+    cells: list[GridCell] = []
+    for count in suite.failure_counts:
+        for name in suite.schemes:
+            run, extras = results[count][name]
+            cells.append(
+                GridCell(
+                    topology=topology,
+                    seed=seed,
+                    failure_count=count,
+                    scheme=name,
+                    run=run,
+                    extras={**extras, "failed_edges": failed_edges[count]},
                 )
+            )
     sweep_seconds = time.perf_counter() - start
 
     timing = {

@@ -14,7 +14,9 @@ from repro.core import TealScheme
 from repro.core.model import TealModel
 from repro.simulation import (
     Allocation,
+    EventSchedule,
     OnlineSimulator,
+    StreamingEngine,
     evaluate_allocation,
     evaluate_allocations_batch,
 )
@@ -25,8 +27,8 @@ TOL = 1e-8
 class DeterministicScheme:
     """Demand-aware allocation with a fixed compute time (no timing noise).
 
-    Deterministic by construction, so the batched and streaming replays
-    must agree exactly — including staleness decisions.
+    Deterministic by construction, so the batched replay and the cold
+    engine must agree exactly — including staleness decisions.
     """
 
     name = "deterministic"
@@ -207,56 +209,55 @@ class TestBatchedModelForward:
 
 
 class TestOnlineReplayEquivalence:
-    """The rewired replay must match the streaming loop interval-for-interval."""
+    """The batched replay (every decision up front) must match the
+    per-decision cold engine interval for interval."""
+
+    @staticmethod
+    def _cold(pathset, scheme, matrices, **failure):
+        schedule = EventSchedule.from_failure_case(matrices, 300.0, **failure)
+        engine = StreamingEngine(pathset, scheme, warm_start=False)
+        return engine.run(schedule)
 
     @pytest.mark.parametrize("compute_time", [0.0, 450.0, 950.0])
     def test_deterministic_scheme(self, b4_pathset, b4_trace, compute_time):
         sim = OnlineSimulator(b4_pathset, interval_seconds=300.0)
         scheme = DeterministicScheme(compute_time)
         matrices = b4_trace.matrices[:8]
-        streaming = sim.run(scheme, matrices, batched=False)
-        batched = sim.run(scheme, matrices, batched=True)
-        for before, after in zip(streaming.intervals, batched.intervals):
-            assert after.satisfied_fraction == pytest.approx(
-                before.satisfied_fraction, abs=TOL
-            )
+        cold = self._cold(b4_pathset, scheme, matrices)
+        batched = sim.run(scheme, matrices)
+        assert np.array_equal(cold.satisfied_series(), batched.satisfied_series())
+        for before, after in zip(cold.intervals, batched.intervals):
             assert after.allocation_age == before.allocation_age
             assert after.stale == before.stale
-            assert after.compute_time == pytest.approx(before.compute_time)
+            assert after.compute_time == before.compute_time
 
     def test_with_failure_injection(self, b4_pathset, b4_trace):
-        caps = b4_pathset.topology.capacities.copy()
-        failed = caps.copy()
-        failed[:8] = 0.0
+        failure = {"failure_at": 3, "failed_edges": tuple(range(8))}
         sim = OnlineSimulator(b4_pathset, interval_seconds=300.0)
         scheme = DeterministicScheme(400.0)
         matrices = b4_trace.matrices[:8]
-        streaming = sim.run(
-            scheme, matrices, failure_at=3, failed_capacities=failed, batched=False
-        )
-        batched = sim.run(
-            scheme, matrices, failure_at=3, failed_capacities=failed, batched=True
-        )
-        assert np.allclose(
-            streaming.satisfied_series(), batched.satisfied_series(), atol=TOL
-        )
+        cold = self._cold(b4_pathset, scheme, matrices, **failure)
+        batched = sim.run(scheme, matrices, **failure)
+        assert np.array_equal(cold.satisfied_series(), batched.satisfied_series())
 
     def test_teal_scheme_replay(self, b4_pathset, b4_trace):
-        """Fixed-seed B4 + Teal: batched replay equals the streaming one.
+        """Fixed-seed B4 + Teal: batched replay equals the cold engine.
 
         A huge interval keeps every allocation fresh, so timing noise in
         measured compute times cannot flip staleness decisions and the
         series must agree to float tolerance.
         """
         teal = TealScheme(b4_pathset, seed=11, use_admm=False)
-        sim = OnlineSimulator(b4_pathset, interval_seconds=1e9)
         matrices = b4_trace.matrices[:6]
-        streaming = sim.run(teal, matrices, batched=False)
-        batched = sim.run(teal, matrices, batched=True)
-        assert np.allclose(
-            streaming.satisfied_series(), batched.satisfied_series(), atol=TOL
+        engine = StreamingEngine(b4_pathset, teal, warm_start=False)
+        cold = engine.run(EventSchedule.from_trace(matrices, 1e9))
+        batched = OnlineSimulator(b4_pathset, interval_seconds=1e9).run(
+            teal, matrices
         )
-        assert batched.stale_fraction == streaming.stale_fraction == 0.0
+        assert np.allclose(
+            cold.satisfied_series(), batched.satisfied_series(), atol=TOL
+        )
+        assert batched.stale_fraction == cold.stale_fraction == 0.0
 
     def test_duck_typed_scheme_without_allocate_batch(self, b4_pathset, b4_trace):
         """Schemes exposing only ``allocate`` still work in batched mode."""

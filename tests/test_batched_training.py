@@ -553,21 +553,26 @@ class TestHarnessFailureSweep:
     def test_online_sweep_matches_per_case_runs(self, small_scenario):
         from repro.harness import run_online_comparison, run_online_failure_sweep
 
+        from repro.simulation import EventSchedule
+
         teal = TealScheme(small_scenario.pathset, seed=0, use_admm=False)
         schemes = {"Teal": teal}
-        failed = small_scenario.capacities.copy()
-        failed[:4] = 0.0
-        cases = {"none": (None, None), "hit": (1, failed)}
-        sweep = run_online_failure_sweep(
-            small_scenario, schemes, interval_seconds=1e9, failure_cases=cases
-        )
-        for key, (failure_at, failed_caps) in cases.items():
+        mats = small_scenario.split.test
+        cases = {"none": (None, ()), "hit": (1, (0, 1, 2, 3))}
+        schedules = {
+            key: EventSchedule.from_failure_case(
+                mats, 1e9, failed_edges=edges, failure_at=failure_at
+            )
+            for key, (failure_at, edges) in cases.items()
+        }
+        sweep = run_online_failure_sweep(small_scenario, schemes, schedules)
+        for key, (failure_at, edges) in cases.items():
             reference = run_online_comparison(
                 small_scenario,
                 schemes,
                 interval_seconds=1e9,
                 failure_at=failure_at,
-                failed_capacities=failed_caps,
+                failed_edges=edges,
             )
             assert np.allclose(
                 sweep[key]["Teal"].satisfied_series(),

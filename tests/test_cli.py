@@ -224,6 +224,20 @@ class TestCommands:
         }
         assert len(summary["LP-all"]["latencies"]) == 3
 
+    def test_stream_rejects_negative_failure_at(self, capsys):
+        code = main(
+            [
+                "stream",
+                "--topology", "B4",
+                "--schemes", "LP-all",
+                "--matrices", "3",
+                "--failures", "1",
+                "--failure-at", "-1",
+            ]
+        )
+        assert code == 1
+        assert "failure_at must be non-negative" in capsys.readouterr().err
+
     def test_train_runs_small(self, capsys):
         code = main(
             [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.config import POP_REPLICAS, TrainingConfig
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SimulationError
 from repro.harness import (
     BENCH_POP_REPLICA_CAP,
     BENCH_POP_REPLICAS,
@@ -23,6 +23,7 @@ from repro.harness import (
     run_online_failure_sweep,
     trained_teal,
 )
+from repro.simulation import EventSchedule
 
 
 @pytest.fixture(scope="module")
@@ -346,22 +347,10 @@ class TestSweepEmptyContracts:
 
     def test_online_empty_cases(self, b4_scenario):
         schemes = make_baselines(b4_scenario, include=("LP-all",))
-        assert (
-            run_online_failure_sweep(
-                b4_scenario, schemes, interval_seconds=1.0, failure_cases={}
-            )
-            == {}
-        )
+        assert run_online_failure_sweep(b4_scenario, schemes, {}) == {}
 
-    def test_online_empty_matrices(self, b4_scenario):
-        schemes = make_baselines(b4_scenario, include=("LP-all",))
-        result = run_online_failure_sweep(
-            b4_scenario,
-            schemes,
-            interval_seconds=1.0,
-            failure_cases={"none": (None, None)},
-            matrices=[],
-        )
-        assert set(result) == {"none"}
-        assert result["none"]["LP-all"].intervals == []
-        assert result["none"]["LP-all"].mean_satisfied == 0.0
+    def test_online_empty_matrices(self):
+        """An online run needs a traffic update: an empty trace has no
+        schedule, so it is rejected instead of yielding empty results."""
+        with pytest.raises(SimulationError):
+            EventSchedule.from_trace([], interval_seconds=1.0)

@@ -61,15 +61,12 @@ class TestOnlineSimulator:
         assert fast.mean_satisfied >= slow.mean_satisfied - 1e-9
 
     def test_failure_injection_changes_capacities(self, b4_pathset, b4_trace):
-        caps = b4_pathset.topology.capacities.copy()
-        failed = caps.copy()
-        failed[:10] = 0.0
         sim = OnlineSimulator(b4_pathset, interval_seconds=300.0)
         result = sim.run(
             FixedTimeScheme(1.0),
             b4_trace.matrices[:6],
             failure_at=3,
-            failed_capacities=failed,
+            failed_edges=tuple(range(10)),
         )
         before = np.mean([r.satisfied_fraction for r in result.intervals[:3]])
         after = np.mean([r.satisfied_fraction for r in result.intervals[3:]])

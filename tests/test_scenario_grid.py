@@ -100,6 +100,10 @@ class TestScenarioSuite:
             with pytest.raises(ReproError):
                 tiny_suite(**overrides)
 
+    def test_negative_failure_at_rejected(self):
+        with pytest.raises(ReproError, match="failure_at"):
+            tiny_suite(mode="online", failure_at=-1)
+
     def test_cell_and_job_counts(self):
         suite = tiny_suite(
             topologies=("B4", "SWAN"), seeds=(0, 1), failure_counts=(0, 1, 2)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.admm import AdmmFineTuner
 from repro.exceptions import SimulationError
@@ -17,6 +19,7 @@ from repro.simulation import (
     StreamingEngine,
     TrafficUpdate,
 )
+from repro.topology import b4
 
 from test_online_simulation import FixedTimeScheme
 
@@ -46,6 +49,24 @@ class RecordingScheme:
         ratios = np.zeros((pathset.num_demands, pathset.max_paths))
         ratios[:, 0] = 1.0
         return Allocation(ratios, compute_time=1.0, scheme=self.name)
+
+
+class TimedRecordingScheme(RecordingScheme):
+    """Cheap demand-aware allocations with a fixed (synthetic) compute time."""
+
+    def __init__(self, compute_time: float) -> None:
+        super().__init__()
+        self.compute_time = compute_time
+
+    def allocate(self, pathset, demands, capacities=None):
+        self.seen_capacities.append(np.array(capacities, copy=True))
+        weights = (
+            pathset.path_mask
+            * (1.0 + np.arange(pathset.max_paths))
+            * (1.0 + demands[:, None] / (1.0 + demands.max()))
+        )
+        ratios = weights / weights.sum(axis=1, keepdims=True)
+        return Allocation(ratios, compute_time=self.compute_time, scheme=self.name)
 
 
 class WarmCapableScheme(FixedTimeScheme):
@@ -102,6 +123,43 @@ class TestEventSchedule:
                 mats, failed_edges=(0,), failure_at=1, recover_at=1
             )
 
+    def test_negative_failure_at_rejected(self, b4_trace):
+        """A negative failure_at used to fail every interval here but only
+        the last ones in the replay's capacity slicing; now it is an error."""
+        mats = b4_trace.matrices[:4]
+        with pytest.raises(SimulationError, match="non-negative"):
+            EventSchedule.from_failure_case(
+                mats, failed_edges=(0,), failure_at=-1
+            )
+
+    def test_recovery_without_failure_rejected(self, b4_trace):
+        with pytest.raises(SimulationError, match="recover_at"):
+            EventSchedule.from_failure_case(
+                b4_trace.matrices[:4], recover_at=2
+            )
+
+    @pytest.mark.parametrize("edge", [-1, 38, 1000])
+    def test_out_of_range_edges_rejected(self, b4_pathset, b4_trace, edge):
+        """Edge -1 used to zero B4's last edge silently and edge >= E raised
+        a raw IndexError; both are now SimulationErrors naming the edge."""
+        assert b4_pathset.topology.num_edges == 38
+        mats = b4_trace.matrices[:2]
+        for event in (
+            LinkFailure(time=300.0, edges=(0, edge)),
+            LinkRecovery(time=300.0, edges=(edge,)),
+        ):
+            schedule = EventSchedule(
+                events=(
+                    TrafficUpdate(time=0.0, matrix=mats[0]),
+                    event,
+                    TrafficUpdate(time=300.0, matrix=mats[1]),
+                ),
+                interval_seconds=300.0,
+            )
+            engine = StreamingEngine(b4_pathset, RecordingScheme(), warm_start=False)
+            with pytest.raises(SimulationError, match=f"edge {edge}"):
+                engine.run(schedule)
+
     def test_from_failure_case_timeline(self, b4_trace):
         mats = b4_trace.matrices[:4]
         schedule = EventSchedule.from_failure_case(
@@ -152,8 +210,6 @@ class TestStreamingEquivalence:
         mats = b4_trace.matrices[:6]
         caps = b4_pathset.topology.capacities.copy()
         edges = (0, 1, 2, 3)
-        failed = caps.copy()
-        failed[list(edges)] = 0.0
 
         sim = OnlineSimulator(b4_pathset, interval_seconds=300.0)
         ref = sim.run(
@@ -161,7 +217,7 @@ class TestStreamingEquivalence:
             mats,
             capacities=caps,
             failure_at=2,
-            failed_capacities=failed,
+            failed_edges=edges,
         )
         engine = StreamingEngine(
             b4_pathset, FixedTimeScheme(700.0), warm_start=False
@@ -189,7 +245,7 @@ class TestStreamingEquivalence:
         )
         run = engine.run(EventSchedule.from_trace(mats, 300.0))
         assert np.array_equal(run.satisfied_series(), ref.satisfied_series())
-        assert run.to_online_result().mean_satisfied == ref.mean_satisfied
+        assert run.mean_satisfied == ref.mean_satisfied
 
     def test_out_of_order_completions_match_replay(
         self, b4_pathset, b4_trace
@@ -344,3 +400,89 @@ class TestRunStreamingSweep:
 
         scenario = build_scenario("B4", train=4, validation=1, test=4)
         assert run_streaming_sweep(scenario, {}, {}) == {}
+
+
+#: Directed edges of B4 (the property test draws edge ids below this).
+B4_EDGES = b4(capacity=100.0).num_edges
+
+#: One capacity event: ("fail" | "recover", edges) or ("recover_all", ()).
+capacity_events = st.one_of(
+    st.tuples(
+        st.sampled_from(["fail", "recover"]),
+        st.lists(
+            st.integers(0, B4_EDGES - 1), min_size=1, max_size=4, unique=True
+        ).map(tuple),
+    ),
+    st.just(("recover_all", ())),
+)
+
+
+class TestReplayModesProperty:
+    """The per-decision cold engine and the batched sweep are one loop."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        from repro.harness import build_scenario
+
+        return build_scenario("B4", train=4, validation=1, test=6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        timeline=st.lists(
+            st.lists(capacity_events, max_size=2), min_size=1, max_size=6
+        ),
+        compute_time=st.sampled_from([0.0, 450.0, 950.0]),
+    )
+    def test_cold_and_batched_replays_agree(
+        self, scenario, timeline, compute_time
+    ):
+        from repro.harness import run_online_failure_sweep
+
+        assert scenario.topology.num_edges == B4_EDGES
+        nominal = scenario.capacities
+        interval = 300.0
+        events = []
+        expected = []
+        failed: set[int] = set()
+        for t, capacity_events_at_t in enumerate(timeline):
+            for kind, edges in capacity_events_at_t:
+                if kind == "fail":
+                    events.append(LinkFailure(time=t * interval, edges=edges))
+                    failed |= set(edges)
+                elif kind == "recover":
+                    events.append(LinkRecovery(time=t * interval, edges=edges))
+                    failed -= set(edges)
+                else:
+                    events.append(LinkRecovery(time=t * interval))
+                    failed = set()
+            events.append(
+                TrafficUpdate(time=t * interval, matrix=scenario.split.test[t])
+            )
+            row = nominal.copy()
+            row[sorted(failed)] = 0.0
+            expected.append(row)
+        schedule = EventSchedule(events=tuple(events), interval_seconds=interval)
+
+        stack = schedule.capacity_stack(nominal)
+        assert np.array_equal(stack, np.array(expected))
+
+        cold_scheme = TimedRecordingScheme(compute_time)
+        cold = StreamingEngine(
+            scenario.pathset, cold_scheme, warm_start=False
+        ).run(schedule, nominal)
+        batched_scheme = TimedRecordingScheme(compute_time)
+        batched = run_online_failure_sweep(
+            scenario, {"s": batched_scheme}, {0: schedule}
+        )[0]["s"]
+
+        assert np.array_equal(cold.satisfied_series(), batched.satisfied_series())
+        assert [r.allocation_age for r in cold.intervals] == [
+            r.allocation_age for r in batched.intervals
+        ]
+        assert [r.compute_time for r in cold.intervals] == [
+            r.compute_time for r in batched.intervals
+        ]
+        for seen in (cold_scheme.seen_capacities, batched_scheme.seen_capacities):
+            assert len(seen) == len(timeline)
+            for t, capacities in enumerate(seen):
+                assert np.array_equal(capacities, stack[t])
