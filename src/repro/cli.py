@@ -68,7 +68,7 @@ def _cmd_failures(args: argparse.Namespace) -> int:
     from .harness import (
         build_scenario,
         make_baselines,
-        run_offline_comparison,
+        run_failure_sweep,
         trained_teal,
     )
     from .topology import sample_link_failures
@@ -78,18 +78,20 @@ def _cmd_failures(args: argparse.Namespace) -> int:
     print("training Teal...")
     schemes["Teal"] = trained_teal(scenario, precision=args.precision)
 
-    print(f"{'failures':>9} | " + " | ".join(f"{n:>8}" for n in schemes))
+    capacity_sets = {}
     for count in args.counts:
         caps = scenario.capacities.copy()
         if count:
-            failed = sample_link_failures(scenario.topology, count, seed=count)
-            caps[failed] = 0.0
-        runs = run_offline_comparison(
-            scenario,
-            schemes,
-            matrices=scenario.split.test[: args.matrices],
-            capacities=caps,
-        )
+            caps[sample_link_failures(scenario.topology, count, seed=count)] = 0.0
+        capacity_sets[count] = caps
+    sweep = run_failure_sweep(
+        scenario,
+        schemes,
+        capacity_sets,
+        matrices=scenario.split.test[: args.matrices],
+    )
+    print(f"{'failures':>9} | " + " | ".join(f"{n:>8}" for n in schemes))
+    for count, runs in sweep.items():
         row = " | ".join(
             f"{100 * runs[n].mean_satisfied:8.1f}" for n in schemes
         )
@@ -525,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a topology job into one batched kernel invocation (the "
         "default), 1 runs a strict per-cell loop, N>1 fuses chunks of "
         "at most N failure levels; every value is bit-identical "
-        "(default: the REPRO_CELL_BATCH env var, then 0 — see README "
-        "'Grid cell batching')",
+        "(default: 0 — see README 'Grid cell batching')",
     )
     p_sweep.add_argument(
         "--resume", action="store_true",

@@ -306,9 +306,11 @@ class FlowGNN(Module):
         capacities = broadcast_capacities(capacities, batch)
         if capacities.shape != (batch, pathset.topology.num_edges):
             raise ModelError("capacities must be (num_edges,) or (batch, num_edges)")
-        capacities = np.asarray(capacities, dtype=self._dtype)
+        # C order: a cast of the stride-0 broadcast view keeps its layout,
+        # and a strided row mean skips the pairwise sum (1 ulp off).
+        capacities = np.ascontiguousarray(capacities, dtype=self._dtype)
         # Per-element normalization matches the single-TM path exactly, so
-        # batched and looped inference agree to machine precision.
+        # batched and looped inference agree bit for bit.
         scale = np.maximum(capacities.mean(axis=-1), 1e-9)[:, None, None]
         edge_init = capacities[:, :, None] / scale
         path_init = demands[:, pathset.path_demand][:, :, None] / scale

@@ -30,6 +30,7 @@ from .baselines import LpAll, LpTop, NCFlow, Pop, TeavarStar
 from .cache import touch
 from .config import POP_REPLICAS, AdmmConfig, TrainingConfig
 from .core import TealScheme
+from .core.batching import Workspace
 from .core.checkpoint import load_model, save_model
 from .exceptions import ModelError, ReproError
 from .lp.objectives import Objective, TotalFlowObjective, get_objective
@@ -39,7 +40,7 @@ from .simulation.evaluator import evaluate_allocations_batch
 from .simulation.metrics import SchemeRun
 from .simulation.online import allocate_all
 from .topology.generators import get_topology, provision_capacities
-from .topology.graph import Topology, broadcast_capacities
+from .topology.graph import Topology
 from .traffic.matrix import TrafficMatrix
 from .traffic.trace import TraceSplit, TrafficTrace
 
@@ -587,70 +588,37 @@ def run_offline_comparison(
     matrices: list[TrafficMatrix] | None = None,
     objective: Objective | None = None,
     capacities: np.ndarray | None = None,
-    batched: bool = True,
 ) -> dict[str, SchemeRun]:
     """Evaluate schemes over the test trace in the offline setting (§5.6).
 
-    The whole trace runs through each scheme's batched path: one
-    ``allocate_batch`` call (a single vectorized forward for Teal, a loop
-    for the LP family) followed by one
-    :func:`evaluate_allocations_batch` scoring pass per scheme.
-
-    Timing semantics: a natively batched scheme reports its *amortized*
-    per-matrix compute time (total batch time / T) — the cost a batched
-    deployment observes. Pass ``batched=False`` to time every scheme one
-    allocation at a time (the paper's per-TM inference-latency setting,
-    e.g. for Figure 6a/7a style comparisons).
+    The one-level case of :func:`run_failure_sweep`.
 
     Args:
         scenario: The workload.
         schemes: Mapping name -> scheme.
         matrices: Matrices to evaluate (default: the test split).
         objective: Objective whose raw value is also recorded.
-        capacities: Capacity override (failure experiments).
-        batched: Allocate through ``allocate_batch`` (default) or loop
-            ``allocate`` per matrix for strict per-TM latency numbers.
+        capacities: (E,) capacity override (failure experiments).
 
     Returns:
         Mapping name -> populated :class:`SchemeRun`.
     """
-    if matrices is None:
-        matrices = scenario.split.test
-    if objective is None:
-        objective = get_objective("total_flow")
     caps = scenario.capacities if capacities is None else capacities
-    runs = {name: SchemeRun(scheme=name) for name in schemes}
-    if not matrices:
-        return runs
-    demands_all = scenario.pathset.demand_volumes_batch(
-        np.stack([m.values for m in matrices])
-    )
-    for name, scheme in schemes.items():
-        if batched:
-            allocations = allocate_all(
-                scheme, scenario.pathset, demands_all, caps
-            )
-        else:
-            per_matrix = broadcast_capacities(caps, len(matrices))
-            allocations = [
-                scheme.allocate(scenario.pathset, demands, per_matrix[t])
-                for t, demands in enumerate(demands_all)
-            ]
-        ratios_all = np.stack([a.split_ratios for a in allocations])
-        batch_report = evaluate_allocations_batch(
-            scenario.pathset, ratios_all, demands_all, caps
-        )
-        values = _objective_values(
-            objective, scenario.pathset, batch_report, ratios_all, demands_all, caps
-        )
-        for t, allocation in enumerate(allocations):
-            runs[name].add(
-                satisfied=batch_report.satisfied_fraction[t],
-                compute_time=allocation.compute_time,
-                objective_value=float(values[t]),
-                extras=allocation.extras,
-            )
-    return runs
+    return run_failure_sweep(scenario, schemes, {0: caps}, matrices, objective)[0]
+
+
+def _checked_capacities(key, capacities, num_edges: int) -> np.ndarray:
+    """One sweep level's (E,) capacity vector, or a :class:`ReproError`."""
+    caps = np.asarray(capacities, dtype=float)
+    if caps.shape != (num_edges,):
+        reason = f"shape {caps.shape} != ({num_edges},)"
+    elif not np.isfinite(caps).all():
+        reason = "non-finite values"
+    elif (caps < 0).any():
+        reason = "negative values"
+    else:
+        return caps
+    raise ReproError(f"capacities for sweep key {key!r}: {reason}")
 
 
 def run_failure_sweep(
@@ -660,16 +628,19 @@ def run_failure_sweep(
     matrices: list[TrafficMatrix] | None = None,
     objective: Objective | None = None,
     cell_batch: int = 0,
-    workspace=None,
 ) -> dict:
     """Offline comparison across several capacity states in one batch.
 
-    The failure-sweep analogue of :func:`run_offline_comparison`: instead
-    of one comparison run per failure level, every (failure level,
+    The one offline allocate-and-score loop: every (capacity state,
     traffic matrix) combination becomes one row of a single
     (K * T, D) demand / (K * T, E) capacity stack, so each scheme's whole
     sweep shares *one* batched forward (one ``allocate_batch`` call, one
     ADMM fine-tuning run, one evaluation pass for Teal) instead of K.
+
+    Timing semantics: a natively batched scheme (Teal) reports its
+    *amortized* per-matrix compute time (total batch time / rows); the
+    LP family's ``allocate_batch`` loops ``allocate``, so its times are
+    per matrix.
 
     ``cell_batch`` bounds how many capacity states (grid cells) fuse
     into one stacked invocation: 0 (the default) stacks all of them —
@@ -681,7 +652,9 @@ def run_failure_sweep(
     row-identical across batch sizes (per-row matmuls, per-row tiled
     segment reductions), so every ``cell_batch`` setting returns
     bit-identical results — the chunk size only trades peak stack
-    memory against per-call overhead.
+    memory against per-call overhead. One evaluation
+    :class:`~repro.core.batching.Workspace` serves every chunk and
+    scheme.
 
     Args:
         scenario: The workload.
@@ -692,14 +665,13 @@ def run_failure_sweep(
         objective: Objective whose raw value is also recorded.
         cell_batch: Maximum capacity states per stacked invocation
             (0 = all at once, 1 = per-cell loop).
-        workspace: Optional shared :class:`~repro.core.batching.Workspace`
-            for the evaluation scratch (see
-            :func:`~repro.simulation.evaluator.evaluate_allocations_batch`).
 
     Returns:
-        Mapping sweep key -> (mapping scheme name -> :class:`SchemeRun`),
-        each entry equal to the corresponding
-        :func:`run_offline_comparison` result.
+        Mapping sweep key -> (mapping scheme name -> :class:`SchemeRun`).
+
+    Raises:
+        ReproError: When a capacity vector is not (E,), finite, and
+            non-negative (checked before any allocation).
     """
     from .sweep.cellbatch import chunk_level_keys
 
@@ -707,6 +679,11 @@ def run_failure_sweep(
         matrices = scenario.split.test
     if objective is None:
         objective = get_objective("total_flow")
+    num_edges = scenario.topology.num_edges
+    capacity_sets = {
+        key: _checked_capacities(key, caps, num_edges)
+        for key, caps in capacity_sets.items()
+    }
     keys = list(capacity_sets)
     results: dict = {
         key: {name: SchemeRun(scheme=name) for name in schemes} for key in keys
@@ -718,12 +695,11 @@ def run_failure_sweep(
     demands_one = scenario.pathset.demand_volumes_batch(
         np.stack([m.values for m in matrices])
     )
+    workspace = Workspace()
     for chunk in chunk_level_keys(keys, cell_batch):
         demands_all = np.tile(demands_one, (len(chunk), 1))
         caps_all = np.repeat(
-            np.stack(
-                [np.asarray(capacity_sets[key], dtype=float) for key in chunk]
-            ),
+            np.stack([capacity_sets[key] for key in chunk]),
             num_matrices,
             axis=0,
         )

@@ -32,8 +32,6 @@ from .analytics import (
     speedup_curve,
 )
 from .cellbatch import (
-    DEFAULT_CELL_BATCH,
-    ENV_CELL_BATCH,
     CellBatchPlan,
     CellBucket,
     cell_bucket_key,
@@ -74,8 +72,6 @@ from .plotting import (
 )
 
 __all__ = [
-    "DEFAULT_CELL_BATCH",
-    "ENV_CELL_BATCH",
     "EXECUTORS",
     "GRID_CHECKPOINT_VERSION",
     "CellBatchPlan",

@@ -32,10 +32,9 @@ today's behavior), N > 0 = chunks of at most N levels in level order,
 1 = a strict per-cell loop (the unbatched baseline the benchmarks
 compare against).
 
-Selection follows an *env < config < CLI* precedence:
-:func:`resolve_cell_batch` implements it via the ``REPRO_CELL_BATCH``
-environment variable, the suite's ``cell_batch`` field, and
-``repro.cli sweep --cell-batch``.
+Selection: ``repro.cli sweep --cell-batch`` beats the suite's
+``cell_batch`` field, which beats the fully-fused default 0
+(:func:`resolve_cell_batch`).
 
 Bit-identity contract: every ``cell_batch`` value produces identical
 results bit for bit at both precisions. Chunks build their stacks
@@ -51,45 +50,25 @@ float64.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..exceptions import ReproError
 
-#: Environment variable consulted when no explicit cell batch is set.
-ENV_CELL_BATCH = "REPRO_CELL_BATCH"
 
-#: The default: stack every compatible cell of a job into one invocation.
-DEFAULT_CELL_BATCH = 0
-
-
-def resolve_cell_batch(spec: int | str | None = None) -> int:
-    """Resolve a cell-batch spec with precedence *env < config < CLI*.
-
-    An explicit ``spec`` (CLI flag or suite field) wins; when ``spec``
-    is None the ``REPRO_CELL_BATCH`` environment variable is consulted;
-    when that is unset too, the fully-fused default (0) applies.
+def resolve_cell_batch(spec: int | None = None) -> int:
+    """Validate a cell-batch spec; None means the fully-fused default 0.
 
     Raises:
         ReproError: On a negative or non-integer value.
     """
     if spec is None:
-        env = os.environ.get(ENV_CELL_BATCH, "").strip()
-        if not env:
-            return DEFAULT_CELL_BATCH
-        spec = env
-    try:
-        value = int(spec)
-    except (TypeError, ValueError):
+        return 0
+    if not isinstance(spec, int) or spec < 0:
         raise ReproError(
             f"invalid cell batch {spec!r}; expected a non-negative integer "
             "(0 = fuse all compatible cells, 1 = per-cell loop)"
-        ) from None
-    if value < 0:
-        raise ReproError(
-            f"invalid cell batch {value}; expected a non-negative integer"
         )
-    return value
+    return spec
 
 
 def chunk_level_keys(keys: list, cell_batch: int) -> list[list]:
@@ -209,7 +188,7 @@ def plan_cell_batches(suite, cell_batch: int | None = None) -> CellBatchPlan:
     Args:
         suite: The :class:`~repro.sweep.grid.ScenarioSuite`.
         cell_batch: Explicit chunk bound; None resolves via
-            :func:`resolve_cell_batch` (suite field, then env, then 0).
+            :func:`resolve_cell_batch` (suite field, then 0).
 
     Returns:
         A :class:`CellBatchPlan` whose chunk boundaries are exactly the

@@ -95,9 +95,9 @@ class ScenarioSuite:
             :mod:`repro.sweep.cellbatch`): 0 stacks every compatible
             cell of a job into one batched kernel invocation (the
             default), 1 runs a strict per-cell loop, N > 1 fuses chunks
-            of at most N failure levels. None defers to the
-            ``REPRO_CELL_BATCH`` env then 0 (*env < config < CLI*
-            precedence). Every value is bit-identical.
+            of at most N failure levels. None defers to 0 unless
+            ``run_scenario_grid``'s ``cell_batch`` argument (the CLI
+            flag) is set. Every value is bit-identical.
     """
 
     topologies: tuple[str, ...]
@@ -384,12 +384,9 @@ def _run_topology_job(
     checkpoint cache instead of retraining. ``cell_batch`` bounds how
     many of the job's failure levels fuse into one stacked kernel
     invocation (see :mod:`repro.sweep.cellbatch`); every value is
-    bit-identical. One evaluation :class:`~repro.core.batching.Workspace`
-    is shared across all of the job's cells and chunks, so scratch
-    buffers are sized once per job instead of churning per cell.
+    bit-identical.
     """
     from .. import harness
-    from ..core.batching import Workspace
     from ..lp.objectives import get_objective
     from ..topology.failures import sample_link_failures
 
@@ -452,7 +449,6 @@ def _run_topology_job(
             capacity_sets,
             objective=objective,
             cell_batch=cell_batch,
-            workspace=Workspace(),
         )
         results = {
             count: {name: (sweep[count][name], {}) for name in suite.schemes}
@@ -555,8 +551,7 @@ def run_scenario_grid(
             for bit, so cached grids equal cold grids exactly. Also the
             home of the per-cell grid checkpoints above.
         cell_batch: Explicit grid-cell fusion bound; overrides the
-            suite's ``cell_batch`` field, which in turn overrides the
-            ``REPRO_CELL_BATCH`` env (default 0 = fully fused). See
+            suite's ``cell_batch`` field (default 0 = fully fused). See
             :mod:`repro.sweep.cellbatch`. Every value reproduces the
             per-cell loop bit for bit; the knob only trades invocation
             count against peak stack size.
@@ -584,8 +579,7 @@ def run_scenario_grid(
         raise ReproError(f"max_cells must be positive, got {max_cells}")
     cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
     # Precedence: explicit argument (the CLI flag) beats the suite
-    # field, which beats the REPRO_CELL_BATCH env, which beats the
-    # fully-fused default.
+    # field, which beats the fully-fused default.
     spec = cell_batch if cell_batch is not None else suite.cell_batch
     resolved_cell_batch = resolve_cell_batch(spec)
     plan = plan_cell_batches(suite, resolved_cell_batch)

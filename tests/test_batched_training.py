@@ -532,23 +532,32 @@ class TestHarnessFailureSweep:
         return build_scenario("B4", train=3, validation=1, test=3, seed=0)
 
     def test_matches_per_level_offline_comparison(self, small_scenario):
-        from repro.harness import run_failure_sweep, run_offline_comparison
+        """Each sweep level equals a per-TM allocate + evaluate loop exactly."""
+        from repro.harness import run_failure_sweep
+        from repro.simulation import evaluate_allocation
 
         teal = TealScheme(small_scenario.pathset, seed=0)
-        schemes = {"Teal": teal}
         caps0 = small_scenario.capacities.copy()
         caps1 = small_scenario.capacities.copy()
         caps1[:4] = 0.0
         sweep = run_failure_sweep(
-            small_scenario, schemes, {0: caps0, 1: caps1}
+            small_scenario, {"Teal": teal}, {0: caps0, 1: caps1}
         )
         for key, caps in ((0, caps0), (1, caps1)):
-            reference = run_offline_comparison(
-                small_scenario, schemes, capacities=caps
-            )
-            assert sweep[key]["Teal"].mean_satisfied == pytest.approx(
-                reference["Teal"].mean_satisfied, abs=TOL
-            )
+            reports = [
+                evaluate_allocation(
+                    small_scenario.pathset,
+                    teal.allocate(small_scenario.pathset, demands, caps).split_ratios,
+                    demands,
+                    caps,
+                )
+                for demands in (
+                    small_scenario.demands(m) for m in small_scenario.split.test
+                )
+            ]
+            run = sweep[key]["Teal"]
+            assert run.satisfied == [r.satisfied_fraction for r in reports]
+            assert run.objective_values == [r.delivered_total for r in reports]
 
     def test_online_sweep_matches_per_case_runs(self, small_scenario):
         from repro.harness import run_online_comparison, run_online_failure_sweep

@@ -44,7 +44,7 @@ class TestParser:
 
     def test_cell_batch_flag(self):
         args = build_parser().parse_args(["sweep"])
-        assert args.cell_batch is None  # defer to REPRO_CELL_BATCH, then 0
+        assert args.cell_batch is None  # defer to the suite field, then 0
         args = build_parser().parse_args(["sweep", "--cell-batch", "0"])
         assert args.cell_batch == 0
         args = build_parser().parse_args(["sweep", "--cell-batch", "4"])

@@ -354,3 +354,38 @@ class TestSweepEmptyContracts:
         schedule, so it is rejected instead of yielding empty results."""
         with pytest.raises(SimulationError):
             EventSchedule.from_trace([], interval_seconds=1.0)
+
+
+class _NeverAllocates:
+    def allocate_batch(self, pathset, demands, capacities):
+        raise AssertionError("allocated before the capacities were checked")
+
+
+class TestSweepCapacityValidation:
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            ("nan", "non-finite"),
+            ("negative", "negative"),
+            ("short", "shape"),
+            ("stacked", "shape"),
+        ],
+    )
+    def test_bad_capacities_raise_before_allocating(
+        self, b4_scenario, bad, reason
+    ):
+        caps = b4_scenario.capacities.copy()
+        if bad == "nan":
+            caps[0] = np.nan
+        elif bad == "negative":
+            caps[0] = -1.0
+        elif bad == "short":
+            caps = caps[:-1]
+        else:
+            caps = np.stack([caps, caps])
+        with pytest.raises(ReproError, match=f"sweep key 3: {reason}"):
+            run_failure_sweep(
+                b4_scenario,
+                {"stub": _NeverAllocates()},
+                {0: b4_scenario.capacities, 3: caps},
+            )

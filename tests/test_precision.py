@@ -532,22 +532,29 @@ class TestSchemePrecisionParity:
         target.astype(np.float64)
         assert all(p.data.dtype == np.float64 for p in target.parameters())
 
-    def test_allocate_batch_matches_allocate_at_float32(
-        self, b4_pathset, b4_trace
-    ):
+    def test_allocate_batch_matches_allocate_at_float32(self):
+        """Shared (E,) and stacked (T, E) capacities match the loop exactly.
+
+        The provisioned B4 capacities are non-uniform, so a strided
+        per-row capacity mean (1 ulp off the pairwise sum of the per-TM
+        path) would show up here as a different float32 scale.
+        """
+        from repro.harness import build_scenario
+
+        scenario = build_scenario("B4")
+        pathset, caps = scenario.pathset, scenario.capacities
         scheme = TealScheme(
-            b4_pathset, seed=0, precision="float32",
+            pathset, seed=0, precision="float32",
             admm=AdmmConfig(iterations=4),
         )
-        demands = np.stack(
-            [b4_pathset.demand_volumes(m.values) for m in b4_trace[:3]]
-        )
-        batched = scheme.allocate_batch(b4_pathset, demands)
-        for t in range(3):
-            single = scheme.allocate(b4_pathset, demands[t])
-            np.testing.assert_allclose(
-                batched[t].split_ratios, single.split_ratios, atol=1e-6
-            )
+        demands = np.stack([scenario.demands(m) for m in scenario.split.test[:2]])
+        for batch_caps in (caps, np.repeat(caps[None], 2, axis=0)):
+            batched = scheme.allocate_batch(pathset, demands, batch_caps)
+            for t in range(2):
+                single = scheme.allocate(pathset, demands[t], caps)
+                assert np.array_equal(
+                    batched[t].split_ratios, single.split_ratios
+                )
 
 
 # ----------------------------------------------------------------------

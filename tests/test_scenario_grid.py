@@ -15,7 +15,6 @@ from repro.harness import (
 )
 from repro.lp.objectives import get_objective
 from repro.sweep import (
-    ENV_CELL_BATCH,
     GridResult,
     ScenarioSuite,
     cell_bucket_key,
@@ -259,30 +258,14 @@ class TestOnlineGrid:
 
 
 class TestResolveCellBatch:
-    def test_default_is_fully_fused(self, monkeypatch):
-        monkeypatch.delenv(ENV_CELL_BATCH, raising=False)
+    def test_default_is_fully_fused(self):
         assert resolve_cell_batch(None) == 0
 
-    def test_env_consulted_when_unset(self, monkeypatch):
-        monkeypatch.setenv(ENV_CELL_BATCH, "3")
-        assert resolve_cell_batch(None) == 3
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_CELL_BATCH, "3")
-        assert resolve_cell_batch(1) == 1
-        assert resolve_cell_batch(0) == 0
-
-    def test_string_specs_accepted(self):
-        assert resolve_cell_batch("4") == 4
-
-    def test_invalid_values_rejected(self, monkeypatch):
+    def test_invalid_values_rejected(self):
         with pytest.raises(ReproError):
             resolve_cell_batch(-1)
         with pytest.raises(ReproError):
             resolve_cell_batch("many")
-        monkeypatch.setenv(ENV_CELL_BATCH, "-2")
-        with pytest.raises(ReproError):
-            resolve_cell_batch(None)
 
     def test_suite_validates_cell_batch(self):
         assert tiny_suite(cell_batch=2).cell_batch == 2
@@ -409,8 +392,8 @@ class TestCellBatchedGrid:
         assert overridden.metadata["cell_batch"] == 2
         assert comparable(overridden) == comparable(fused)
 
-    def test_env_overridden_by_suite_field(self, suite, fused, monkeypatch):
-        monkeypatch.setenv(ENV_CELL_BATCH, "many")  # would raise if read
+    def test_env_overridden_by_suite_field(self, suite, fused):
+        """With no argument, the suite field sets the chunk bound."""
         pinned = ScenarioSuite.from_dict({**suite.to_dict(), "cell_batch": 1})
         result = run_scenario_grid(pinned)
         assert result.metadata["cell_batch"] == 1
