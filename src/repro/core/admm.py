@@ -30,8 +30,8 @@ feasible allocation is a fixed point of the first F-update (otherwise the
 first iteration performs unconstrained flow maximization and destroys the
 warm start). Later iterations may transiently trade small capacity
 violations for higher flow while the capacity duals ``lam3`` build up —
-the deployed pipeline (:class:`repro.core.teal.TealScheme`) guards this
-with an objective acceptance check.
+the deployed pipeline guards this with an objective acceptance check
+(:meth:`AdmmFineTuner.refine`).
 """
 
 from __future__ import annotations
@@ -378,6 +378,49 @@ class AdmmFineTuner:
         ratios = np.zeros_like(F)
         ratios[:, valid] = F_flat[:, self.pathset.demand_path_ids[valid]]
         return _project_ratios(ratios)
+
+    def refine(
+        self,
+        objective,
+        split_ratios: np.ndarray,
+        demands: np.ndarray,
+        capacities: np.ndarray | None = None,
+        iterations: int | None = None,
+    ) -> np.ndarray:
+        """Fine-tune a (T, D, k) stack and keep only the rows that improve.
+
+        The deployment acceptance rule (§3.4): ADMM is a fine-tuner, so
+        each matrix keeps whichever of the tuned and input ratios scores
+        higher on ``objective``, ties going to the tuned ones. Raw ADMM
+        iterates can transiently regress at low iteration counts; this
+        check keeps the deployed allocation monotone. Both Teal's
+        pipeline and the streaming engine's warm decisions apply it.
+
+        Args:
+            objective: The :class:`~repro.lp.objectives.Objective` scoring
+                both candidates (through the float64 evaluator).
+            split_ratios: (T, D, k) input ratios (model output or the
+                previous decision).
+            demands: (T, D) demand volumes.
+            capacities: (E,) shared or (T, E) per-matrix capacities.
+            iterations: Override the configured iteration count.
+
+        Returns:
+            (T, D, k) ratios: per row, the tuned or the input ratios.
+        """
+        tuned = self.fine_tune_batch(
+            split_ratios, demands, capacities, iterations=iterations
+        )
+        # Tuned first, then the input: the order the perf trace pairs
+        # the two reward passes in.
+        tuned_rewards = objective.reward_batch(
+            self.pathset, tuned, demands, capacities
+        )
+        input_rewards = objective.reward_batch(
+            self.pathset, split_ratios, demands, capacities
+        )
+        accept = tuned_rewards >= input_rewards
+        return np.where(accept[:, None, None], tuned, split_ratios)
 
     def constraint_violation(
         self,

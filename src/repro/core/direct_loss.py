@@ -241,14 +241,6 @@ class DirectLossTrainer:
         self.overuse_weight = overuse_weight
         self.optimizer = Adam(model.parameters(), lr=model.hyper.learning_rate)
 
-    def _loss(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
-        """Per-matrix loss ((D,) / (E,) inputs) — the classic path."""
-        if self.is_mlu:
-            return mlu_surrogate_loss(self.model, demands, capacities)
-        return surrogate_loss(
-            self.model, demands, capacities, self.path_values, self.overuse_weight
-        )
-
     def _loss_batch(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
         """Mean minibatch loss ((T, D) / (T, E) inputs)."""
         if self.is_mlu:

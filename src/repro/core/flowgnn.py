@@ -276,24 +276,6 @@ class FlowGNN(Module):
         self.workspace.clear()
         return self
 
-    def _initial_embeddings(
-        self, demands: np.ndarray, capacities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(E, 1) / (P, 1) initializations in the model dtype (§3.2)."""
-        demands = np.asarray(demands, dtype=self._dtype)
-        capacities = np.asarray(capacities, dtype=self._dtype)
-        pathset = self.pathset
-        if demands.shape != (pathset.num_demands,):
-            raise ModelError("demands shape mismatch")
-        if capacities.shape != (pathset.topology.num_edges,):
-            raise ModelError("capacities shape mismatch")
-        # EdgeNode <- capacity, PathNode <- demand volume, normalized to
-        # keep activations in range.
-        scale = max(float(capacities.mean()), 1e-9)
-        edge_init = (capacities / scale).reshape(-1, 1)
-        path_init = (demands[pathset.path_demand] / scale).reshape(-1, 1)
-        return edge_init, path_init
-
     def _initial_embeddings_batch(
         self, demands: np.ndarray, capacities: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -309,8 +291,10 @@ class FlowGNN(Module):
         # C order: a cast of the stride-0 broadcast view keeps its layout,
         # and a strided row mean skips the pairwise sum (1 ulp off).
         capacities = np.ascontiguousarray(capacities, dtype=self._dtype)
-        # Per-element normalization matches the single-TM path exactly, so
-        # batched and looped inference agree bit for bit.
+        # EdgeNode <- capacity, PathNode <- demand volume, each row scaled
+        # by its own capacity mean to keep activations in range. Row t's
+        # scale depends on row t only, so batched and looped inference
+        # agree bit for bit.
         scale = np.maximum(capacities.mean(axis=-1), 1e-9)[:, None, None]
         edge_init = capacities[:, :, None] / scale
         path_init = demands[:, pathset.path_demand][:, :, None] / scale
@@ -326,8 +310,10 @@ class FlowGNN(Module):
         Returns:
             PathNode embeddings encoding flows for the downstream policy.
         """
-        edge_init, path_init = self._initial_embeddings(demands, capacities)
-        return self._propagate(edge_init, path_init)
+        edge_init, path_init = self._initial_embeddings_batch(
+            np.asarray(demands)[None], capacities
+        )
+        return self._propagate(edge_init[0], path_init[0])
 
     def forward_batch(
         self, demands: np.ndarray, capacities: np.ndarray

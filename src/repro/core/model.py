@@ -244,21 +244,17 @@ class TealModel(AllocatorModel):
         return x
 
     def _split_ratios_fused(
-        self, demands: np.ndarray, capacities: np.ndarray, batched: bool
+        self, demands: np.ndarray, capacities: np.ndarray
     ) -> np.ndarray:
-        """The deployment forward on raw arrays (bit-identical to the
-        Tensor path at the model dtype; see ``tests/test_precision.py``).
+        """The (B, D, k) deployment forward on raw arrays (bit-identical
+        to the Tensor path at the model dtype; see
+        ``tests/test_precision.py``).
 
         Uses the model's shared workspace buffers, so one model instance
         must not run concurrent forwards from multiple threads (see
         :class:`~repro.core.batching.Workspace`)."""
         fg = self.flow_gnn
-        if batched:
-            edge_init, path_init = fg._initial_embeddings_batch(
-                demands, capacities
-            )
-        else:
-            edge_init, path_init = fg._initial_embeddings(demands, capacities)
+        edge_init, path_init = fg._initial_embeddings_batch(demands, capacities)
         embeddings = fg._propagate_fused(edge_init, path_init)
         features = fg.grouped_embeddings_into(embeddings)
         logits = self._policy_fused(features)
@@ -280,7 +276,7 @@ class TealModel(AllocatorModel):
         capacities: np.ndarray | None = None,
         fused: bool = True,
     ) -> np.ndarray:
-        """Numpy (D, k) split ratios via the fused inference path.
+        """Numpy (D, k) split ratios: the fused forward on a batch of one.
 
         ``fused=False`` runs the tape-building Tensor forward instead
         (the naive-elementwise reference the equivalence tests compare
@@ -290,7 +286,7 @@ class TealModel(AllocatorModel):
             capacities = self.pathset.topology.capacities
         if not fused:
             return self.forward(demands, capacities).numpy()
-        return self._split_ratios_fused(demands, capacities, batched=False)
+        return self._split_ratios_fused(np.asarray(demands)[None], capacities)[0]
 
     def split_ratios_batch(
         self,
@@ -309,7 +305,7 @@ class TealModel(AllocatorModel):
                 (0, self.pathset.num_demands, self.pathset.max_paths),
                 dtype=self.dtype,
             )
-        return self._split_ratios_fused(demands, capacities, batched=True)
+        return self._split_ratios_fused(demands, capacities)
 
     def flow_embeddings(
         self, demands: np.ndarray, capacities: np.ndarray | None = None

@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from ..config import AdmmConfig, TealHyperparameters, TrainingConfig
+from ..exceptions import ModelError
 from ..lp.objectives import (
     MinMaxLinkUtilizationObjective,
     Objective,
@@ -38,6 +39,18 @@ from .admm import AdmmFineTuner
 from .coma import ComaTrainer, TrainingHistory
 from .direct_loss import DirectLossTrainer
 from .model import TealModel
+
+
+def _check_finite_nonnegative(name: str, values: np.ndarray) -> None:
+    """Raise a :class:`ModelError` naming ``name`` unless every value is
+    finite and non-negative."""
+    if not np.isfinite(values).all():
+        reason = "non-finite values"
+    elif (values < 0).any():
+        reason = "negative values"
+    else:
+        return
+    raise ModelError(f"{name}: {reason}")
 
 
 class TealScheme(TEScheme):
@@ -155,56 +168,19 @@ class TealScheme(TEScheme):
     ) -> Allocation:
         """One TE control step: forward pass + ADMM fine-tuning, timed.
 
-        ``pathset`` must be the one the model was built on (Teal retrains
-        for permanent topology changes, §4; transient failures enter via
+        The batch of one of :meth:`allocate_batch`. ``pathset`` must be
+        the one the model was built on (Teal retrains for permanent
+        topology changes, §4; transient failures enter via
         ``capacities``).
+
+        Raises:
+            ModelError: If ``demands`` is not a (D,) vector, or on any
+                input :meth:`allocate_batch` rejects.
         """
-        self.model.check_compatible(pathset)
-        self._ensure_precision()
         demands = np.asarray(demands, dtype=EVALUATION_DTYPE)
-        capacities = self._capacities(pathset, capacities)
-
-        start = time.perf_counter()
-        ratios = self.model.split_ratios(demands, capacities)
-        forward_time = time.perf_counter() - start
-        return self._finalize_allocation(pathset, ratios, demands, capacities, forward_time)
-
-    def _finalize_allocation(
-        self,
-        pathset: PathSet,
-        ratios: np.ndarray,
-        demands: np.ndarray,
-        capacities: np.ndarray,
-        forward_time: float,
-    ) -> Allocation:
-        """ADMM fine-tuning + bookkeeping of the per-TM deployment path."""
-        admm_time = 0.0
-        if self.use_admm:
-            admm_start = time.perf_counter()
-            tuned = self.admm.fine_tune(ratios, demands, capacities)
-            # Acceptance check: ADMM is a fine-tuner, so the pipeline keeps
-            # whichever allocation scores higher on the objective (two
-            # sparse mat-vecs; preserves the paper's "ADMM strictly
-            # improves the deployed solution" property at low iteration
-            # counts, where raw ADMM iterates can transiently regress).
-            if self.objective.reward(
-                pathset, tuned, demands, capacities
-            ) >= self.objective.reward(pathset, ratios, demands, capacities):
-                ratios = tuned
-            admm_time = time.perf_counter() - admm_start
-
-        extras = {
-            "forward_time": forward_time,
-            "admm_time": admm_time,
-            "admm_iterations": self.admm.iterations if self.use_admm else 0,
-            "trained": self.trained,
-        }
-        return Allocation(
-            split_ratios=ratios,
-            compute_time=forward_time + admm_time,
-            scheme=self.name,
-            extras=extras,
-        )
+        if demands.shape != (pathset.num_demands,):
+            raise ModelError("demands shape mismatch")
+        return self.allocate_batch(pathset, demands[None], capacities)[0]
 
     def allocate_batch(
         self,
@@ -219,27 +195,34 @@ class TealScheme(TEScheme):
         its wall-clock cost is amortized equally across the matrices.
         Because the batched forward is math-bound (it costs roughly T
         single passes), the amortized figure tracks the per-TM inference
-        latency of :meth:`allocate`, modestly lower by the amortized
-        Python overhead — so downstream staleness and Fig 6a/7a-style
-        comparisons keep per-TM semantics. ADMM fine-tuning (when
-        enabled) is batched too: one ``fine_tune_batch`` run repairs the
-        whole stack and one ``reward_batch`` pass applies the per-matrix
-        acceptance check, so fine-tuning is no longer a per-matrix tail.
+        latency, modestly lower by the amortized Python overhead — so
+        downstream staleness and Fig 6a/7a-style comparisons keep per-TM
+        semantics. ADMM fine-tuning (when enabled) is batched too: one
+        :meth:`~repro.core.admm.AdmmFineTuner.refine` run repairs the
+        whole stack and applies the per-matrix acceptance check.
 
         Args:
-            pathset: Must match the model's pathset (as in :meth:`allocate`).
+            pathset: Must match the model's pathset.
             demands: (T, D) demand volumes.
             capacities: (E,) shared, (T, E) per-matrix, or None.
 
         Returns:
-            One :class:`Allocation` per matrix, equal to the looped
-            :meth:`allocate` outputs to machine precision.
+            One :class:`Allocation` per matrix; row ``t`` equals
+            :meth:`allocate` on slice ``t`` bit for bit.
+
+        Raises:
+            ModelError: On an incompatible pathset, mis-shaped inputs, or
+                non-finite or negative demands or capacities.
         """
         self.model.check_compatible(pathset)
         self._ensure_precision()
         demands = np.asarray(demands, dtype=EVALUATION_DTYPE)
         num_matrices = demands.shape[0]
         caps = self._capacities_batch(pathset, num_matrices, capacities)
+        # The capacity-mean input scale would spread one bad value over
+        # every split ratio, so reject such inputs up front.
+        _check_finite_nonnegative("demands", demands)
+        _check_finite_nonnegative("capacities", caps)
         if num_matrices == 0:
             return []
 
@@ -250,17 +233,9 @@ class TealScheme(TEScheme):
         admm_time = 0.0
         if self.use_admm:
             admm_start = time.perf_counter()
-            tuned = self.admm.fine_tune_batch(ratios_batch, demands, caps)
-            # Per-matrix acceptance check (see _finalize_allocation), as
-            # two batched scoring passes over the stack.
-            tuned_rewards = self.objective.reward_batch(
-                pathset, tuned, demands, caps
+            ratios_batch = self.admm.refine(
+                self.objective, ratios_batch, demands, caps
             )
-            raw_rewards = self.objective.reward_batch(
-                pathset, ratios_batch, demands, caps
-            )
-            accept = tuned_rewards >= raw_rewards
-            ratios_batch = np.where(accept[:, None, None], tuned, ratios_batch)
             admm_time = (time.perf_counter() - admm_start) / num_matrices
 
         extras = {
@@ -268,8 +243,6 @@ class TealScheme(TEScheme):
             "admm_time": admm_time,
             "admm_iterations": self.admm.iterations if self.use_admm else 0,
             "trained": self.trained,
-            "batched": True,
-            "batch_size": num_matrices,
         }
         return [
             Allocation(
@@ -324,24 +297,3 @@ class TealScheme(TEScheme):
             config = TrainingConfig(steps=20, warm_start_steps=60, log_every=20)
         new_scheme.train(matrices, config=config)
         return new_scheme
-
-    def allocate_without_admm(
-        self,
-        pathset: PathSet,
-        demands: np.ndarray,
-        capacities: np.ndarray | None = None,
-    ) -> Allocation:
-        """Raw model output ("Teal w/o ADMM" in Figure 14)."""
-        self.model.check_compatible(pathset)
-        self._ensure_precision()
-        demands = np.asarray(demands, dtype=EVALUATION_DTYPE)
-        capacities = self._capacities(pathset, capacities)
-        start = time.perf_counter()
-        ratios = self.model.split_ratios(demands, capacities)
-        elapsed = time.perf_counter() - start
-        return Allocation(
-            split_ratios=ratios,
-            compute_time=elapsed,
-            scheme="Teal w/o ADMM",
-            extras={"trained": self.trained},
-        )

@@ -15,7 +15,8 @@ Every objective exposes:
 
 - ``path_values(pathset)``: per-path per-unit-flow value used as the LP
   cost vector (flow-type objectives).
-- ``evaluate(pathset, split_ratios, demands, capacities)``: the raw metric.
+- ``evaluate_batch(pathset, split_ratios, demands, capacities)``: the raw
+  metric of a (T, D, k) stack; ``evaluate`` is its batch of one.
 - ``reward(...)``: the metric signed so that *higher is better*, used as
   the RL reward (§3.3 — "the desired TE objective can be used directly
   as the reward").
@@ -29,7 +30,7 @@ import numpy as np
 
 from ..exceptions import SolverError
 from ..paths.pathset import PathSet
-from ..simulation.evaluator import evaluate_allocation, evaluate_allocations_batch
+from ..simulation.evaluator import evaluate_allocations_batch
 from ..topology.graph import broadcast_capacities
 
 
@@ -41,7 +42,6 @@ class Objective(ABC):
     #: "max" or "min" — direction of the raw metric.
     sense: str = "max"
 
-    @abstractmethod
     def evaluate(
         self,
         pathset: PathSet,
@@ -49,8 +49,18 @@ class Objective(ABC):
         demands: np.ndarray,
         capacities: np.ndarray | None = None,
     ) -> float:
-        """Raw metric of an allocation (feasibility enforced first)."""
+        """Raw metric of one allocation: :meth:`evaluate_batch` on a
+        batch of one."""
+        return float(
+            self.evaluate_batch(
+                pathset,
+                np.asarray(split_ratios)[None],
+                np.asarray(demands)[None],
+                capacities,
+            )[0]
+        )
 
+    @abstractmethod
     def evaluate_batch(
         self,
         pathset: PathSet,
@@ -58,13 +68,8 @@ class Objective(ABC):
         demands: np.ndarray,
         capacities: np.ndarray | None = None,
     ) -> np.ndarray:
-        """(T,) raw metrics of a stack of allocations.
-
-        The default loops :meth:`evaluate` so every objective supports
-        the batched API; objectives whose metric vectorizes (all three
-        built-ins) override it with one
-        :func:`~repro.simulation.evaluator.evaluate_allocations_batch`
-        pass.
+        """(T,) raw metrics of a stack of allocations (feasibility
+        enforced first); row ``t`` depends on slice ``t`` only.
 
         Args:
             pathset: The path set.
@@ -72,13 +77,6 @@ class Objective(ABC):
             demands: (T, D) stacked demand volumes.
             capacities: (E,) shared, (T, E) per-matrix, or None.
         """
-        caps = _capacities_stack(pathset, capacities, demands.shape[0])
-        return np.array(
-            [
-                self.evaluate(pathset, split_ratios[t], demands[t], caps[t])
-                for t in range(demands.shape[0])
-            ]
-        )
 
     def reward(
         self,
@@ -129,10 +127,6 @@ class TotalFlowObjective(Objective):
     def path_values(self, pathset: PathSet) -> np.ndarray:
         return np.ones(pathset.num_paths)
 
-    def evaluate(self, pathset, split_ratios, demands, capacities=None) -> float:
-        report = evaluate_allocation(pathset, split_ratios, demands, capacities)
-        return report.delivered_total
-
     def evaluate_batch(
         self, pathset, split_ratios, demands, capacities=None
     ) -> np.ndarray:
@@ -155,25 +149,6 @@ class MinMaxLinkUtilizationObjective(Objective):
 
     def requires_full_routing(self) -> bool:
         return True
-
-    def evaluate(self, pathset, split_ratios, demands, capacities=None) -> float:
-        demands = np.asarray(demands, dtype=float)
-        if capacities is None:
-            capacities = pathset.topology.capacities
-        ratios = np.clip(np.asarray(split_ratios, dtype=float), 0.0, None)
-        sums = ratios.sum(axis=1, keepdims=True)
-        fallback = np.zeros_like(ratios)
-        fallback[:, 0] = 1.0
-        ratios = np.where(sums > 1e-12, ratios / np.maximum(sums, 1e-12), fallback)
-        flows = pathset.split_ratios_to_path_flows(ratios, demands)
-        loads = pathset.edge_loads(flows)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            util = np.where(
-                capacities > 0,
-                loads / np.maximum(capacities, 1e-300),
-                np.where(loads > 0, np.inf, 0.0),
-            )
-        return float(util.max()) if util.size else 0.0
 
     def evaluate_batch(
         self, pathset, split_ratios, demands, capacities=None
@@ -226,17 +201,16 @@ class DelayPenalizedFlowObjective(Objective):
         )
         return np.maximum(0.0, 1.0 - self.beta * (stretch - 1.0))
 
-    def evaluate(self, pathset, split_ratios, demands, capacities=None) -> float:
-        report = evaluate_allocation(pathset, split_ratios, demands, capacities)
-        return float(report.delivered_path_flows @ self.path_values(pathset))
-
     def evaluate_batch(
         self, pathset, split_ratios, demands, capacities=None
     ) -> np.ndarray:
         report = evaluate_allocations_batch(
             pathset, split_ratios, demands, capacities
         )
-        return report.delivered_path_flows @ self.path_values(pathset)
+        values = self.path_values(pathset)
+        # One 1-D dot per row: a (T, P) @ (P,) product may pick a kernel
+        # whose rounding depends on T and on the row's offset.
+        return np.array([row @ values for row in report.delivered_path_flows])
 
 
 #: Registry of the paper's objectives by name.

@@ -16,11 +16,11 @@ Three decision modes:
 - **warm** — after the first decision, consecutive traffic matrices are
   close enough that the previous interval's split ratios are a good
   primal warm start: the engine skips the forward pass and runs only
-  ADMM fine-tuning (:meth:`repro.core.admm.AdmmFineTuner.fine_tune`)
-  seeded from the last computed ratios, keeping the fine-tuned result
-  only if it scores at least as well (the same acceptance rule as
-  :class:`repro.core.teal.TealScheme`). Capacity events (failures,
-  recoveries) need no special casing — ADMM repairs violations against
+  ADMM fine-tuning seeded from the last computed ratios, keeping the
+  fine-tuned result only if it scores at least as well (the acceptance
+  rule :class:`repro.core.teal.TealScheme` also applies, in
+  :meth:`repro.core.admm.AdmmFineTuner.refine`). Capacity events
+  (failures, recoveries) need no special casing — ADMM repairs violations against
   whatever capacities the next decision sees;
 - **precomputed** — the caller passes every interval's allocation
   (e.g. rows of one batched ``allocate_batch`` over several failure
@@ -475,22 +475,16 @@ class StreamingEngine:
                 False,
             )
         start = time.perf_counter()
-        tuned = self.scheme.admm.fine_tune(
-            previous_ratios, demands, capacities,
+        # Teal's acceptance rule, applied to the warm pair: keep the
+        # fine-tuned ratios only if they score at least as well as the
+        # warm start itself under the new demands/capacities.
+        ratios = self.scheme.admm.refine(
+            self.scheme.objective,
+            np.asarray(previous_ratios)[None],
+            np.asarray(demands)[None],
+            capacities,
             iterations=self.warm_iterations,
-        )
-        # The TealScheme acceptance rule, applied to the warm pair: keep
-        # the fine-tuned ratios only if they score at least as well as
-        # the warm start itself under the new demands/capacities.
-        objective = self.scheme.objective
-        if objective.reward(
-            self.pathset, tuned, demands, capacities
-        ) >= objective.reward(
-            self.pathset, previous_ratios, demands, capacities
-        ):
-            ratios = tuned
-        else:
-            ratios = previous_ratios
+        )[0]
         elapsed = time.perf_counter() - start
         allocation = Allocation(
             split_ratios=ratios,

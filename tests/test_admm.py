@@ -119,3 +119,50 @@ class TestFineTune:
             tuner.fine_tune(ratios, demands), demands
         )
         assert after <= before * 1.05 + 1e-6
+
+
+class ScriptedObjective:
+    """Objective double: returns scripted reward vectors in call order and
+    records the ratio stacks it was asked to score."""
+
+    def __init__(self, *rewards) -> None:
+        self.rewards = list(rewards)
+        self.scored: list[np.ndarray] = []
+
+    def reward_batch(self, pathset, split_ratios, demands, capacities=None):
+        self.scored.append(np.array(split_ratios, copy=True))
+        return np.asarray(self.rewards[len(self.scored) - 1])
+
+
+class TestRefine:
+    @pytest.fixture()
+    def stack(self, b4_pathset, b4_trace):
+        rng = np.random.default_rng(4)
+        ratios = rng.dirichlet(np.ones(4), size=(4, b4_pathset.num_demands))
+        ratios = ratios * b4_pathset.path_mask
+        demands = np.stack(
+            [b4_pathset.demand_volumes(m.values) for m in b4_trace.matrices[:4]]
+        )
+        return ratios, demands
+
+    def test_rows_are_tuned_or_input_exactly(self, tuner, b4_pathset, stack):
+        ratios, demands = stack
+        # Tuned rewards first, then the input's: rows 0 and 2 improve,
+        # row 1 ties (kept tuned), row 3 regresses (rejected).
+        objective = ScriptedObjective([2.0, 1.0, 3.0, 0.0], [1.0, 1.0, 2.0, 1.0])
+        out = tuner.refine(objective, ratios, demands, iterations=3)
+        tuned = tuner.fine_tune_batch(ratios, demands, iterations=3)
+        assert np.array_equal(objective.scored[0], tuned)
+        assert np.array_equal(objective.scored[1], ratios)
+        for t in (0, 1, 2):
+            assert np.array_equal(out[t], tuned[t])
+        assert np.array_equal(out[3], ratios[3])
+
+    def test_never_scores_below_input(self, tuner, b4_pathset, stack):
+        ratios, demands = stack
+        objective = TotalFlowObjective()
+        out = tuner.refine(objective, ratios, demands * 3.0)
+        assert np.all(
+            objective.reward_batch(b4_pathset, out, demands * 3.0)
+            >= objective.reward_batch(b4_pathset, ratios, demands * 3.0)
+        )

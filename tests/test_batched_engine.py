@@ -198,8 +198,6 @@ class TestBatchedModelForward:
             assert np.allclose(
                 allocation.split_ratios, single.split_ratios, atol=TOL
             )
-            assert allocation.extras["batched"] is True
-            assert allocation.extras["batch_size"] == 4
 
     def test_allocate_batch_empty(self, b4_pathset):
         teal = TealScheme(b4_pathset, seed=5)

@@ -482,27 +482,41 @@ class TestObjectiveRewardBatch:
         batched = objective.reward_batch(pathset, ratios, demands, caps)
         for t in range(demands.shape[0]):
             single = objective.reward(pathset, ratios[t], demands[t], caps[t])
-            assert batched[t] == pytest.approx(single, abs=TOL)
+            assert batched[t] == single
 
-    def test_default_loop_fallback(self, tight_b4, stacked_inputs):
-        """Objectives without a vectorized override still batch correctly."""
-        pathset, _ = tight_b4
-        demands, caps = stacked_inputs
-
-        class LoopedFlow(TotalFlowObjective):
-            evaluate_batch = coma_module.Objective.evaluate_batch
-
-        objective = LoopedFlow()
-        rng = np.random.default_rng(8)
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            TotalFlowObjective(),
+            MinMaxLinkUtilizationObjective(),
+            DelayPenalizedFlowObjective(),
+        ],
+        ids=["total_flow", "min_mlu", "delay_penalized"],
+    )
+    def test_rows_independent_of_stack_size_and_offset(
+        self, tight_b4, objective
+    ):
+        """Regression: the delay objective's (T, P) @ (P,) product made a
+        row's value depend on the stack size and the row's offset."""
+        pathset, matrices = tight_b4
+        T = 8
+        demands = np.stack(
+            [pathset.demand_volumes(m.values) for m in matrices[:T]]
+        )
+        rng = np.random.default_rng(9)
         ratios = masked_softmax_np(
-            rng.normal(size=(demands.shape[0], pathset.num_demands, 4)),
-            pathset.path_mask,
+            rng.normal(size=(T, pathset.num_demands, 4)), pathset.path_mask
         )
-        batched = objective.reward_batch(pathset, ratios, demands, caps)
-        reference = TotalFlowObjective().reward_batch(
-            pathset, ratios, demands, caps
-        )
-        assert np.allclose(batched, reference, atol=TOL)
+        single = [
+            objective.evaluate(pathset, ratios[t], demands[t]) for t in range(T)
+        ]
+        for size in range(1, T + 1):
+            for offset in range(T - size + 1):
+                rows = slice(offset, offset + size)
+                batched = objective.evaluate_batch(
+                    pathset, ratios[rows], demands[rows]
+                )
+                assert batched.tolist() == single[rows]
 
 
 class TestTealAllocateBatchWithAdmm:
@@ -520,7 +534,6 @@ class TestTealAllocateBatchWithAdmm:
             assert np.allclose(
                 allocation.split_ratios, single.split_ratios, atol=TOL
             )
-            assert allocation.extras["batched"] is True
             assert allocation.extras["admm_iterations"] > 0
 
 

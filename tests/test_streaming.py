@@ -351,6 +351,30 @@ class TestWarmStart:
         assert all(not d.warm for d in run.decisions)
         assert run.warm_fraction == 0.0
 
+    @pytest.mark.parametrize("warm_iterations", [None, 3])
+    def test_warm_decision_is_refine_of_previous(
+        self, b4_pathset, b4_trace, warm_iterations
+    ):
+        """A warm decision is exactly the fine-tuner's acceptance rule
+        applied to the previous interval's ratios."""
+        scheme = WarmCapableScheme(b4_pathset)
+        engine = StreamingEngine(
+            b4_pathset, scheme, warm_iterations=warm_iterations
+        )
+        caps = b4_pathset.topology.capacities.copy()
+        caps[[0, 1]] = 0.0
+        previous = scheme.allocate(
+            b4_pathset, b4_pathset.demand_volumes(b4_trace[0].values)
+        ).split_ratios
+        demands = b4_pathset.demand_volumes(b4_trace[1].scaled(2.0).values)
+        allocation, warm = engine._decide(demands, caps, previous)
+        assert warm
+        expected = scheme.admm.refine(
+            scheme.objective, previous[None], demands[None], caps[None],
+            iterations=warm_iterations,
+        )[0]
+        assert np.array_equal(allocation.split_ratios, expected)
+
     def test_result_summary_fields(self, b4_pathset, b4_trace):
         mats = b4_trace.matrices[:3]
         engine = StreamingEngine(

@@ -78,11 +78,11 @@ class TestAllocateBehaviour:
         for matrix in trace.matrices[15:18]:
             demands = pathset.demand_volumes(matrix.values)
             with_admm = teal.allocate(pathset, demands)
-            without = teal.allocate_without_admm(pathset, demands)
+            raw = teal.model.split_ratios(demands)
             v_admm = objective.evaluate(
                 pathset, with_admm.split_ratios, demands
             )
-            v_raw = objective.evaluate(pathset, without.split_ratios, demands)
+            v_raw = objective.evaluate(pathset, raw, demands)
             assert v_admm >= v_raw - 1e-9
 
     def test_reacts_to_failures_without_retraining(self, trained_setup):
@@ -141,3 +141,35 @@ class TestObjectiveVariants:
         )
         assert "coma" in histories
         assert "warm_start" in histories
+
+
+class TestInputValidation:
+    """Regression: one bad demand or capacity used to spread NaN over
+    every split ratio (through the capacity-mean input scale), or give
+    silent garbage for negative volumes."""
+
+    @pytest.mark.parametrize("entry", ["allocate", "allocate_batch"])
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("demands", np.nan),
+            ("demands", np.inf),
+            ("demands", -1.0),
+            ("capacities", np.nan),
+            ("capacities", np.inf),
+            ("capacities", -1.0),
+        ],
+    )
+    def test_rejects_bad_inputs(self, b4_pathset, b4_demands, entry, name, value):
+        teal = TealScheme(b4_pathset, seed=0)
+        inputs = {
+            "demands": b4_demands.copy(),
+            "capacities": b4_pathset.topology.capacities.copy(),
+        }
+        inputs[name][3] = value
+        demands, caps = inputs["demands"], inputs["capacities"]
+        if entry == "allocate_batch":
+            demands, caps = np.stack([b4_demands, demands]), caps[None]
+        reason = "non-finite" if not np.isfinite(value) else "negative"
+        with pytest.raises(ModelError, match=f"{name}: {reason}"):
+            getattr(teal, entry)(b4_pathset, demands, caps)
