@@ -1,55 +1,66 @@
-"""Maintenance for the persistent cache directory: pruning + versioning.
+"""The persistent cache directory: one entry format, pruning, versioning.
 
 The harness's on-disk tier (:func:`repro.harness.build_scenario` and
-:func:`repro.harness.trained_teal` with ``cache_dir=``) grows without
-bound: every distinct scenario or training configuration adds an
-``.npz`` entry that is never deleted, and the grid engine adds
-``gridcell-``/``gridmanifest-`` JSON checkpoints (see
-:mod:`repro.sweep.checkpoint`). This module adds the bound —
-least-recently-used eviction down to a byte budget — without touching
-the cache formats themselves.
+:func:`repro.harness.trained_teal` with ``cache_dir=``) and the grid
+engine's per-cell checkpoints (:mod:`repro.sweep.checkpoint`) all store
+their entries in one format, and this module is the only one that knows
+it:
 
-Recency is tracked through file mtimes: the harness calls
-:func:`touch` on every disk-tier hit, so an entry's mtime is the last
-time it was either written or read. :func:`prune_cache_dir` then sorts
-by mtime and removes the oldest entries until the directory fits the
-budget. Exposed on the command line as ``repro.cli cache prune``.
+- :func:`entry_path` names an entry ``{kind}-{hash}.npz``, where the
+  hash is a SHA-256 prefix of ``repr(key)`` and ``kind`` is one of
+  :data:`CACHE_KINDS`.
+- :func:`write_entry` writes one ``.npz`` archive holding the caller's
+  arrays plus a JSON ``meta`` member: the caller's metadata, the
+  :data:`CACHE_FORMAT` stamp, and ``repr(key)``. The write is atomic.
+- :func:`read_entry` loads and verifies an entry. Every unusable entry
+  (missing, unreadable, corrupt, missing a member, stale stamp, or
+  stored under another key) raises :class:`ReproError`, which every
+  cache tier treats as a miss.
 
-Every cache format stamps its entries with a schema version; readers
-treat a mismatch as a miss and rebuild rather than deserializing a
-stale layout from a long-lived cache directory. :func:`stale_entries`
-finds entries whose stamp no longer matches the library's current
-version (``repro.cli cache prune`` reports them and ``--evict-stale``
-removes them).
+The scenario, model and grid-cell code only (de)serialise their
+payloads through these three functions.
 
-:func:`atomic_write_text` / :func:`atomic_write_json` are the shared
-write-to-temp-then-:func:`os.replace` helpers every JSON artifact in
-the repo goes through, so an interrupted writer can never leave a
-truncated file where a reader expects a complete one.
+The directory grows without bound: every distinct scenario, training
+configuration or grid cell adds an entry that is never deleted.
+:func:`prune_cache_dir` adds the bound — least-recently-used eviction
+down to a byte budget. Recency is tracked through file mtimes: the
+harness calls :func:`touch` on every disk-tier hit, so an entry's mtime
+is the last time it was either written or read. :func:`stale_entries`
+finds entries whose stamp no longer matches :data:`CACHE_FORMAT` (they
+would be misses anyway). Both are exposed as ``repro.cli cache prune``.
+
+:func:`atomic_write_text` / :func:`atomic_write_json` write the repo's
+JSON artifacts through the same write-to-temp-then-:func:`os.replace`
+helper as :func:`write_entry`, so an interrupted writer can never leave
+a truncated file where a reader expects a complete one.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .exceptions import ReproError
 
-#: Filename prefixes of cache entries this module manages. Anything
-#: else in the directory (user files, other artifacts) is left alone.
-CACHE_PREFIXES = ("scenario-", "teal-", "gridcell-", "gridmanifest-")
+#: Schema version stamped into every cache entry; bump on layout
+#: changes. Readers treat any other stamp as a miss and rebuild, so a
+#: long-lived cache directory never deserializes a stale layout.
+#: Entries written before the shared format (version 1 and unstamped)
+#: read as stale.
+CACHE_FORMAT = 2
 
-#: (prefix, suffix) glob pairs of the managed entry kinds: ``.npz``
-#: archives for scenarios and model checkpoints, ``.json`` documents
-#: for grid cell checkpoints and grid manifests.
-CACHE_PATTERNS = (
-    ("scenario-", ".npz"),
-    ("teal-", ".npz"),
-    ("gridcell-", ".json"),
-    ("gridmanifest-", ".json"),
-)
+#: Entry kinds this module manages (``{kind}-*.npz``). Anything else in
+#: the directory (user files, other artifacts) is left alone.
+CACHE_KINDS = ("scenario", "teal", "gridcell")
+
+#: Archive member holding an entry's JSON metadata.
+_META = "meta"
 
 _SIZE_SUFFIXES = {
     "K": 1024,
@@ -108,23 +119,30 @@ def touch(path: str | Path) -> None:
         pass
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` atomically (temp file + :func:`os.replace`).
+def _atomic_write(path: str | Path, data: bytes) -> Path:
+    """Write ``data`` to ``path`` atomically (temp file + :func:`os.replace`).
 
     The temp file lives in the destination directory so the final
-    rename never crosses filesystems. An interrupted write leaves the
-    previous file (if any) untouched and no temp residue behind.
+    rename never crosses filesystems, and its name ends in
+    ``.tmp-<pid>``, so it never matches an entry glob: pruning cannot
+    list (and delete) an in-flight write. An interrupted write leaves
+    the previous file (if any) untouched and no temp residue behind.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
-        if tmp.exists():  # pragma: no cover - only on a failed replace
+        if tmp.exists():
             tmp.unlink()
     return path
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` (UTF-8) to ``path`` atomically."""
+    return _atomic_write(path, text.encode())
 
 
 def atomic_write_json(path: str | Path, payload: object) -> Path:
@@ -136,17 +154,133 @@ def atomic_write_json(path: str | Path, payload: object) -> Path:
     return atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+def entry_path(cache_dir: str | Path, kind: str, key: object) -> Path:
+    """Path of the ``kind`` entry stored under ``key`` in ``cache_dir``.
+
+    The filename carries a SHA-256 prefix of ``repr(key)``, so every
+    distinct key gets its own entry; the key itself is also stored
+    inside the entry (:func:`write_entry`) and checked on load, so a
+    hash-prefix collision reads as a miss, never as the wrong entry.
+    """
+    if kind not in CACHE_KINDS:
+        raise ReproError(
+            f"unknown cache entry kind {kind!r}; expected one of {CACHE_KINDS}"
+        )
+    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:20]
+    return Path(cache_dir) / f"{kind}-{digest}.npz"
+
+
+def write_entry(
+    path: str | Path,
+    meta: dict,
+    arrays: dict[str, np.ndarray],
+    key: object = None,
+) -> Path:
+    """Atomically write one cache entry.
+
+    Args:
+        path: Destination, usually from :func:`entry_path`.
+        meta: JSON-serializable metadata (``format`` and ``key`` are
+            reserved and overwritten by the stamp).
+        arrays: Named arrays stored next to the metadata.
+        key: The cache key, stored as ``repr(key)`` and checked by
+            :func:`read_entry`. ``None`` stores no key (user paths).
+
+    Returns:
+        The written path.
+    """
+    stamped = {
+        **meta,
+        "format": CACHE_FORMAT,
+        "key": None if key is None else repr(key),
+    }
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer, **arrays, **{_META: np.array(json.dumps(stamped))}
+    )
+    return _atomic_write(path, buffer.getvalue())
+
+
+class _Members(dict):
+    """An entry's metadata or arrays: a missing name raises ReproError."""
+
+    def __init__(self, path: Path, items: dict):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, name: str):
+        raise ReproError(f"cache entry {self.path} has no member {name!r}")
+
+
+def _decode_meta(raw: np.ndarray | None) -> dict:
+    """The metadata dict of an entry (``{}`` when unstamped)."""
+    if raw is None:
+        return {}
+    meta = json.loads(str(raw[()]))
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata is a {type(meta).__name__}, not an object")
+    return meta
+
+
+def read_entry(
+    path: str | Path, key: object = None
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Load and verify one cache entry written by :func:`write_entry`.
+
+    Every array is read here, so a corrupt member (bad CRC, truncated
+    stream) fails now rather than in the caller's decoder. Looking up a
+    name the entry lacks, in either returned mapping, raises
+    :class:`ReproError` too.
+
+    Args:
+        path: The entry.
+        key: The key the entry must have been stored under; ``None``
+            skips the check.
+
+    Returns:
+        ``(meta, arrays)``: the stored metadata (including the
+        ``format`` and ``key`` stamps) and the named arrays.
+
+    Raises:
+        ReproError: On a missing, unreadable or corrupt entry, a stamp
+            other than :data:`CACHE_FORMAT`, or a key mismatch. Cache
+            tiers treat every one of these as a miss.
+    """
+    path = Path(path)
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = _decode_meta(arrays.pop(_META, None))
+    except Exception as error:
+        raise ReproError(
+            f"cannot read cache entry {path} (missing or corrupt): "
+            f"{type(error).__name__}: {error}"
+        ) from error
+    stamp = meta.get("format", 0)
+    if stamp != CACHE_FORMAT:
+        raise ReproError(
+            f"stale cache entry {path}: schema version {stamp!r}, this "
+            f"library writes version {CACHE_FORMAT}"
+        )
+    if key is not None and meta.get("key") != repr(key):
+        raise ReproError(
+            f"cache entry {path} key mismatch: stored {meta.get('key')}, "
+            f"expected {key!r}"
+        )
+    return _Members(path, meta), _Members(path, arrays)
+
+
 def cache_entries(cache_dir: str | Path) -> list[CacheEntry]:
     """Prunable entries of a cache directory, least recently used first.
 
-    Only files matching :data:`CACHE_PATTERNS` are considered. Files
-    that vanish mid-scan are skipped. Ties on mtime break by name so
+    Only ``{kind}-*.npz`` files of the :data:`CACHE_KINDS` are
+    considered. Files that vanish mid-scan are skipped. Ties on mtime break by name so
     the ordering is deterministic.
     """
     cache_dir = Path(cache_dir)
     entries = []
-    for prefix, suffix in CACHE_PATTERNS:
-        for path in cache_dir.glob(f"{prefix}*{suffix}"):
+    for kind in CACHE_KINDS:
+        for path in cache_dir.glob(f"{kind}-*.npz"):
             try:
                 stat = path.stat()
             except OSError:  # pragma: no cover - raced with cleanup
@@ -193,52 +327,24 @@ def prune_cache_dir(
     return removed
 
 
-def expected_schema_version(path: str | Path) -> int:
-    """The schema version the current library stamps into entries like ``path``."""
-    name = Path(path).name
-    if name.startswith("scenario-"):
-        from .harness import SCENARIO_CACHE_FORMAT
-
-        return SCENARIO_CACHE_FORMAT
-    if name.startswith("teal-"):
-        from .core.checkpoint import CHECKPOINT_FORMAT
-
-        return CHECKPOINT_FORMAT
-    from .sweep.checkpoint import GRID_CHECKPOINT_VERSION
-
-    return GRID_CHECKPOINT_VERSION
-
-
 def entry_schema_version(path: str | Path) -> int | None:
-    """Schema version stamped in a cache entry.
+    """Schema version stamped in a cache entry's metadata.
 
-    Unstamped entries (written before versioning landed) report ``0``;
-    unreadable or corrupt entries report ``None``. Either way they
-    compare unequal to :func:`expected_schema_version`, so readers and
-    the prune report treat them as stale.
+    Unstamped entries (no ``format``, or no metadata at all) report
+    ``0``; unreadable or corrupt entries report ``None``. Either way
+    they compare unequal to :data:`CACHE_FORMAT`, so readers and the
+    prune report treat them as stale.
     """
-    path = Path(path)
     try:
-        if path.name.endswith(".json"):
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                return None
-            return int(payload.get("version", 0))
-        import numpy as np
-
         with np.load(path, allow_pickle=False) as archive:
-            if path.name.startswith("scenario-"):
-                meta = json.loads(str(archive["meta"][()]))
-                return int(meta.get("format", 0))
-            if "meta_format" in archive.files:
-                return int(archive["meta_format"][()])
-            return 0
+            raw = archive[_META] if _META in archive.files else None
+            return int(_decode_meta(raw).get("format", 0))
     except Exception:
         return None
 
 
 def stale_entries(cache_dir: str | Path) -> list[CacheEntry]:
-    """Cache entries whose schema-version stamp mismatches the library's.
+    """Cache entries whose stamp is not :data:`CACHE_FORMAT`.
 
     These are exactly the entries every reader already treats as a
     miss; evicting them (``repro.cli cache prune --evict-stale``) just
@@ -247,5 +353,5 @@ def stale_entries(cache_dir: str | Path) -> list[CacheEntry]:
     return [
         entry
         for entry in cache_entries(cache_dir)
-        if entry_schema_version(entry.path) != expected_schema_version(entry.path)
+        if entry_schema_version(entry.path) != CACHE_FORMAT
     ]

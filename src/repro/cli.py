@@ -12,11 +12,13 @@ Usage (installed as ``teal-repro`` or via ``python -m repro.cli``):
     teal-repro plot grid1.json -o figures # paper-style SVG figures
     teal-repro lint                       # RL001-RL004 static analysis
     teal-repro cache prune --cache-dir .cache --max-bytes 500M  # LRU evict
-    teal-repro cache prune --cache-dir .cache --evict-stale  # drop old schemas
+    teal-repro cache prune --cache-dir .cache --evict-stale  # drop old formats
 
 Interrupted sweeps resume: ``sweep --cache-dir .cache`` checkpoints every
 completed grid cell, and re-running with ``--resume`` loads the completed
-cells and executes only the remainder (bit-identical results).
+cells and executes only the remainder (bit-identical results). Scenarios,
+model checkpoints and grid cells share one ``{kind}-<hash>.npz`` entry
+format (:mod:`repro.cache`).
 """
 
 from __future__ import annotations
@@ -514,9 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--cache-dir", default=None,
-        help="persistent scenario/model cache directory: re-runs load "
-        "scenarios and trained Teal checkpoints from disk instead of "
-        "rebuilding/retraining (bit-identical results)",
+        help="persistent cache directory: re-runs load scenarios and "
+        "trained Teal checkpoints from disk instead of "
+        "rebuilding/retraining, and every completed grid cell is "
+        "checkpointed there (bit-identical results)",
     )
     add_precision(p_sweep)
     p_sweep.add_argument(
@@ -679,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache",
-        help="manage the persistent scenario/model cache directory",
+        help="manage the persistent cache directory (scenario, model "
+        "and grid-cell .npz entries)",
     )
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_prune = cache_sub.add_parser(
@@ -687,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict least-recently-used cache entries down to a byte "
         "budget (entries are touched on every disk hit, so recency "
         "reflects reads as well as writes), and report or evict "
-        "entries whose on-disk schema version is stale",
+        "entries whose format stamp is stale",
     )
     p_prune.add_argument(
         "--cache-dir", required=True,
@@ -700,8 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prune.add_argument(
         "--evict-stale", action="store_true",
-        help="also remove entries stamped with a schema version this "
-        "library no longer reads (they would be cache misses anyway)",
+        help="also remove entries stamped with a format this library "
+        "no longer reads, or unreadable ones (they would be cache "
+        "misses anyway)",
     )
     p_prune.add_argument(
         "--dry-run", action="store_true",

@@ -9,8 +9,9 @@ so the old weights warm-start the new topology's model directly.
 
 This module provides:
 
-- :func:`save_model` / :func:`load_model` — ``.npz`` checkpoints holding
-  every parameter plus an architecture fingerprint, validated on load.
+- :func:`save_model` / :func:`load_model` — ``.npz`` checkpoints in the
+  :mod:`repro.cache` entry format, holding every parameter plus an
+  architecture fingerprint, validated on load.
 - :func:`transfer_weights` — copy parameters between models built on
   *different* path sets but identical architectures (the §4 retraining
   warm start; demonstrated in ``tests/test_checkpoint.py`` and the
@@ -19,21 +20,11 @@ This module provides:
 
 from __future__ import annotations
 
-import os
-import zipfile
 from pathlib import Path
 
-import numpy as np
-
-from ..exceptions import ModelError
+from ..cache import read_entry, write_entry
+from ..exceptions import ModelError, ReproError
 from .model import AllocatorModel, TealModel
-
-#: Checkpoint schema version; bump on layout changes so entries written
-#: by an older library version load as an explicit :class:`ModelError`
-#: (a cache miss for :func:`repro.harness.trained_teal`) instead of
-#: deserializing a stale layout. Checkpoints from before versioning
-#: landed carry no stamp and count as version 0.
-CHECKPOINT_FORMAT = 1
 
 
 def _fingerprint(model: TealModel) -> dict[str, int]:
@@ -46,40 +37,41 @@ def _fingerprint(model: TealModel) -> dict[str, int]:
     }
 
 
-def save_model(model: TealModel, path: str | Path) -> Path:
+def _npz_path(path: str | Path) -> Path:
+    path = Path(path)
+    return path if path.suffix == ".npz" else path.with_suffix(".npz")
+
+
+def save_model(model: TealModel, path: str | Path, key: object = None) -> Path:
     """Serialize a model's parameters and architecture to ``.npz``.
+
+    The checkpoint is a :mod:`repro.cache` entry: parameters as arrays,
+    the architecture fingerprint and parameter dtype as metadata,
+    written atomically so concurrent readers never see a torn file.
 
     Args:
         model: The trained model.
         path: Destination file (``.npz`` appended if missing).
+        key: Optional cache key stored with the checkpoint; a load
+            that passes a different key rejects it.
 
     Returns:
         The written path.
     """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
     params = model.parameters()
-    payload: dict[str, np.ndarray] = {
-        f"param_{i}": p.data for i, p in enumerate(params)
-    }
-    payload["meta_format"] = np.array(CHECKPOINT_FORMAT)
-    for key, value in _fingerprint(model).items():
-        payload[f"meta_{key}"] = np.array(value)
+    meta: dict = _fingerprint(model)
     # Parameter dtype travels with the checkpoint: loading float32
     # weights into a float64 model (or vice versa) must be an explicit
     # astype, not a silent mixed-precision model.
     if params:
-        payload["meta_dtype"] = np.array(params[0].data.dtype.name)
-    # Write-then-rename so concurrent readers (the harness' shared
-    # cache_dir across CI/sweep processes) never see a torn file.
-    tmp = path.with_name(f"{path.stem}.tmp-{os.getpid()}.npz")
-    np.savez(tmp, **payload)
-    os.replace(tmp, path)
-    return path
+        meta["dtype"] = params[0].data.dtype.name
+    arrays = {f"param_{i}": p.data for i, p in enumerate(params)}
+    return write_entry(_npz_path(path), meta, arrays, key=key)
 
 
-def load_model(model: TealModel, path: str | Path) -> TealModel:
+def load_model(
+    model: TealModel, path: str | Path, key: object = None
+) -> TealModel:
     """Load parameters saved by :func:`save_model` into ``model``.
 
     The target model must be constructed with the same architecture
@@ -90,68 +82,50 @@ def load_model(model: TealModel, path: str | Path) -> TealModel:
     ``model.astype(...)`` first if the mix is intentional). Checkpoints
     without dtype metadata are assumed float64.
 
-    Checkpoints also carry a schema-version stamp
-    (:data:`CHECKPOINT_FORMAT`); a mismatch — including pre-versioning
-    entries with no stamp — raises :class:`ModelError` so cache tiers
-    treat the entry as a miss and retrain instead of deserializing a
-    stale layout.
-
     Raises:
-        ModelError: On schema-version, architecture, or dtype
-            mismatches, and on corrupt checkpoints.
+        ModelError: On an unusable entry (corrupt, stale
+            :data:`~repro.cache.CACHE_FORMAT` stamp, or a ``key``
+            mismatch), and on architecture or dtype mismatches. Cache
+            tiers treat it as a miss and retrain.
     """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
     try:
-        handle = np.load(path)
-    except (zipfile.BadZipFile, ValueError, EOFError) as error:
-        raise ModelError(f"corrupt checkpoint {path}: {error}") from error
-    with handle as data:
-        stored_format = (
-            int(data["meta_format"]) if "meta_format" in data.files else 0
+        meta, arrays = read_entry(_npz_path(path), key=key)
+    except ReproError as error:
+        raise ModelError(str(error)) from error
+    expected = _fingerprint(model)
+    for name in ("num_gnn_layers", "max_paths", "embedding_dim"):
+        stored = meta.get(name)
+        if stored != expected[name]:
+            raise ModelError(
+                f"checkpoint {name}={stored} does not match model "
+                f"{name}={expected[name]}"
+            )
+    params = model.parameters()
+    stored_dtype = meta.get("dtype", "float64")
+    model_dtype = params[0].data.dtype.name if params else "float64"
+    if stored_dtype != model_dtype:
+        raise ModelError(
+            f"checkpoint holds {stored_dtype} parameters but the model "
+            f"is {model_dtype}; cast explicitly with model.astype(...) "
+            "before loading if the precision change is intended"
         )
-        if stored_format != CHECKPOINT_FORMAT:
-            raise ModelError(
-                f"checkpoint {path} has schema version {stored_format}, "
-                f"this library writes version {CHECKPOINT_FORMAT}; "
-                "the entry is stale — retrain (or re-save) to refresh it"
-            )
-        expected = _fingerprint(model)
-        for key in ("num_gnn_layers", "max_paths", "embedding_dim"):
-            stored = int(data[f"meta_{key}"])
-            if stored != expected[key]:
-                raise ModelError(
-                    f"checkpoint {key}={stored} does not match model "
-                    f"{key}={expected[key]}"
-                )
-        params = model.parameters()
-        stored_dtype = (
-            str(data["meta_dtype"].item()) if "meta_dtype" in data else "float64"
+    stored_count = meta.get("num_parameters")
+    if stored_count != expected["num_parameters"]:
+        raise ModelError(
+            f"checkpoint holds {stored_count} parameters, model has "
+            f"{expected['num_parameters']}"
         )
-        model_dtype = params[0].data.dtype.name if params else "float64"
-        if stored_dtype != model_dtype:
+    for i, p in enumerate(params):
+        arr = arrays.get(f"param_{i}")
+        if arr is None or arr.shape != p.data.shape:
             raise ModelError(
-                f"checkpoint holds {stored_dtype} parameters but the model "
-                f"is {model_dtype}; cast explicitly with model.astype(...) "
-                "before loading if the precision change is intended"
+                f"parameter {i}: checkpoint shape "
+                f"{None if arr is None else arr.shape} != model shape "
+                f"{p.data.shape}"
             )
-        stored_count = int(data["meta_num_parameters"])
-        if stored_count != expected["num_parameters"]:
-            raise ModelError(
-                f"checkpoint holds {stored_count} parameters, model has "
-                f"{expected['num_parameters']}"
-            )
-        for i, p in enumerate(params):
-            arr = data[f"param_{i}"]
-            if arr.shape != p.data.shape:
-                raise ModelError(
-                    f"parameter {i}: checkpoint shape {arr.shape} != "
-                    f"model shape {p.data.shape}"
-                )
-            p.data = arr.copy()
-            # Pending gradients described the overwritten weights.
-            p.grad = None
+        p.data = arr
+        # Pending gradients described the overwritten weights.
+        p.grad = None
     return model
 
 

@@ -16,10 +16,7 @@ so every trend the figures sweep is reproduced on a CPU budget. Pass
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import LpAll, LpTop, NCFlow, Pop, TeavarStar
-from .cache import touch
+from .cache import entry_path, read_entry, touch, write_entry
 from .config import POP_REPLICAS, AdmmConfig, TrainingConfig
 from .core import TealScheme
 from .core.batching import Workspace
 from .core.checkpoint import load_model, save_model
-from .exceptions import ModelError, ReproError
+from .exceptions import ReproError
 from .lp.objectives import Objective, TotalFlowObjective, get_objective
 from .nn.precision import DEFAULT_INFERENCE_PRECISION, Precision, resolve_precision
 from .paths.pathset import PathSet
@@ -126,36 +123,16 @@ class Scenario:
 _SCENARIO_CACHE: dict[tuple, Scenario] = {}
 _TEAL_CACHE: dict[tuple, TealScheme] = {}
 
-#: On-disk scenario cache format; bump on layout changes so stale
-#: entries from older library versions rebuild instead of misloading.
-SCENARIO_CACHE_FORMAT = 1
-
-
-def scenario_cache_path(cache_dir: str | Path, key: tuple) -> Path:
-    """On-disk path of a scenario cache entry.
-
-    The filename is a content hash of the full ``build_scenario``
-    parameter tuple (name, scale, seed, max_pairs, splits, headroom), so
-    every distinct scenario configuration gets its own entry. The key is
-    also stored *inside* the entry and verified on load — a hash-prefix
-    collision falls back to a rebuild instead of returning the wrong
-    workload.
-    """
-    token = hashlib.sha256(repr(key).encode()).hexdigest()[:20]
-    return Path(cache_dir) / f"scenario-{token}.npz"
-
-
 def save_scenario(scenario: Scenario, path: str | Path) -> Path:
-    """Persist a scenario as one ``.npz`` archive.
+    """Persist a scenario as one :mod:`repro.cache` entry.
 
     Stores the raw inputs of the :class:`Scenario` — provisioned
     topology arrays, demand pairs, candidate path node lists, and the
     train/validation/test matrix stacks — rather than derived structures
     (CSR incidence, segment indices): :class:`~repro.paths.pathset.PathSet`
     recomputes those deterministically, so a load rebuilds the scenario
-    bit for bit while the archive stays compact. The write is atomic
-    (temp file + rename), so a crashed or concurrent writer can never
-    leave a truncated entry behind.
+    bit for bit while the archive stays compact. The entry is keyed by
+    the scenario's ``build_key`` and written atomically.
 
     Args:
         scenario: The scenario to persist.
@@ -164,13 +141,11 @@ def save_scenario(scenario: Scenario, path: str | Path) -> Path:
     Returns:
         The written path.
     """
-    path = Path(path)
     topology = scenario.topology
     pathset = scenario.pathset
     split = scenario.split
     meta = {
-        "format": SCENARIO_CACHE_FORMAT,
-        "key": list(scenario.build_key),
+        "build_key": list(scenario.build_key),
         "name": scenario.name,
         "seed": scenario.seed,
         "topology_name": topology.name,
@@ -201,16 +176,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> Path:
     }
     for part in ("train", "validation", "test"):
         arrays[part] = np.stack([m.values for m in getattr(split, part)])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, meta=json.dumps(meta), **arrays)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-    return path
+    return write_entry(path, meta, arrays, key=scenario.build_key)
 
 
 def load_scenario(path: str | Path, expected_key: tuple | None = None) -> Scenario:
@@ -227,66 +193,45 @@ def load_scenario(path: str | Path, expected_key: tuple | None = None) -> Scenar
             must have been stored under (guards against hash collisions).
 
     Raises:
-        ReproError: On unreadable files, format/key mismatches, or
-            malformed contents (the cache treats all of these as a miss).
+        ReproError: On an unusable entry (see
+            :func:`repro.cache.read_entry`); the cache treats it as a
+            miss.
     """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            if meta.get("format") != SCENARIO_CACHE_FORMAT:
-                raise ReproError(
-                    f"unsupported scenario cache format {meta.get('format')!r}"
-                )
-            key = tuple(meta["key"])
-            if expected_key is not None and key != tuple(expected_key):
-                raise ReproError(
-                    f"scenario cache key mismatch in {path}: "
-                    f"stored {key!r}, expected {tuple(expected_key)!r}"
-                )
-            topology = Topology(
-                num_nodes=int(meta["num_nodes"]),
-                edges=[(int(u), int(v)) for u, v in archive["edges"]],
-                capacities=archive["capacities"],
-                latencies=archive["latencies"],
-                name=str(meta["topology_name"]),
-                node_names={
-                    int(k): str(v) for k, v in meta.get("node_names", {}).items()
-                },
-            )
-            pairs = [(int(s), int(t)) for s, t in archive["pairs"]]
-            lengths = archive["path_lengths"]
-            offsets = np.concatenate(([0], np.cumsum(lengths)))
-            flat = archive["path_nodes"]
-            paths_per_demand: list[list[list[int]]] = [[] for _ in pairs]
-            for pid, demand in enumerate(archive["path_demand"]):
-                nodes = flat[offsets[pid] : offsets[pid + 1]].tolist()
-                paths_per_demand[int(demand)].append(nodes)
-            pathset = PathSet(
-                topology, pairs, paths_per_demand,
-                max_paths=int(meta["max_paths"]),
-            )
-            parts = {}
-            for part in ("train", "validation", "test"):
-                values = archive[part]
-                intervals = meta["intervals"][part]
-                parts[part] = [
-                    TrafficMatrix(values[i], interval=int(intervals[i]))
-                    for i in range(values.shape[0])
-                ]
-            return Scenario(
-                name=str(meta["name"]),
-                topology=topology,
-                pathset=pathset,
-                split=TraceSplit(**parts),
-                seed=int(meta["seed"]),
-                build_key=key,
-            )
-    except ReproError:
-        raise
-    except Exception as error:  # corrupted/truncated/foreign file
-        raise ReproError(
-            f"cannot read scenario cache entry {path}: {error}"
-        ) from error
+    meta, arrays = read_entry(path, key=expected_key)
+    topology = Topology(
+        num_nodes=int(meta["num_nodes"]),
+        edges=[(int(u), int(v)) for u, v in arrays["edges"]],
+        capacities=arrays["capacities"],
+        latencies=arrays["latencies"],
+        name=str(meta["topology_name"]),
+        node_names={int(k): str(v) for k, v in meta["node_names"].items()},
+    )
+    pairs = [(int(s), int(t)) for s, t in arrays["pairs"]]
+    offsets = np.concatenate(([0], np.cumsum(arrays["path_lengths"])))
+    flat = arrays["path_nodes"]
+    paths_per_demand: list[list[list[int]]] = [[] for _ in pairs]
+    for pid, demand in enumerate(arrays["path_demand"]):
+        paths_per_demand[int(demand)].append(
+            flat[offsets[pid] : offsets[pid + 1]].tolist()
+        )
+    pathset = PathSet(
+        topology, pairs, paths_per_demand, max_paths=int(meta["max_paths"])
+    )
+    parts = {
+        part: [
+            TrafficMatrix(values, interval=int(interval))
+            for values, interval in zip(arrays[part], meta["intervals"][part])
+        ]
+        for part in ("train", "validation", "test")
+    }
+    return Scenario(
+        name=str(meta["name"]),
+        topology=topology,
+        pathset=pathset,
+        split=TraceSplit(**parts),
+        seed=int(meta["seed"]),
+        build_key=tuple(meta["build_key"]),
+    )
 
 
 def build_scenario(
@@ -316,8 +261,8 @@ def build_scenario(
         use_cache: Reuse an identical previously built scenario.
         cache_dir: Optional persistent cache directory (the tier next to
             :func:`trained_teal`'s model checkpoints). When set, built
-            scenarios are stored as ``.npz`` entries keyed by the full
-            parameter tuple (see :func:`scenario_cache_path`) and later
+            scenarios are stored as ``scenario-*.npz`` entries (see
+            :mod:`repro.cache`) keyed by the full parameter tuple, and later
             calls — including fresh processes, repeated grid cells, and
             CI re-runs — skip topology generation, k-shortest-path
             enumeration, and trace synthesis by loading the entry. A hit
@@ -337,7 +282,7 @@ def build_scenario(
     if scale is None:
         scale = BENCH_SCALES.get(name, 1.0)
     key = (name, scale, seed, max_pairs, train, validation, test, headroom)
-    entry = scenario_cache_path(cache_dir, key) if cache_dir is not None else None
+    entry = entry_path(cache_dir, "scenario", key) if cache_dir is not None else None
     if use_cache and key in _SCENARIO_CACHE:
         scenario = _SCENARIO_CACHE[key]
         if entry is not None and not entry.exists():
@@ -432,19 +377,6 @@ def make_baselines(
     return schemes
 
 
-def teal_cache_path(cache_dir: str | Path, key: tuple) -> Path:
-    """Checkpoint path of a trained-model cache entry.
-
-    The filename is a content hash of the cache key (scenario build
-    key, objective, frozen TrainingConfig, seed, and resolved
-    TealScheme kwargs — the collision-free in-memory key minus the
-    precision component, which only affects the in-memory twin), so
-    every distinct training configuration gets its own on-disk entry.
-    """
-    token = hashlib.sha256(repr(key).encode()).hexdigest()[:20]
-    return Path(cache_dir) / f"teal-{token}.npz"
-
-
 def trained_teal(
     scenario: Scenario,
     objective_name: str = "total_flow",
@@ -470,7 +402,8 @@ def trained_teal(
             serves every inference precision's in-memory twin.
         cache_dir: Optional persistent cache directory. When set, the
             trained model's weights are stored as an ``.npz`` checkpoint
-            keyed by the full config (see :func:`teal_cache_path`) and
+            keyed by the full config (``teal-*.npz``, see
+            :mod:`repro.cache`) and
             later calls — including fresh processes and CI runs — skip
             retraining by loading the checkpoint.
         **teal_kwargs: Extra arguments forwarded to :class:`TealScheme`.
@@ -506,9 +439,10 @@ def trained_teal(
     # On-disk tier: checkpoints are precision-independent (float64
     # weights, saved before the lazy inference cast), so the disk key
     # drops the precision component of the in-memory key.
+    disk_key = key[:7] + key[8:]
     checkpoint = None
     if cache_dir is not None:
-        checkpoint = teal_cache_path(cache_dir, key[:7] + key[8:])
+        checkpoint = entry_path(cache_dir, "teal", disk_key)
     if use_cache and key in _TEAL_CACHE:
         cached = _TEAL_CACHE[key]
         if checkpoint is not None and not checkpoint.exists():
@@ -524,8 +458,7 @@ def trained_teal(
                     return cached  # exact float64 weights are gone
                 inference_dtype = model.dtype
                 model.astype(np.float64)
-            checkpoint.parent.mkdir(parents=True, exist_ok=True)
-            save_model(model, checkpoint)
+            save_model(model, checkpoint, key=disk_key)
             if inference_dtype is not None:
                 model.astype(inference_dtype)
         return cached
@@ -539,10 +472,10 @@ def trained_teal(
     loaded = False
     if use_cache and checkpoint is not None and checkpoint.exists():
         try:
-            load_model(teal.model, checkpoint)
-        except ModelError as error:
-            # Stale schema version, foreign/corrupt file, or a config
-            # drift the fingerprint caught: a cache miss, not a crash.
+            load_model(teal.model, checkpoint, key=disk_key)
+        except ReproError as error:
+            # Stale stamp, foreign key, corrupt file, or a config drift
+            # the fingerprint caught: a cache miss, not a crash.
             warnings.warn(
                 f"model checkpoint {checkpoint} is unusable ({error}); "
                 "retraining",
@@ -556,8 +489,7 @@ def trained_teal(
     if not loaded:
         teal.train(scenario.split.train, config=config)
         if checkpoint is not None:
-            checkpoint.parent.mkdir(parents=True, exist_ok=True)
-            save_model(teal.model, checkpoint)
+            save_model(teal.model, checkpoint, key=disk_key)
     if use_cache:
         _TEAL_CACHE[key] = teal
     return teal

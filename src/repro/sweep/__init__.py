@@ -40,15 +40,11 @@ from .cellbatch import (
     resolve_cell_batch,
 )
 from .checkpoint import (
-    GRID_CHECKPOINT_VERSION,
-    cell_checkpoint_path,
+    cell_key,
     load_cell_checkpoint,
     load_completed_cells,
-    load_manifest,
-    manifest_path,
     save_cell_checkpoint,
     suite_token,
-    write_manifest,
 )
 from .grid import (
     EXECUTORS,
@@ -73,7 +69,6 @@ from .plotting import (
 
 __all__ = [
     "EXECUTORS",
-    "GRID_CHECKPOINT_VERSION",
     "CellBatchPlan",
     "CellBucket",
     "FigureSpec",
@@ -90,15 +85,13 @@ __all__ = [
     "build_figures",
     "cdf_figure",
     "cell_bucket_key",
-    "cell_checkpoint_path",
+    "cell_key",
     "cell_seed",
     "chunk_level_keys",
     "format_analytics",
     "load_cell_checkpoint",
     "load_completed_cells",
     "load_grid_results",
-    "load_manifest",
-    "manifest_path",
     "phase_breakdown",
     "plan_cell_batches",
     "precision_table",
@@ -114,5 +107,4 @@ __all__ = [
     "speedup_curve",
     "speedup_figure",
     "suite_token",
-    "write_manifest",
 ]

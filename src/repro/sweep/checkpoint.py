@@ -1,28 +1,27 @@
 """Per-cell grid checkpoints: the resumable-grid persistence layer.
 
 Paper-scale grids (``scale=1.0`` Kdl/ASN with LP baselines) outlive a
-process, and before this layer an interrupted :func:`run_scenario_grid`
-restarted from zero. Now every completed (topology, seed) job writes
-its finished cells into the cache directory as atomic
-``gridcell-*.json`` entries, and a ``gridmanifest-*.json`` document
-records the suite hash plus the completed-cell set. A re-invocation
-with ``resume=True`` (``repro.cli sweep --cache-dir ... --resume``)
-loads the completed cells, verifies each entry's key against the
-suite, and only executes the remainder.
+process, and an interrupted :func:`run_scenario_grid` would otherwise
+restart from zero. Every completed (topology, seed) job writes each of
+its finished cells into the cache directory as one ``gridcell-*.npz``
+entry in the shared :mod:`repro.cache` format. A re-invocation with
+``resume=True`` (``repro.cli sweep --cache-dir ... --resume``) probes
+the suite's cell entries, loads the ones that verify, and only
+executes the remainder.
 
-Keying: each cell entry is keyed by the suite hash
-(:func:`suite_token` — a SHA-256 of the canonical suite spec), the
+Keying: each cell entry is keyed by :func:`cell_key` — the suite hash
+(:func:`suite_token`, a SHA-256 of the canonical suite spec), the
 cell's CRC32 :func:`~repro.sweep.grid.cell_seed`, and the full cell
 parameter tuple ``(topology, seed, failure_count, scheme)``. The
-filename carries a hash of that key (the scenario-cache idiom) and the
-key is also stored *inside* the entry and verified on load, so a
-hash-prefix collision, a suite edit, or an entry from another grid can
-never resurface as the wrong cell — any mismatch, including a stale
-``version`` stamp, is treated as a miss and the cell recomputes.
+filename carries a hash of that key and the key is also stored inside
+the entry and checked on load, so a hash-prefix collision, a suite
+edit, or an entry from another grid can never resurface as the wrong
+cell. Any unusable entry — including a stale format stamp or a corrupt
+file — is a miss and the cell recomputes.
 
-Determinism: loaded cells round-trip through JSON exactly (Python
-floats serialize via ``repr`` and parse back bit for bit), and cell
-computation is fully seeded by the suite spec, so a resumed grid's
+Determinism: a cell and its job timing are stored as JSON metadata.
+Python floats serialize via ``repr`` and parse back bit for bit, and
+cell computation is fully seeded by the suite spec, so a resumed grid's
 :class:`~repro.sweep.grid.GridResult` is bit-identical to an
 uninterrupted run across all executors and ``cell_batch`` settings —
 ``tests/test_grid_resume.py`` holds this contract.
@@ -35,14 +34,9 @@ import json
 import warnings
 from pathlib import Path
 
-from ..cache import atomic_write_json
+from ..cache import entry_path, read_entry, write_entry
 from ..exceptions import ReproError
 from .grid import GridCell, ScenarioSuite, cell_seed
-
-#: Grid checkpoint/manifest schema version; bump on layout changes so
-#: entries written by an older library version read as a miss (the
-#: cell recomputes) instead of deserializing a stale layout.
-GRID_CHECKPOINT_VERSION = 1
 
 #: Cell coordinates: (topology, seed, failure_count, scheme).
 Coords = tuple[str, int, int, str]
@@ -61,8 +55,8 @@ def suite_token(suite: ScenarioSuite) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _cell_key(token: str, coords: Coords) -> tuple:
-    """Full identity of one cell entry (stored inside, hashed for the name)."""
+def cell_key(token: str, coords: Coords) -> tuple:
+    """Cache key of one cell entry (see :func:`repro.cache.entry_path`)."""
     topology, seed, failure_count, scheme = coords
     return (
         token,
@@ -74,14 +68,6 @@ def _cell_key(token: str, coords: Coords) -> tuple:
     )
 
 
-def cell_checkpoint_path(
-    cache_dir: str | Path, token: str, coords: Coords
-) -> Path:
-    """On-disk path of one cell's checkpoint entry."""
-    digest = hashlib.sha256(repr(_cell_key(token, coords)).encode())
-    return Path(cache_dir) / f"gridcell-{digest.hexdigest()[:20]}.json"
-
-
 def save_cell_checkpoint(
     cache_dir: str | Path, token: str, cell: GridCell, timing: dict
 ) -> Path:
@@ -91,17 +77,12 @@ def save_cell_checkpoint(
     and makes each entry self-contained); resume deduplicates it back
     to one timing record per (topology, seed).
     """
-    key = _cell_key(token, cell.coords)
-    payload = {
-        "version": GRID_CHECKPOINT_VERSION,
-        "suite": token,
-        "cell_seed": key[1],
-        "key": list(cell.coords),
-        "cell": cell.to_dict(),
-        "timing": dict(timing),
-    }
-    return atomic_write_json(
-        cell_checkpoint_path(cache_dir, token, cell.coords), payload
+    key = cell_key(token, cell.coords)
+    return write_entry(
+        entry_path(cache_dir, "gridcell", key),
+        {"cell": cell.to_dict(), "timing": dict(timing)},
+        {},
+        key=key,
     )
 
 
@@ -111,123 +92,13 @@ def load_cell_checkpoint(
     """Load and verify one cell checkpoint.
 
     Raises:
-        ReproError: On unreadable/truncated files, a stale ``version``
-            stamp, or any key component disagreeing with the expected
-            suite token / coordinates / cell seed. Resume treats every
-            such failure as a miss and recomputes the cell.
+        ReproError: On an unusable entry (see
+            :func:`repro.cache.read_entry`), including one stored under
+            another suite token, coordinates or cell seed. Resume
+            treats every such failure as a miss and recomputes the cell.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as error:
-        raise ReproError(
-            f"cannot read grid checkpoint {str(path)!r}: {error}"
-        ) from error
-    except json.JSONDecodeError as error:
-        raise ReproError(
-            f"malformed grid checkpoint {str(path)!r}: {error}"
-        ) from error
-    try:
-        if payload["version"] != GRID_CHECKPOINT_VERSION:
-            raise ReproError(
-                f"stale grid checkpoint {str(path)!r}: schema version "
-                f"{payload['version']!r}, expected {GRID_CHECKPOINT_VERSION}"
-            )
-        if payload["suite"] != token:
-            raise ReproError(
-                f"grid checkpoint {str(path)!r} belongs to suite "
-                f"{payload['suite']!r}, expected {token!r}"
-            )
-        if tuple(payload["key"]) != tuple(coords):
-            raise ReproError(
-                f"grid checkpoint {str(path)!r} key mismatch: stored "
-                f"{tuple(payload['key'])!r}, expected {tuple(coords)!r}"
-            )
-        expected_seed = cell_seed(coords[0], coords[1], coords[2])
-        if payload["cell_seed"] != expected_seed:
-            raise ReproError(
-                f"grid checkpoint {str(path)!r} cell-seed mismatch: stored "
-                f"{payload['cell_seed']!r}, expected {expected_seed}"
-            )
-        cell = GridCell.from_dict(payload["cell"])
-        timing = dict(payload["timing"])
-    except ReproError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise ReproError(
-            f"malformed grid checkpoint {str(path)!r}: "
-            f"{type(error).__name__}: {error}"
-        ) from error
-    if cell.coords != tuple(coords):
-        raise ReproError(
-            f"grid checkpoint {str(path)!r} cell coordinates "
-            f"{cell.coords!r} disagree with its key {tuple(coords)!r}"
-        )
-    return cell, timing
-
-
-def manifest_path(cache_dir: str | Path, token: str) -> Path:
-    """On-disk path of a suite's grid manifest."""
-    return Path(cache_dir) / f"gridmanifest-{token}.json"
-
-
-def write_manifest(
-    cache_dir: str | Path,
-    suite: ScenarioSuite,
-    token: str,
-    completed: list[Coords],
-    metadata: dict | None = None,
-) -> Path:
-    """Atomically (re)write the grid manifest after a job completes.
-
-    The manifest records the suite hash, the full suite spec (for
-    humans poking at a cache dir), and the completed-cell set; the
-    per-cell entries remain the authority resume verifies against.
-    """
-    payload = {
-        "version": GRID_CHECKPOINT_VERSION,
-        "suite": token,
-        "spec": suite.to_dict(),
-        "num_cells": suite.num_cells,
-        "completed": [list(coords) for coords in completed],
-        "metadata": dict(metadata or {}),
-    }
-    return atomic_write_json(manifest_path(cache_dir, token), payload)
-
-
-def load_manifest(path: str | Path, token: str | None = None) -> dict:
-    """Load and verify a grid manifest.
-
-    Raises:
-        ReproError: On unreadable/malformed files, a stale ``version``
-            stamp, or (when ``token`` is given) a suite-hash mismatch.
-    """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-        if payload["version"] != GRID_CHECKPOINT_VERSION:
-            raise ReproError(
-                f"stale grid manifest {str(path)!r}: schema version "
-                f"{payload['version']!r}, expected {GRID_CHECKPOINT_VERSION}"
-            )
-        if token is not None and payload["suite"] != token:
-            raise ReproError(
-                f"grid manifest {str(path)!r} belongs to suite "
-                f"{payload['suite']!r}, expected {token!r}"
-            )
-        payload["completed"] = [tuple(c) for c in payload["completed"]]
-    except ReproError:
-        raise
-    except OSError as error:
-        raise ReproError(
-            f"cannot read grid manifest {str(path)!r}: {error}"
-        ) from error
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-        raise ReproError(
-            f"malformed grid manifest {str(path)!r}: "
-            f"{type(error).__name__}: {error}"
-        ) from error
-    return payload
+    meta, _ = read_entry(path, key=cell_key(token, coords))
+    return GridCell.from_dict(meta["cell"]), dict(meta["timing"])
 
 
 def load_completed_cells(
@@ -235,12 +106,10 @@ def load_completed_cells(
 ) -> dict[Coords, tuple[GridCell, dict]]:
     """Verified completed cells of a suite found in a cache directory.
 
-    Probes every cell coordinate of the suite directly (the per-cell
-    entries are self-verifying, so this survives a missing, stale, or
-    concurrently clobbered manifest) and loads only entries whose full
-    key checks out. Unusable entries — truncated writes, stale schema
-    versions, foreign suites — are counted, reported once as a
-    ``RuntimeWarning``, and treated as misses.
+    Probes every cell coordinate of the suite directly and loads only
+    entries whose full key checks out. Unusable entries — truncated or
+    garbage files, stale format stamps, foreign suites — are counted,
+    reported once as a ``RuntimeWarning``, and treated as misses.
     """
     cache_dir = Path(cache_dir)
     token = token if token is not None else suite_token(suite)
@@ -250,7 +119,7 @@ def load_completed_cells(
         for failure_count in suite.failure_counts:
             for scheme in suite.schemes:
                 coords = (topology, seed, failure_count, scheme)
-                path = cell_checkpoint_path(cache_dir, token, coords)
+                path = entry_path(cache_dir, "gridcell", cell_key(token, coords))
                 if not path.exists():
                     continue
                 try:

@@ -300,9 +300,9 @@ class GridResult:
     def to_json(self, path: str | os.PathLike) -> None:
         """Write the result as an indented JSON file.
 
-        The write is atomic (serialize in memory, temp file +
-        :func:`os.replace`): an interrupt mid-write leaves the previous
-        file — if any — intact instead of a truncated, unloadable one.
+        The write is atomic (:func:`repro.cache.atomic_write_json`): an
+        interrupt mid-write leaves the previous file — if any — intact
+        instead of a truncated, unloadable one.
         """
         atomic_write_json(path, self.to_dict())
 
@@ -526,9 +526,9 @@ def run_scenario_grid(
     ``"serial"`` bit for bit.
 
     With a ``cache_dir``, every completed job's cells are checkpointed
-    to disk *as jobs complete* (atomic ``gridcell-*.json`` entries plus
-    a ``gridmanifest-*.json`` — see :mod:`repro.sweep.checkpoint`), so
-    an interrupted grid keeps its finished work. ``resume=True`` then
+    to disk *as jobs complete* (one atomic ``gridcell-*.npz`` entry per
+    cell — see :mod:`repro.sweep.checkpoint`), so an interrupted grid
+    keeps its finished work. ``resume=True`` then
     loads the verified completed cells and only executes the remainder;
     because checkpointed cells round-trip exactly and recomputed cells
     are deterministic, the merged result is bit-identical to an
@@ -618,33 +618,26 @@ def run_scenario_grid(
         plans.append((topology, seed, take, coords, loaded))
 
     outputs: list[tuple[list[GridCell], dict] | None] = [None] * len(plans)
-    manifest_coords: list[tuple] = []
     loaded_cells = 0
     for index, (topology, seed, take, coords, loaded) in enumerate(plans):
         if loaded:
             job_cells = [completed[c][0] for c in coords[:take]]
             timing = dict(completed[coords[0]][1])
             outputs[index] = (job_cells, timing)
-            manifest_coords.extend(coords[:take])
             loaded_cells += take
 
     def record_job(index: int, job_cells: list[GridCell], timing: dict) -> None:
         # Called as each executed job completes (any completion order):
-        # truncate to the quota, checkpoint, and refresh the manifest so
-        # an interrupt right after this point loses nothing.
+        # truncate to the quota and checkpoint, so an interrupt right
+        # after this point loses nothing.
         _, _, take, _, _ = plans[index]
         kept = job_cells[:take]
         outputs[index] = (kept, timing)
         if checkpointing:
-            from .checkpoint import save_cell_checkpoint, write_manifest
+            from .checkpoint import save_cell_checkpoint
 
             for cell in kept:
                 save_cell_checkpoint(cache_dir, token, cell, timing)
-            manifest_coords.extend(cell.coords for cell in kept)
-            write_manifest(
-                cache_dir, suite, token, manifest_coords,
-                metadata={"executor": executor},
-            )
 
     run_indices = [i for i, p in enumerate(plans) if not p[4]]
     if executor == "serial" or not run_indices:

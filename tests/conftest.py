@@ -54,3 +54,21 @@ def diamond_topology() -> Topology:
     """
     edges = [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3), (1, 0), (3, 1), (2, 0), (3, 2), (3, 0)]
     return Topology(4, edges, capacities=10.0, name="diamond")
+
+
+@pytest.fixture(scope="session")
+def entry_payloads():
+    """One payload per cache entry kind: (scenario, model, grid cell)."""
+    from pathlib import Path
+
+    from repro.core import TealModel
+    from repro.harness import build_scenario
+    from repro.sweep import GridResult
+
+    scenario = build_scenario(
+        "B4", seed=0, max_pairs=20, train=2, validation=1, test=1
+    )
+    model = TealModel(scenario.pathset, seed=0)
+    fixture = Path(__file__).parent / "fixtures" / "grid_mini_small.json"
+    cell = GridResult.from_json(fixture).cells[0]
+    return scenario, model, cell

@@ -1,22 +1,31 @@
-"""Tests for LRU cache eviction (``repro.cache`` + ``cache prune`` CLI)."""
+"""Tests for the cache entry format and LRU eviction (``repro.cache`` +
+``cache prune`` CLI)."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import ENTRY_KINDS, entry_io
 
+import repro.cache as cache_mod
 from repro.cache import (
+    CACHE_FORMAT,
+    CACHE_KINDS,
     CacheEntry,
-    atomic_write_json,
     cache_entries,
+    entry_path,
     entry_schema_version,
-    expected_schema_version,
     parse_size,
     prune_cache_dir,
+    read_entry,
     stale_entries,
     touch,
+    write_entry,
 )
 from repro.cli import main
 from repro.exceptions import ReproError
@@ -111,74 +120,141 @@ class TestPruneCacheDir:
         assert prune_cache_dir(tmp_path / "absent", 0) == []
 
 
-def _grid_entry(cache_dir, name: str, version):
+def _stamped_entry(cache_dir, name: str, meta):
+    """An ``.npz`` whose metadata member holds ``json.dumps(meta)``."""
     path = cache_dir / name
-    atomic_write_json(path, {"version": version, "cell": {}})
+    np.savez(path, meta=np.array(json.dumps(meta)), weights=np.zeros(2))
     return path
+
+
+def _grid_entry(cache_dir, name: str, version):
+    return _stamped_entry(cache_dir, name, {"format": version, "cell": {}})
+
+
+class TestEntryFormat:
+    def test_entry_path_hashes_the_key_repr(self, tmp_path):
+        key = ("B4", 1.0, 0)
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:20]
+        assert entry_path(tmp_path, "teal", key) == tmp_path / f"teal-{digest}.npz"
+        with pytest.raises(ReproError, match="unknown cache entry kind"):
+            entry_path(tmp_path, "gridmanifest", key)
+
+    def test_write_read_round_trip(self, tmp_path):
+        arrays = {"a": np.arange(5, dtype=np.float32), "b": np.eye(2)}
+        path = write_entry(
+            tmp_path / "teal-x.npz", {"note": 0.1 + 0.2}, arrays, key=("k", 1)
+        )
+        meta, loaded = read_entry(path, key=("k", 1))
+        assert meta["note"] == 0.1 + 0.2  # floats round-trip exactly
+        assert meta["format"] == CACHE_FORMAT
+        assert meta["key"] == repr(("k", 1))
+        assert set(loaded) == set(arrays)
+        for name, array in arrays.items():
+            assert loaded[name].dtype == array.dtype
+            assert np.array_equal(loaded[name], array)
+
+    def test_missing_member_is_a_repro_error(self, tmp_path):
+        path = write_entry(tmp_path / "teal-x.npz", {}, {"a": np.zeros(1)})
+        meta, arrays = read_entry(path)
+        with pytest.raises(ReproError, match="no member 'absent'"):
+            meta["absent"]
+        with pytest.raises(ReproError, match="no member 'absent'"):
+            arrays["absent"]
+
+    @pytest.mark.parametrize(
+        "defect", ("stale", "foreign-key", "truncated", "garbage", "missing")
+    )
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    def test_unusable_entry_raises(
+        self, kind, defect, entry_payloads, tmp_path, monkeypatch
+    ):
+        """Every kind's loader turns every unusable entry into a
+        ReproError (a cache miss), never another exception."""
+        write, load = entry_io(kind, tmp_path, *entry_payloads)
+        load(write())  # the healthy entry loads
+        if defect == "stale":
+            with monkeypatch.context() as patch:
+                patch.setattr(cache_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
+                path = write()
+        else:
+            path = write()
+        if defect == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif defect == "garbage":
+            path.write_bytes(b"\xff\xfe" + bytes(range(256)))
+        elif defect == "missing":
+            path.unlink()
+        match = {
+            "stale": "stale cache entry",
+            "foreign-key": "key mismatch",
+        }.get(defect, "cannot read cache entry")
+        with pytest.raises(ReproError, match=match):
+            load(path, foreign=defect == "foreign-key")
+
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    def test_cache_entries_ignore_writer_temp_names(
+        self, kind, entry_payloads, tmp_path, monkeypatch
+    ):
+        """An in-flight write is invisible to listing and pruning."""
+        write, _ = entry_io(kind, tmp_path, *entry_payloads)
+        real_replace = os.replace
+        temps = []
+
+        def checked_replace(src, dst):
+            temps.append(Path(src))
+            assert Path(src).exists()
+            assert cache_entries(tmp_path) == []
+            assert stale_entries(tmp_path) == []
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cache_mod.os, "replace", checked_replace)
+        path = write()
+        assert len(temps) == 1
+        assert [e.path for e in cache_entries(tmp_path)] == [path]
 
 
 class TestSchemaVersions:
     def test_expected_versions_per_prefix(self, tmp_path):
-        from repro.core.checkpoint import CHECKPOINT_FORMAT
-        from repro.harness import SCENARIO_CACHE_FORMAT
-        from repro.sweep.checkpoint import GRID_CHECKPOINT_VERSION
-
-        assert expected_schema_version("scenario-x.npz") == SCENARIO_CACHE_FORMAT
-        assert expected_schema_version("teal-x.npz") == CHECKPOINT_FORMAT
-        assert (
-            expected_schema_version("gridcell-x.json")
-            == GRID_CHECKPOINT_VERSION
-        )
-        assert (
-            expected_schema_version("gridmanifest-x.json")
-            == GRID_CHECKPOINT_VERSION
-        )
+        """Every kind is stamped with the one CACHE_FORMAT, which is
+        above the pre-shared-format version 1."""
+        assert CACHE_KINDS == ("scenario", "teal", "gridcell")
+        assert CACHE_FORMAT > 1
+        for kind in CACHE_KINDS:
+            path = write_entry(entry_path(tmp_path, kind, (kind,)), {}, {})
+            assert entry_schema_version(path) == CACHE_FORMAT
 
     def test_json_entry_versions(self, tmp_path):
-        current = _grid_entry(tmp_path, "gridcell-a.json", 1)
-        unstamped = tmp_path / "gridcell-b.json"
-        atomic_write_json(unstamped, {"cell": {}})
-        corrupt = tmp_path / "gridcell-c.json"
-        corrupt.write_text("{broken")
-        nondict = tmp_path / "gridcell-d.json"
-        nondict.write_text("[1, 2]")
-        assert entry_schema_version(current) == 1
+        """The stamp is read from the entry's JSON metadata member."""
+        current = _grid_entry(tmp_path, "gridcell-a.npz", CACHE_FORMAT)
+        unstamped = _stamped_entry(tmp_path, "gridcell-b.npz", {"cell": {}})
+        corrupt = tmp_path / "gridcell-c.npz"
+        np.savez(corrupt, meta=np.array("{broken"))
+        nondict = tmp_path / "gridcell-d.npz"
+        np.savez(nondict, meta=np.array("[1, 2]"))
+        assert entry_schema_version(current) == CACHE_FORMAT
         assert entry_schema_version(unstamped) == 0
         assert entry_schema_version(corrupt) is None
         assert entry_schema_version(nondict) is None
 
     def test_npz_entry_versions(self, tmp_path):
-        import json
-
-        import numpy as np
-
-        from repro.harness import SCENARIO_CACHE_FORMAT
-
-        scenario = tmp_path / "scenario-a.npz"
-        with open(scenario, "wb") as handle:
-            np.savez(
-                handle,
-                meta=json.dumps({"format": SCENARIO_CACHE_FORMAT}),
-            )
-        assert entry_schema_version(scenario) == SCENARIO_CACHE_FORMAT
+        """Entries written before the shared format read as stale."""
+        scenario = _stamped_entry(tmp_path, "scenario-a.npz", {"format": 1})
+        assert entry_schema_version(scenario) == 1
         teal_unstamped = tmp_path / "teal-a.npz"
-        with open(teal_unstamped, "wb") as handle:
-            np.savez(handle, weights=np.zeros(2))
+        np.savez(teal_unstamped, meta_format=np.array(1), param_0=np.zeros(2))
         assert entry_schema_version(teal_unstamped) == 0
         teal_bad = tmp_path / "teal-b.npz"
         teal_bad.write_bytes(b"not a zip")
         assert entry_schema_version(teal_bad) is None
 
     def test_stale_entries_finds_only_mismatches(self, tmp_path):
-        from repro.sweep.checkpoint import GRID_CHECKPOINT_VERSION
-
-        fresh = _grid_entry(
-            tmp_path, "gridcell-fresh.json", GRID_CHECKPOINT_VERSION
-        )
-        old = _grid_entry(tmp_path, "gridcell-old.json", 0)
-        corrupt = tmp_path / "gridmanifest-bad.json"
-        corrupt.write_text("{broken")
+        fresh = _grid_entry(tmp_path, "gridcell-fresh.npz", CACHE_FORMAT)
+        old = _grid_entry(tmp_path, "gridcell-old.npz", 1)
+        corrupt = tmp_path / "teal-bad.npz"
+        corrupt.write_bytes(b"not a zip")
         _make_entry(tmp_path, "unrelated.json", 5, 100.0)  # not ours
+        # Grid files of the old JSON layout are no longer cache entries.
+        _make_entry(tmp_path, "gridcell-legacy.json", 5, 100.0)
         stale = {entry.path for entry in stale_entries(tmp_path)}
         assert stale == {old, corrupt}
         assert fresh not in stale
@@ -223,7 +299,7 @@ class TestCliCachePrune:
         assert "nothing to do" in capsys.readouterr().err
 
     def test_stale_entries_reported_without_eviction(self, tmp_path, capsys):
-        stale = _grid_entry(tmp_path, "gridcell-old.json", 0)
+        stale = _grid_entry(tmp_path, "gridcell-old.npz", 0)
         rc = main(
             ["cache", "prune", "--cache-dir", str(tmp_path),
              "--max-bytes", "1G"]
@@ -235,23 +311,19 @@ class TestCliCachePrune:
         assert stale.exists()
 
     def test_evict_stale_removes_only_stale_entries(self, tmp_path, capsys):
-        from repro.sweep.checkpoint import GRID_CHECKPOINT_VERSION
-
-        stale = _grid_entry(tmp_path, "gridcell-old.json", 0)
-        fresh = _grid_entry(
-            tmp_path, "gridcell-new.json", GRID_CHECKPOINT_VERSION
-        )
+        stale = _grid_entry(tmp_path, "gridcell-old.npz", 0)
+        fresh = _grid_entry(tmp_path, "gridcell-new.npz", CACHE_FORMAT)
         rc = main(
             ["cache", "prune", "--cache-dir", str(tmp_path), "--evict-stale"]
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "gridcell-old.json" in out
+        assert "gridcell-old.npz" in out
         assert not stale.exists()
         assert fresh.exists()
 
     def test_evict_stale_dry_run_keeps_files(self, tmp_path, capsys):
-        stale = _grid_entry(tmp_path, "gridcell-old.json", 0)
+        stale = _grid_entry(tmp_path, "gridcell-old.npz", 0)
         rc = main(
             ["cache", "prune", "--cache-dir", str(tmp_path),
              "--evict-stale", "--dry-run"]
@@ -262,12 +334,10 @@ class TestCliCachePrune:
         assert stale.exists()
 
     def test_evict_stale_composes_with_byte_budget(self, tmp_path):
-        from repro.sweep.checkpoint import GRID_CHECKPOINT_VERSION
-
-        stale = _grid_entry(tmp_path, "gridcell-old.json", 0)
-        lru = _grid_entry(tmp_path, "gridcell-a.json", GRID_CHECKPOINT_VERSION)
+        stale = _grid_entry(tmp_path, "gridcell-old.npz", 0)
+        lru = _grid_entry(tmp_path, "gridcell-a.npz", CACHE_FORMAT)
         os.utime(lru, (100.0, 100.0))
-        keep = _grid_entry(tmp_path, "gridcell-b.json", GRID_CHECKPOINT_VERSION)
+        keep = _grid_entry(tmp_path, "gridcell-b.npz", CACHE_FORMAT)
         os.utime(keep, (200.0, 200.0))
         rc = main(
             ["cache", "prune", "--cache-dir", str(tmp_path),

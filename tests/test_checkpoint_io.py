@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
+import repro.cache as cache_mod
+from repro.cache import CACHE_FORMAT, entry_schema_version, read_entry, write_entry
 from repro.config import TrainingConfig
 from repro.core import (
     TealModel,
@@ -84,44 +88,43 @@ class TestCheckpoint:
         model = TealModel(b4_pathset, seed=5)
         reference = model.split_ratios(b4_demands)
         path = save_model(model, tmp_path / "model")
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files if k != "meta_dtype"}
-        np.savez(path, **payload)
+        meta, arrays = read_entry(path)
+        del meta["dtype"]
+        write_entry(path, meta, arrays)
 
         fresh = TealModel(b4_pathset, seed=9)
         load_model(fresh, path)
         assert np.allclose(fresh.split_ratios(b4_demands), reference)
 
-    def test_stale_schema_version_rejected(self, b4_pathset, tmp_path):
+    def test_stale_schema_version_rejected(
+        self, b4_pathset, tmp_path, monkeypatch
+    ):
         """A checkpoint stamped with a foreign schema version must read
         as stale (a miss), not deserialize an unknown layout."""
-        from repro.core.checkpoint import CHECKPOINT_FORMAT
-
         model = TealModel(b4_pathset, seed=0)
+        monkeypatch.setattr(cache_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
         path = save_model(model, tmp_path / "model")
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        payload["meta_format"] = np.array(CHECKPOINT_FORMAT + 1)
-        np.savez(path, **payload)
+        monkeypatch.undo()
         with pytest.raises(ModelError, match="stale"):
             load_model(TealModel(b4_pathset, seed=0), path)
 
     def test_unstamped_checkpoint_is_stale(self, b4_pathset, tmp_path):
-        """Pre-versioning checkpoints (no ``meta_format`` key) report
-        version 0 and are rejected as stale rather than guessed at."""
+        """Checkpoints without a metadata member (the layout before the
+        shared entry format) report version 0 and are rejected as stale
+        rather than guessed at."""
         model = TealModel(b4_pathset, seed=0)
         path = save_model(model, tmp_path / "model")
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files if k != "meta_format"}
-        np.savez(path, **payload)
+        _, arrays = read_entry(path)
+        np.savez(path, meta_format=np.array(1), **arrays)
         with pytest.raises(ModelError, match="schema version 0"):
             load_model(TealModel(b4_pathset, seed=0), path)
 
-    def test_harness_retrains_past_a_stale_checkpoint(self, tmp_path):
+    def test_harness_retrains_past_a_stale_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
         """A stale on-disk model is a warning + retrain, never a crash
         and never a silent load of the stale weights."""
         from repro.config import TrainingConfig
-        from repro.core.checkpoint import CHECKPOINT_FORMAT
         from repro.harness import build_scenario, clear_caches, trained_teal
 
         config = TrainingConfig(steps=1, warm_start_steps=2, log_every=10)
@@ -130,10 +133,10 @@ class TestCheckpoint:
         scenario = build_scenario("B4", seed=0, **kwargs)
         trained_teal(scenario, config=config, cache_dir=tmp_path)
         [checkpoint] = list(tmp_path.glob("teal-*.npz"))
-        with np.load(checkpoint) as data:
-            payload = {k: data[k] for k in data.files}
-        payload["meta_format"] = np.array(CHECKPOINT_FORMAT + 1)
-        np.savez(checkpoint, **payload)
+        meta, arrays = read_entry(checkpoint)
+        monkeypatch.setattr(cache_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
+        write_entry(checkpoint, meta, arrays)
+        monkeypatch.undo()
 
         clear_caches()  # force the disk tier
         scenario = build_scenario("B4", seed=0, **kwargs)
@@ -141,8 +144,42 @@ class TestCheckpoint:
             teal = trained_teal(scenario, config=config, cache_dir=tmp_path)
         assert teal.trained
         # The retrain re-saved a freshly stamped checkpoint.
-        with np.load(checkpoint) as data:
-            assert int(data["meta_format"]) == CHECKPOINT_FORMAT
+        assert entry_schema_version(checkpoint) == CACHE_FORMAT
+
+    def test_harness_retrains_past_a_corrupt_checkpoint(self, tmp_path):
+        """Regression: one flipped byte inside a parameter member used to
+        escape ``trained_teal`` as ``BadZipFile`` (bad CRC-32) instead of
+        reading as a miss."""
+        from repro.config import TrainingConfig
+        from repro.harness import build_scenario, clear_caches, trained_teal
+
+        config = TrainingConfig(steps=1, warm_start_steps=2, log_every=10)
+        kwargs = dict(max_pairs=20, train=2, validation=1, test=1,
+                      cache_dir=tmp_path)
+        scenario = build_scenario("B4", seed=0, **kwargs)
+        trained_teal(scenario, config=config, cache_dir=tmp_path)
+        [checkpoint] = list(tmp_path.glob("teal-*.npz"))
+        with zipfile.ZipFile(checkpoint) as archive:
+            info = archive.getinfo("param_1.npy")
+        data = bytearray(checkpoint.read_bytes())
+        # Skip the member's local header (30 bytes + name + extra field)
+        # and flip a byte in the middle of its stored data.
+        header = info.header_offset
+        name_len = int.from_bytes(data[header + 26 : header + 28], "little")
+        extra_len = int.from_bytes(data[header + 28 : header + 30], "little")
+        start = header + 30 + name_len + extra_len
+        data[start + info.compress_size // 2] ^= 0xFF
+        corrupted = bytes(data)
+        checkpoint.write_bytes(corrupted)
+
+        clear_caches()  # force the disk tier
+        scenario = build_scenario("B4", seed=0, **kwargs)
+        with pytest.warns(RuntimeWarning, match="retraining"):
+            teal = trained_teal(scenario, config=config, cache_dir=tmp_path)
+        assert teal.trained
+        # The retrain rewrote a loadable entry over the corrupt one.
+        assert checkpoint.read_bytes() != corrupted
+        load_model(TealModel(scenario.pathset, seed=1), checkpoint)
 
     def test_harness_checkpoint_name_is_pinned(self, tmp_path):
         """The on-disk model key must not drift: existing ``teal-*.npz``

@@ -10,27 +10,29 @@ never to wrong data.
 
 from __future__ import annotations
 
-import json
-
 import pytest
+from helpers import ENTRY_KINDS, entry_io
 
-from repro.cache import atomic_write_json, atomic_write_text
+import repro.cache as cache_mod
+from repro.cache import (
+    CACHE_FORMAT,
+    atomic_write_json,
+    atomic_write_text,
+    entry_path,
+    write_entry,
+)
 from repro.config import TrainingConfig
 from repro.exceptions import ReproError
 from repro.harness import clear_caches
 from repro.sweep import (
-    GRID_CHECKPOINT_VERSION,
     GridResult,
     ScenarioSuite,
-    cell_checkpoint_path,
+    cell_key,
     load_cell_checkpoint,
     load_completed_cells,
-    load_manifest,
-    manifest_path,
     run_scenario_grid,
     save_cell_checkpoint,
     suite_token,
-    write_manifest,
 )
 
 #: Tiny training budget shared by every resume test.
@@ -50,6 +52,11 @@ def tiny_suite(**overrides) -> ScenarioSuite:
     )
     defaults.update(overrides)
     return ScenarioSuite(**defaults)
+
+
+def cell_path(cache_dir, token, coords):
+    """The ``gridcell`` entry of one cell."""
+    return entry_path(cache_dir, "gridcell", cell_key(token, coords))
 
 
 def comparable(result: GridResult) -> list[tuple]:
@@ -85,7 +92,7 @@ class TestCellCheckpointEntries:
     def test_every_cell_has_a_verified_entry(self, checkpointed):
         suite, token, result, cache_dir = checkpointed
         for cell in result.cells:
-            path = cell_checkpoint_path(cache_dir, token, cell.coords)
+            path = cell_path(cache_dir, token, cell.coords)
             assert path.exists()
             loaded, timing = load_cell_checkpoint(path, token, cell.coords)
             assert loaded.coords == cell.coords
@@ -98,7 +105,7 @@ class TestCellCheckpointEntries:
         path = save_cell_checkpoint(
             tmp_path, token, cell, {"train_seconds": 1.0}
         )
-        assert path == cell_checkpoint_path(tmp_path, token, cell.coords)
+        assert path == cell_path(tmp_path, token, cell.coords)
         loaded, timing = load_cell_checkpoint(path, token, cell.coords)
         assert loaded.to_dict() == cell.to_dict()
         assert timing == {"train_seconds": 1.0}
@@ -110,89 +117,57 @@ class TestCellCheckpointEntries:
     def test_foreign_suite_token_is_rejected(self, checkpointed):
         suite, token, result, cache_dir = checkpointed
         coords = result.cells[0].coords
-        path = cell_checkpoint_path(cache_dir, token, coords)
-        with pytest.raises(ReproError, match="belongs to suite"):
+        path = cell_path(cache_dir, token, coords)
+        with pytest.raises(ReproError, match="key mismatch"):
             load_cell_checkpoint(path, "0" * 16, coords)
 
     def test_foreign_coords_are_rejected(self, checkpointed):
         suite, token, result, cache_dir = checkpointed
         coords = result.cells[0].coords
-        path = cell_checkpoint_path(cache_dir, token, coords)
+        path = cell_path(cache_dir, token, coords)
         other = (coords[0], coords[1], coords[2], "NCFlow")
         with pytest.raises(ReproError, match="key mismatch"):
             load_cell_checkpoint(path, token, other)
 
-    def test_stale_schema_version_is_rejected(self, checkpointed, tmp_path):
-        suite, token, result, cache_dir = checkpointed
-        coords = result.cells[0].coords
-        payload = json.loads(
-            cell_checkpoint_path(cache_dir, token, coords).read_text()
-        )
-        payload["version"] = GRID_CHECKPOINT_VERSION + 1
-        stale = tmp_path / "gridcell-stale.json"
-        atomic_write_json(stale, payload)
-        with pytest.raises(ReproError, match="stale grid checkpoint"):
-            load_cell_checkpoint(stale, token, coords)
+    def test_stale_schema_version_is_rejected(
+        self, checkpointed, tmp_path, monkeypatch
+    ):
+        suite, token, result, _ = checkpointed
+        cell = result.cells[0]
+        monkeypatch.setattr(cache_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
+        stale = save_cell_checkpoint(tmp_path, token, cell, {})
+        monkeypatch.undo()
+        with pytest.raises(ReproError, match="stale cache entry"):
+            load_cell_checkpoint(stale, token, cell.coords)
 
     def test_cell_seed_mismatch_is_rejected(self, checkpointed, tmp_path):
-        suite, token, result, cache_dir = checkpointed
-        coords = result.cells[0].coords
-        payload = json.loads(
-            cell_checkpoint_path(cache_dir, token, coords).read_text()
+        suite, token, result, _ = checkpointed
+        cell = result.cells[0]
+        key = cell_key(token, cell.coords)
+        bad = write_entry(
+            tmp_path / "gridcell-seed.npz",
+            {"cell": cell.to_dict(), "timing": {}},
+            {},
+            key=(key[0], key[1] + 1, *key[2:]),
         )
-        payload["cell_seed"] += 1
-        bad = tmp_path / "gridcell-seed.json"
-        atomic_write_json(bad, payload)
-        with pytest.raises(ReproError, match="cell-seed mismatch"):
-            load_cell_checkpoint(bad, token, coords)
+        with pytest.raises(ReproError, match="key mismatch"):
+            load_cell_checkpoint(bad, token, cell.coords)
 
     def test_truncated_entry_is_a_clean_error(self, checkpointed, tmp_path):
         suite, token, result, cache_dir = checkpointed
         coords = result.cells[0].coords
-        text = cell_checkpoint_path(cache_dir, token, coords).read_text()
-        truncated = tmp_path / "gridcell-cut.json"
-        truncated.write_text(text[: len(text) // 2])
-        with pytest.raises(ReproError, match="malformed grid checkpoint"):
+        data = cell_path(cache_dir, token, coords).read_bytes()
+        truncated = tmp_path / "gridcell-cut.npz"
+        truncated.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ReproError, match="cannot read cache entry"):
             load_cell_checkpoint(truncated, token, coords)
 
     def test_missing_file_is_a_clean_error(self, checkpointed, tmp_path):
         suite, token, result, _ = checkpointed
-        with pytest.raises(ReproError, match="cannot read grid checkpoint"):
+        with pytest.raises(ReproError, match="cannot read cache entry"):
             load_cell_checkpoint(
-                tmp_path / "absent.json", token, result.cells[0].coords
+                tmp_path / "absent.npz", token, result.cells[0].coords
             )
-
-
-class TestManifest:
-    def test_manifest_covers_the_grid(self, checkpointed):
-        suite, token, result, cache_dir = checkpointed
-        payload = load_manifest(manifest_path(cache_dir, token), token)
-        assert payload["suite"] == token
-        assert payload["num_cells"] == suite.num_cells
-        assert set(payload["completed"]) == {c.coords for c in result.cells}
-        assert ScenarioSuite.from_dict(payload["spec"]) == suite
-
-    def test_foreign_token_is_rejected(self, checkpointed):
-        _, token, _, cache_dir = checkpointed
-        with pytest.raises(ReproError, match="belongs to suite"):
-            load_manifest(manifest_path(cache_dir, token), "0" * 16)
-
-    def test_stale_version_is_rejected(self, checkpointed, tmp_path):
-        suite, token, _, cache_dir = checkpointed
-        payload = json.loads(manifest_path(cache_dir, token).read_text())
-        payload["version"] = GRID_CHECKPOINT_VERSION + 1
-        stale = tmp_path / "gridmanifest-stale.json"
-        atomic_write_json(stale, payload)
-        with pytest.raises(ReproError, match="stale grid manifest"):
-            load_manifest(stale, token)
-
-    def test_write_is_idempotent_per_completed_set(self, checkpointed, tmp_path):
-        suite, token, result, _ = checkpointed
-        completed = [c.coords for c in result.cells]
-        first = write_manifest(tmp_path, suite, token, completed)
-        text = first.read_text()
-        write_manifest(tmp_path, suite, token, completed)
-        assert first.read_text() == text
 
 
 class TestAtomicWrite:
@@ -215,6 +190,27 @@ class TestAtomicWrite:
         assert target.read_text() == before
         assert not list(tmp_path.glob("*.tmp-*"))
 
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    def test_interrupted_entry_write_preserves_the_old_entry(
+        self, kind, entry_payloads, tmp_path, monkeypatch
+    ):
+        """Every entry kind writes through the same atomic helper: a
+        crash mid-write keeps the old entry and leaves no temp file."""
+        write, load = entry_io(kind, tmp_path, *entry_payloads)
+        path = write()
+        before = path.read_bytes()
+
+        def explode(src, dst):
+            raise OSError("simulated crash mid-replace")
+
+        monkeypatch.setattr(cache_mod.os, "replace", explode)
+        with pytest.raises(OSError, match="simulated crash"):
+            write()
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        load(path)
+
     def test_text_round_trips(self, tmp_path):
         path = atomic_write_text(tmp_path / "deep" / "file.txt", "payload")
         assert path.read_text() == "payload"
@@ -233,10 +229,10 @@ class TestLoadCompletedCells:
     def test_unusable_entries_warn_and_miss(self, checkpointed, tmp_path):
         suite, token, result, cache_dir = checkpointed
         # Clone the cache, then corrupt one entry in the clone.
-        for path in cache_dir.glob("grid*.json"):
-            (tmp_path / path.name).write_text(path.read_text())
-        victim = cell_checkpoint_path(tmp_path, token, result.cells[0].coords)
-        victim.write_text(victim.read_text()[:10])
+        for path in cache_dir.glob("gridcell-*.npz"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        victim = cell_path(tmp_path, token, result.cells[0].coords)
+        victim.write_bytes(victim.read_bytes()[:10])
         with pytest.warns(RuntimeWarning, match="1 grid checkpoint entry is"):
             completed = load_completed_cells(tmp_path, suite, token)
         assert len(completed) == suite.num_cells - 1
@@ -329,20 +325,38 @@ class TestResumeDeterminism:
         assert info["loaded_cells"] == suite.num_cells
         assert info["executed_jobs"] == 0
 
-    def test_stale_entry_recomputes_bit_identically(self, reference, tmp_path):
+    def test_stale_entry_recomputes_bit_identically(
+        self, reference, tmp_path, monkeypatch
+    ):
         suite = tiny_suite()
         token = suite_token(suite)
         full = run_scenario_grid(suite, cache_dir=tmp_path)
-        victim = cell_checkpoint_path(tmp_path, token, full.cells[0].coords)
-        payload = json.loads(victim.read_text())
-        payload["version"] = GRID_CHECKPOINT_VERSION + 1
-        atomic_write_json(victim, payload)
+        monkeypatch.setattr(cache_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
+        save_cell_checkpoint(tmp_path, token, full.cells[0], {})
+        monkeypatch.undo()
         with pytest.warns(RuntimeWarning, match="unusable"):
             resumed = run_scenario_grid(
                 suite, cache_dir=tmp_path, resume=True
             )
         assert comparable(resumed) == comparable(reference)
         # The stale job recomputed: only the untouched job loaded.
+        assert resumed.metadata["checkpointing"]["loaded_cells"] == 4
+
+    def test_garbage_entry_recomputes_bit_identically(
+        self, reference, tmp_path
+    ):
+        """Regression: a non-UTF-8 cell entry used to abort resume with
+        UnicodeDecodeError instead of reading as a miss."""
+        suite = tiny_suite()
+        run_scenario_grid(suite, cache_dir=tmp_path)
+        victim = sorted(tmp_path.glob("gridcell-*"))[0]
+        victim.write_bytes(b"\xff\xfe" + bytes(range(256)))
+        with pytest.warns(RuntimeWarning, match="1 grid checkpoint entry is"):
+            resumed = run_scenario_grid(
+                suite, cache_dir=tmp_path, resume=True
+            )
+        assert comparable(resumed) == comparable(reference)
+        # The damaged job recomputed: only the untouched job loaded.
         assert resumed.metadata["checkpointing"]["loaded_cells"] == 4
 
     def test_spec_change_invalidates_the_checkpoints(self, tmp_path):

@@ -16,13 +16,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.cache as cache_mod
+from repro.cache import entry_path
 from repro.exceptions import ReproError
 from repro.harness import (
     build_scenario,
     clear_caches,
     load_scenario,
     save_scenario,
-    scenario_cache_path,
 )
 
 #: Small, fast build_scenario kwargs shared by every test.
@@ -85,7 +86,7 @@ class TestCacheHit:
 
     def test_memory_hit_materializes_disk_entry(self, tmp_path):
         scenario = build_scenario("B4", cache_dir=tmp_path, **SMALL)
-        entry = scenario_cache_path(tmp_path, scenario.build_key)
+        entry = entry_path(tmp_path, "scenario", scenario.build_key)
         assert entry.exists()
         entry.unlink()
         # In-memory hit with a missing disk entry rewrites the entry.
@@ -176,14 +177,12 @@ class TestCorruptionFallback:
         assert_scenarios_identical(scenario, load_scenario(entry))
 
     def test_unknown_format_rejected(self, tmp_path, monkeypatch):
-        import repro.harness as harness
-
         build_scenario("B4", cache_dir=tmp_path, **SMALL)
         (entry,) = tmp_path.glob("scenario-*.npz")
         monkeypatch.setattr(
-            harness, "SCENARIO_CACHE_FORMAT", harness.SCENARIO_CACHE_FORMAT + 1
+            cache_mod, "CACHE_FORMAT", cache_mod.CACHE_FORMAT + 1
         )
-        with pytest.raises(ReproError, match="format"):
+        with pytest.raises(ReproError, match="stale cache entry"):
             load_scenario(entry)
 
     def test_no_tmp_files_left_behind(self, tmp_path):
