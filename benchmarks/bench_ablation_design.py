@@ -1,4 +1,4 @@
-"""Extra ablations of this reproduction's design choices (DESIGN.md §6).
+"""Extra ablations of this reproduction's design choices.
 
 Beyond the paper's Figure 14, these benches isolate decisions the
 reproduction had to make:

@@ -2,8 +2,8 @@
 
 The paper shows Gurobi achieving only 3.8x speedup with 16 threads on
 the ASN LP, because LP solvers exploit threads by racing independent
-serial algorithms. scipy's HiGHS exposes no thread knob, so per
-DESIGN.md §2 we measure the real single-thread solve and project the
+serial algorithms. scipy's HiGHS exposes no thread knob, so we
+measure the real single-thread solve and project the
 concurrent-portfolio speedup curve calibrated to the paper's anchor
 (see repro.analysis.solver_scaling).
 """

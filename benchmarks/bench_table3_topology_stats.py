@@ -2,7 +2,8 @@
 
 Regenerates the Table 3 rows on the full-size public topologies and
 checks them against the paper's bands (exact for B4, structure-matched
-bands for the synthesized UsCarrier/Kdl/ASN — DESIGN.md §2).
+bands for the synthesized UsCarrier/Kdl/ASN — see
+:mod:`repro.topology.generators`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Benchmark-suite fixtures and reporting helpers.
 
-Each ``bench_*.py`` file regenerates one table or figure of the paper
-(see DESIGN.md §4 for the index). Benchmarks run on *scaled* instances
-(harness BENCH_SCALES) that preserve the paper's topology-size ordering;
-every bench prints the paper-style rows it reproduces, and the combined
-output is summarized in EXPERIMENTS.md.
+Each ``bench_fig*``/``bench_table*`` file regenerates the table or
+figure of the paper its name gives. Benchmarks run on *scaled* instances
+(harness BENCH_SCALES, see the scaling policy in :mod:`repro.harness`)
+that preserve the paper's topology-size ordering; every bench prints the
+paper-style rows it reproduces. ``bench_gates.py`` holds the timing
+gates of the batched, fused and cached paths.
 
 Conventions:
 

@@ -50,7 +50,7 @@ def main() -> None:
 
     # 4. Train Teal (short budget for the example; the paper trains for
     #    ~a week on a GPU). 12 ADMM iterations compensate for the short
-    #    training (see DESIGN.md; the paper's GPU pipeline uses 2-5).
+    #    training (as repro.harness does; the paper's GPU pipeline uses 2-5).
     teal = TealScheme(pathset, seed=0, admm=AdmmConfig(iterations=12))
     histories = teal.train(
         trace.matrices[:20],

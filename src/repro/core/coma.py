@@ -97,8 +97,7 @@ class DecomposableReward:
 
     For min-MLU the per-demand value is the negated bottleneck
     utilization over the demand's own edges (a local approximation of the
-    global max — adequate for advantage estimation, documented in
-    DESIGN.md §5).
+    global max, adequate for advantage estimation).
     """
 
     def __init__(self, pathset: PathSet, objective: Objective) -> None:

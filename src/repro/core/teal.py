@@ -9,7 +9,7 @@ flat across traffic matrices (Figure 7a).
 Training recipe (this reproduction): optional direct-loss warm start
 (fast convergence on the surrogate) followed by COMA* fine-tuning on the
 true objective — mirroring the paper's offline training stage, scaled to
-CPU budgets (DESIGN.md §2).
+CPU budgets (see the scaling policy in :mod:`repro.harness`).
 """
 
 from __future__ import annotations

@@ -6,12 +6,21 @@ provisioned capacities — and provides scheme construction, Teal training
 with caching, and scheme-comparison runners that populate
 :class:`~repro.simulation.metrics.SchemeRun` records.
 
-Scaling policy (DESIGN.md §2): the paper's largest instances (Kdl 754
-nodes, ASN 1739 nodes, all-pairs demands) are GPU/cluster-scale; the
-default benchmark scales below preserve the paper's size *ordering*
+Scaling policy: the paper's largest instances (Kdl 754 nodes, ASN 1739
+nodes, all-pairs demands) are GPU/cluster-scale; the default benchmark
+scales below preserve the paper's size *ordering*
 B4 < SWAN < UsCarrier < Kdl < ASN and each topology's structure class,
 so every trend the figures sweep is reproduced on a CPU budget. Pass
-``scale=1.0`` to build full-size instances.
+``scale=1.0`` to build full-size instances. Demand pairs are subsampled
+uniformly to ``BENCH_MAX_PAIRS`` instead of taking all pairs.
+
+Substitution policy: inputs and tools the paper used but this package
+cannot ship are replaced by stand-ins that keep the properties the
+evaluation depends on — structure-matched synthetic topologies
+(:mod:`repro.topology.generators`), synthetic traffic calibrated to the
+paper's trace statistics (:mod:`repro.traffic.generators`), scipy's
+HiGHS in place of Gurobi (:mod:`repro.lp.solver`), and a numpy autodiff
+substrate in place of PyTorch (:mod:`repro.nn`).
 """
 
 from __future__ import annotations
@@ -81,7 +90,7 @@ BENCH_POP_REPLICAS = {name: bench_pop_replicas(name) for name in POP_REPLICAS}
 #: ``batch_matrices=4`` exploits the minibatch axis: each gradient step
 #: consumes four matrices through one batched forward/backward, so the
 #: same step count sees 4x the traffic diversity at ~the cost of the
-#: one-matrix loop (see BENCH_training.json).
+#: one-matrix loop (timed in ``benchmarks/bench_gates.py``).
 BENCH_TRAINING = TrainingConfig(
     steps=60, warm_start_steps=220, log_every=40, failure_rate=0.25,
     batch_matrices=4,
@@ -415,7 +424,7 @@ def trained_teal(
     precision = resolve_precision(precision, default=DEFAULT_INFERENCE_PRECISION)
     # The paper tunes 2/5 ADMM iterations for its GPU pipeline; our numpy
     # ADMM converges a little slower per iteration, so the benchmark
-    # harness uses 12 (still sub-millisecond per iteration; DESIGN.md §2).
+    # harness uses 12 (still sub-millisecond per iteration).
     teal_kwargs.setdefault("admm", AdmmConfig(iterations=12))
     # The cache key carries the *full* frozen TrainingConfig and the
     # resolved kwargs (including the AdmmConfig default above): keying on

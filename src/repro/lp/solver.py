@@ -1,7 +1,8 @@
 """LP solving via scipy's HiGHS backend (the Gurobi substitute).
 
-The paper's baselines solve the path-formulation LP with Gurobi; per
-DESIGN.md §2 we substitute ``scipy.optimize.linprog(method="highs")`` —
+The paper's baselines solve the path-formulation LP with Gurobi, a
+commercial solver this package does not depend on; we substitute
+``scipy.optimize.linprog(method="highs")`` —
 also an exact sparse LP solver with the same iterative, input-dependent
 runtime profile that motivates Teal. Wall-clock time is measured around
 the solve and surfaced on every result.

@@ -1,7 +1,8 @@
 """Numpy neural-network substrate: autodiff tensors, layers, optimizers.
 
-The paper implements Teal in PyTorch; this package provides the
-equivalent primitives (see DESIGN.md §2 for the substitution rationale).
+The paper implements Teal in PyTorch, which this package does not
+depend on; it provides the equivalent primitives (see the substitution
+policy in :mod:`repro.harness`).
 """
 
 from . import functional

@@ -19,8 +19,8 @@ Policy defaults:
   and training is off the deployment hot path.
 - **Inference and sweeps default to float32** — the deployment forward +
   ADMM path matches float64 results within 1e-4 relative on the
-  benchmark topologies (verified by ``benchmarks/bench_precision.py``
-  and ``tests/test_precision.py``) at a measurably lower cost.
+  benchmark topologies (verified by ``tests/test_precision.py``) at a
+  measurably lower cost.
 - **Reductions accumulate in float64** regardless of storage dtype:
   segment sums run through ``np.bincount`` (a float64 accumulator), and
   the ADMM acceptance check scores allocations through the float64

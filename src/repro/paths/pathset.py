@@ -50,8 +50,8 @@ def sampled_pairs(
 
     The paper evaluates all-pairs demands; on CPU budgets we subsample
     while preserving the all-pairs *distribution* (uniform over ordered
-    pairs). Subsampling is documented as a scaling substitution in
-    DESIGN.md.
+    pairs). Subsampling is part of the scaling policy in
+    :mod:`repro.harness`.
     """
     pairs = all_ordered_pairs(num_nodes)
     if len(pairs) <= max_pairs:

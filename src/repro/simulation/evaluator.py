@@ -74,6 +74,12 @@ class BatchFlowReport:
         satisfied_fraction: (T,) delivered / offered (0 where no demand).
         max_link_utilization: (T,) post-reconciliation MLU.
         intended_mlu: (T,) pre-reconciliation MLU.
+
+    Zero-capacity links (failed, or all-zero capacities) follow the
+    :class:`FlowReport` rules row by row: ``intended_mlu`` is ``inf``
+    where a row requests load on such a link, ``max_link_utilization``
+    is ``inf`` where it delivers more than 1e-9 there, and
+    ``satisfied_fraction`` stays finite in [0, 1].
     """
 
     delivered_path_flows: np.ndarray
@@ -139,6 +145,16 @@ class FlowReport:
         max_link_utilization: Max post-reconciliation load/capacity.
         intended_mlu: Max utilization *before* reconciliation (constraint
             violation indicator).
+
+    Degenerate inputs have defined answers, never NaN. A zero-capacity
+    link has utilization ``inf`` when it carries load and 0 when it does
+    not. So ``intended_mlu`` is ``inf`` exactly when the allocation
+    requests load on some zero-capacity link, and
+    ``max_link_utilization`` is ``inf`` exactly when more than 1e-9 is
+    still delivered there. Reconciliation scales every path that crosses
+    a zero-capacity link to zero, so delivered load there stays 0 and
+    ``max_link_utilization`` stays finite. ``satisfied_fraction`` is
+    always finite and in [0, 1], and 0 for an all-zero demand.
     """
 
     delivered_path_flows: np.ndarray

@@ -32,11 +32,7 @@ from .analytics import (
     speedup_curve,
 )
 from .cellbatch import (
-    CellBatchPlan,
-    CellBucket,
-    cell_bucket_key,
     chunk_level_keys,
-    plan_cell_batches,
     resolve_cell_batch,
 )
 from .checkpoint import (
@@ -69,8 +65,6 @@ from .plotting import (
 
 __all__ = [
     "EXECUTORS",
-    "CellBatchPlan",
-    "CellBucket",
     "FigureSpec",
     "GridAnalytics",
     "GridCell",
@@ -84,7 +78,6 @@ __all__ = [
     "analyze",
     "build_figures",
     "cdf_figure",
-    "cell_bucket_key",
     "cell_key",
     "cell_seed",
     "chunk_level_keys",
@@ -93,7 +86,6 @@ __all__ = [
     "load_completed_cells",
     "load_grid_results",
     "phase_breakdown",
-    "plan_cell_batches",
     "precision_table",
     "render_figures",
     "render_svg",

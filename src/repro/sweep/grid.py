@@ -19,7 +19,7 @@ scenario construction and training from the per-variant ``seed``,
 failure sampling from :func:`cell_seed` (a CRC32 of the cell
 coordinates, stable across processes, unlike Python's randomized string
 ``hash``). A parallel run therefore reproduces a serial run bit for bit,
-which the test suite and ``benchmarks/bench_scenario_grid.py`` verify.
+which the test suite verifies.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..config import TE_INTERVAL_SECONDS, TrainingConfig
 from ..exceptions import ReproError
 from ..simulation.metrics import SchemeRun, format_comparison_table
 from ..simulation.streaming import EventSchedule, LinkFailure
-from .cellbatch import plan_cell_batches, resolve_cell_batch
+from .cellbatch import chunk_level_keys, resolve_cell_batch
 
 #: Executors accepted by :func:`run_scenario_grid`.
 EXECUTORS = ("serial", "thread", "process")
@@ -582,7 +582,6 @@ def run_scenario_grid(
     # field, which beats the fully-fused default.
     spec = cell_batch if cell_batch is not None else suite.cell_batch
     resolved_cell_batch = resolve_cell_batch(spec)
-    plan = plan_cell_batches(suite, resolved_cell_batch)
     jobs = suite.jobs()
     cells_per_job = len(suite.failure_counts) * len(suite.schemes)
 
@@ -672,6 +671,10 @@ def run_scenario_grid(
     done = [output for output in outputs if output is not None]
     cells = [cell for job_cells, _ in done for cell in job_cells]
     timings = [timing for _, timing in done]
+    # One bucket per (topology, scheme): only those cells may share a
+    # stacked kernel call. Each bucket runs once per seed job, split into
+    # the same failure-level chunks run_failure_sweep executes.
+    num_buckets = len(suite.topologies) * len(suite.schemes)
     metadata = {
         "executor": executor,
         "max_workers": workers,
@@ -680,8 +683,10 @@ def run_scenario_grid(
         "total_seconds": total_seconds,
         "cell_batch": resolved_cell_batch,
         "cell_batching": {
-            "num_buckets": len(plan.buckets),
-            "num_invocations": plan.num_invocations,
+            "num_buckets": num_buckets,
+            "num_invocations": num_buckets
+            * len(suite.seeds)
+            * len(chunk_level_keys(suite.failure_counts, resolved_cell_batch)),
         },
         "resumed": resume,
         "checkpointing": {

@@ -2,8 +2,8 @@
 
 The paper evaluates on B4, SWAN, UsCarrier, Kdl, and ASN. Only B4's graph
 is public in full detail; SWAN is proprietary and UsCarrier/Kdl/ASN come
-from datasets not shipped with this repository. Per the reproduction
-policy (DESIGN.md §2), we substitute *structure-matched synthetic
+from datasets not shipped with this repository. Per the substitution
+policy in :mod:`repro.harness`, we use *structure-matched synthetic
 generators*:
 
 - :func:`b4` returns the published 12-node, 38-directed-edge Google WAN.

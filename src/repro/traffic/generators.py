@@ -1,7 +1,7 @@
 """Synthetic WAN traffic calibrated to the paper's trace statistics (§5.1).
 
 The paper trains/evaluates on 20 days of Microsoft SWAN inter-datacenter
-traffic, which is unavailable. Per DESIGN.md §2 we substitute a synthetic
+traffic, which is unavailable, so we substitute a synthetic
 model with the two properties the evaluation depends on:
 
 1. **Heavy-tailed spatial skew** — the top 10% of demands carry 88.4% of

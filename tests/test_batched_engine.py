@@ -102,6 +102,14 @@ class TestBatchedEvaluator:
             assert batch.satisfied_fraction[t] == pytest.approx(
                 single.satisfied_fraction, abs=TOL
             )
+        # Random ratios request load on the dead links: the intended MLU
+        # is inf, while reconciliation drops that flow, so the delivered
+        # MLU stays finite.
+        requested = b4_pathset.edge_loads_batch(batch.intended_path_flows)[:, :5]
+        assert np.all(requested.max(axis=1) > 0)
+        assert np.all(np.isinf(batch.intended_mlu))
+        assert np.all(batch.edge_loads[:, :5] == 0.0)
+        assert np.all(np.isfinite(batch.max_link_utilization))
 
     def test_zero_demand_rows(self, b4_pathset):
         ratios = np.full((2, b4_pathset.num_demands, b4_pathset.max_paths), 0.25)

@@ -400,7 +400,7 @@ class TestBatchedAdmm:
         batched = tuner.fine_tune_batch(warm_ratios, demands, caps)
         for t in range(demands.shape[0]):
             single = tuner.fine_tune(warm_ratios[t], demands[t], caps[t])
-            assert np.allclose(batched[t], single, atol=TOL)
+            assert np.abs(batched[t] - single).max() < TOL
 
     def test_matches_with_shared_capacities(self, tuner, stacked_inputs, warm_ratios):
         demands, _ = stacked_inputs

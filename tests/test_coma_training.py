@@ -63,7 +63,7 @@ class TestDecomposableReward:
         assert values.sum() == pytest.approx(joint, rel=1e-9)
 
     def test_incremental_matches_exact_counterfactual(self, tight_b4):
-        """Mean-field evaluation tracks full re-simulation (DESIGN.md §5)."""
+        """Mean-field evaluation tracks full re-simulation."""
         pathset, matrices = tight_b4
         objective = TotalFlowObjective()
         reward = DecomposableReward(pathset, objective)

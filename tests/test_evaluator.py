@@ -158,3 +158,55 @@ class TestCapacityInvariant:
             diamond_pathset.topology.capacities * (1 + scale),
         )
         assert more.delivered_total >= base.delivered_total - 1e-9
+
+
+class TestDegenerateInputs:
+    """Every scheme on B4 gets a defined, NaN-free answer on degenerate
+    inputs; utilizations are inf exactly where load meets a dead link."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        from repro.harness import build_scenario
+
+        return build_scenario("B4", train=4, validation=1, test=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "scheme_name", ["LP-all", "LP-top", "NCFlow", "POP", "Teal"]
+    )
+    @pytest.mark.parametrize(
+        "case", ["zero_demands", "zero_capacities", "half_links_down"]
+    )
+    def test_defined_answer(self, scenario, scheme_name, case):
+        from repro.core import TealScheme
+        from repro.harness import make_baselines
+
+        pathset = scenario.pathset
+        demands = scenario.demands(scenario.split.test[0])
+        caps = scenario.capacities.copy()
+        if case == "zero_demands":
+            demands = np.zeros_like(demands)
+        elif case == "zero_capacities":
+            caps[:] = 0.0
+        else:
+            caps[::2] = 0.0
+        if scheme_name == "Teal":
+            scheme = TealScheme(pathset, seed=0)
+        else:
+            scheme = make_baselines(scenario, include=(scheme_name,))[scheme_name]
+        allocation = scheme.allocate(pathset, demands, caps)
+        report = evaluate_allocation(pathset, allocation.split_ratios, demands, caps)
+
+        assert np.isfinite(report.satisfied_fraction)
+        assert 0.0 <= report.satisfied_fraction <= 1.0
+        if case == "zero_demands":
+            assert report.satisfied_fraction == 0.0
+        dead = caps == 0
+        requested = pathset.edge_loads(report.intended_path_flows)[dead]
+        assert not np.isnan(report.intended_mlu)
+        assert np.isinf(report.intended_mlu) == bool(np.any(requested > 0))
+        assert not np.isnan(report.max_link_utilization)
+        assert np.isinf(report.max_link_utilization) == bool(
+            np.any(report.edge_loads[dead] > 1e-9)
+        )
+        # Reconciliation drops every path crossing a dead link.
+        assert np.all(report.edge_loads[dead] == 0.0)

@@ -24,6 +24,7 @@ from repro.harness import (
     trained_teal,
 )
 from repro.simulation import EventSchedule
+from repro.topology import get_topology
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,15 @@ class TestBuildScenario:
 
     def test_all_bench_scales_defined(self):
         assert set(BENCH_SCALES) == {"B4", "SWAN", "UsCarrier", "Kdl", "ASN"}
+
+    def test_bench_scales_keep_the_size_ladder(self):
+        """Scaled instances keep Table 1's B4 < SWAN < UsCarrier < Kdl < ASN."""
+        ladder = ("B4", "SWAN", "UsCarrier", "Kdl", "ASN")
+        nodes = [
+            get_topology(name, scale=BENCH_SCALES[name], seed=0).num_nodes
+            for name in ladder
+        ]
+        assert nodes == sorted(nodes) and len(set(nodes)) == len(ladder)
 
     def test_demand_extraction(self, b4_scenario):
         demands = b4_scenario.demands(b4_scenario.split.train[0])

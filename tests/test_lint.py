@@ -70,7 +70,7 @@ def test_path_scoping():
     assert not in_precision_scope("src/repro/nn/precision.py")  # exempt
     assert not in_precision_scope("src/repro/sweep/grid.py")
     assert in_timing_scope("src/repro/sweep/grid.py")
-    assert in_timing_scope("benchmarks/bench_online.py")
+    assert in_timing_scope("benchmarks/bench_gates.py")
     assert not in_timing_scope("src/repro/core/admm.py")
     assert in_hot_path("src/repro/core/flowgnn.py")
     # The fused-kernel module is the one exempt hot-path module.

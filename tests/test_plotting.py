@@ -166,9 +166,10 @@ class TestCliPlot:
         )
         out = capsys.readouterr().out
         assert rc == 0
+        assert len(list(tmp_path.iterdir())) == 3
         for slug in ("speedup", "satisfied_cdf", "failure_robustness"):
             path = tmp_path / f"mini_{slug}.svg"
-            assert path.exists()
+            assert path.stat().st_size > 0
             assert str(path) in out
 
     def test_malformed_input_is_a_clean_failure(self, tmp_path, capsys):

@@ -455,11 +455,27 @@ def _parity_case(pathset, trace, objective, use_admm):
     return reports["float64"], reports["float32"]
 
 
+@pytest.fixture(scope="module")
+def uscarrier_pathset() -> PathSet:
+    """UsCarrier at benchmark scale, the largest topology of the parity check."""
+    from repro.harness import build_scenario
+
+    return build_scenario(
+        "UsCarrier", train=8, validation=2, test=4, seed=0
+    ).pathset
+
+
 class TestSchemePrecisionParity:
-    @pytest.mark.parametrize("fixture", ["b4_pathset", "small_swan_pathset"])
     @pytest.mark.parametrize(
-        "objective_name,use_admm",
-        [("total_flow", True), ("min_mlu", False)],
+        "objective_name,use_admm,fixture",
+        [
+            ("total_flow", True, "b4_pathset"),
+            ("min_mlu", False, "b4_pathset"),
+            ("total_flow", True, "small_swan_pathset"),
+            ("min_mlu", False, "small_swan_pathset"),
+            # The deployment path only: the min-MLU twin adds ~3 s.
+            ("total_flow", True, "uscarrier_pathset"),
+        ],
     )
     def test_float32_matches_float64(
         self, request, fixture, objective_name, use_admm

@@ -17,10 +17,8 @@ from repro.lp.objectives import get_objective
 from repro.sweep import (
     GridResult,
     ScenarioSuite,
-    cell_bucket_key,
     cell_seed,
     chunk_level_keys,
-    plan_cell_batches,
     resolve_cell_batch,
     run_scenario_grid,
     single_topology,
@@ -139,6 +137,11 @@ class TestRunScenarioGrid:
         assert len(serial_result.cells) == suite.num_cells
         assert len(serial_result.timings) == suite.num_jobs
         assert serial_result.metadata["executor"] == "serial"
+        # One bucket per (topology, scheme), run fused once per seed job.
+        assert serial_result.metadata["cell_batching"] == {
+            "num_buckets": 2,
+            "num_invocations": 4,
+        }
         coords = [cell.coords for cell in serial_result.cells]
         assert coords == [
             (topology, seed, count, scheme)
@@ -228,6 +231,7 @@ class TestRunScenarioGrid:
     def test_timings_record_work(self, serial_result):
         for timing in serial_result.timings:
             assert timing["train_seconds"] > 0.0
+            assert timing["sweep_seconds"] > 0.0
             assert timing["num_demands"] > 0
 
     def test_summary_table_covers_grid(self, suite, serial_result):
@@ -299,61 +303,6 @@ class TestChunkLevelKeys:
             chunk_level_keys([0, 1], -1)
 
 
-class TestCellBucketKey:
-    def test_failure_and_seed_variants_share_a_bucket(self):
-        suite = tiny_suite(failure_counts=(0, 1, 2), seeds=(0, 1))
-        plan = plan_cell_batches(suite, 0)
-        # One bucket per scheme: every (seed, failure) cell of a
-        # (topology, scheme) pair is compatible work.
-        assert len(plan.buckets) == len(suite.schemes)
-        for bucket in plan.buckets:
-            assert len(bucket.cells) == len(suite.seeds) * len(
-                suite.failure_counts
-            )
-
-    def test_topology_precision_scheme_split_buckets(self):
-        base = tiny_suite(topologies=("B4", "SWAN"))
-        keys = {
-            cell_bucket_key(base, topology, scheme)
-            for topology in base.topologies
-            for scheme in base.schemes
-        }
-        assert len(keys) == 4  # 2 topologies x 2 schemes, no sharing
-        f32 = cell_bucket_key(base, "B4", "Teal")
-        f64 = cell_bucket_key(
-            tiny_suite(topologies=("B4", "SWAN"), precision="float64"),
-            "B4",
-            "Teal",
-        )
-        assert f32 != f64
-
-    def test_plan_counts_and_chunks(self):
-        suite = tiny_suite(
-            topologies=("B4", "SWAN"),
-            failure_counts=(0, 1, 2),
-            seeds=(0, 1),
-            cell_batch=2,
-        )
-        plan = plan_cell_batches(suite)
-        assert plan.cell_batch == 2
-        assert plan.num_cells == suite.num_cells
-        # Per bucket: 2 seed jobs x ceil(3 levels / 2) = 4 invocations.
-        assert plan.num_invocations == len(plan.buckets) * 4
-        for bucket in plan.buckets:
-            for chunk in bucket.chunks:
-                assert len(chunk) <= 2
-                # A chunk never mixes jobs: one (topology, seed) each.
-                assert len({cell[:2] for cell in chunk}) == 1
-        record = plan.to_dict()
-        assert record["cell_batch"] == 2
-        assert record["num_invocations"] == plan.num_invocations
-
-    def test_fused_plan_has_one_invocation_per_job_scheme(self):
-        suite = tiny_suite(failure_counts=(0, 1, 2), seeds=(0, 1))
-        plan = plan_cell_batches(suite, 0)
-        assert plan.num_invocations == suite.num_jobs * len(suite.schemes)
-
-
 class TestCellBatchedGrid:
     """Batched execution must equal the per-cell loop bit for bit."""
 
@@ -370,20 +319,28 @@ class TestCellBatchedGrid:
         # cell_batch unset: resolves to 0, the fully-fused stack.
         return run_scenario_grid(suite)
 
-    def test_fused_metadata(self, fused):
-        assert fused.metadata["cell_batch"] == 0
-        assert fused.metadata["cell_batching"]["num_buckets"] == 4
-        # One stacked invocation per (job, scheme) when fully fused.
-        assert fused.metadata["cell_batching"]["num_invocations"] == 4
+    @pytest.fixture(scope="class")
+    def chunked(self, suite) -> GridResult:
+        # 3 failure levels in chunks of 2: one full + one ragged chunk.
+        return run_scenario_grid(suite, cell_batch=2)
+
+    def test_fused_metadata(self, fused, chunked):
+        # One bucket per (topology, scheme). Fully fused: one stacked
+        # invocation per (job, scheme); chunks of 2 split 3 levels in two.
+        for result, cell_batch, invocations in ((fused, 0, 4), (chunked, 2, 8)):
+            assert result.metadata["cell_batch"] == cell_batch
+            assert result.metadata["cell_batching"] == {
+                "num_buckets": 4,
+                "num_invocations": invocations,
+            }
 
     def test_per_cell_loop_matches_fused(self, suite, fused):
         looped = run_scenario_grid(suite, cell_batch=1)
         assert looped.metadata["cell_batch"] == 1
         assert comparable(looped) == comparable(fused)
+        assert all(t["sweep_seconds"] > 0.0 for t in looped.timings)
 
-    def test_uneven_chunks_match_fused(self, suite, fused):
-        # 3 failure levels in chunks of 2: one full + one ragged chunk.
-        chunked = run_scenario_grid(suite, cell_batch=2)
+    def test_uneven_chunks_match_fused(self, chunked, fused):
         assert comparable(chunked) == comparable(fused)
 
     def test_argument_overrides_suite_field(self, suite, fused):

@@ -389,6 +389,36 @@ class TestWarmStart:
         assert run.latency_percentile(0) <= run.p50_latency
 
 
+class TestWarmStartQuality:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_warm_keeps_cold_satisfied_demand(self, precision):
+        """On trained Teal across a link failure, warm decisions lose at
+        most 0.005 of the cold pipeline's mean satisfied demand."""
+        from repro.config import TrainingConfig
+        from repro.harness import build_scenario, trained_teal
+        from repro.topology.failures import sample_link_failures
+
+        scenario = build_scenario("B4", train=8, validation=2, test=4, seed=0)
+        teal = trained_teal(
+            scenario,
+            config=TrainingConfig(steps=10, warm_start_steps=40, log_every=100),
+            precision=precision,
+        )
+        schedule = EventSchedule.from_failure_case(
+            scenario.split.test,
+            failed_edges=tuple(sample_link_failures(scenario.topology, 1, seed=7)),
+            failure_at=2,
+        )
+        warm, cold = (
+            StreamingEngine(scenario.pathset, teal, warm_start=flag).run(
+                schedule, capacities=scenario.capacities
+            )
+            for flag in (True, False)
+        )
+        assert warm.warm_fraction > 0.5  # the warm path really ran
+        assert warm.mean_satisfied >= cold.mean_satisfied - 0.005
+
+
 class TestRunStreamingSweep:
     def test_sweep_over_schedules_and_schemes(self, b4_trace):
         from repro.harness import build_scenario, run_streaming_sweep

@@ -64,7 +64,8 @@ def test_us_carrier_full_size_matches_table1():
 
 def test_us_carrier_full_size_structure_matches_table3():
     topo = us_carrier(scale=1.0)
-    # Table 3: diameter 35, avg shortest path 12.1 (bands per DESIGN.md).
+    # Table 3: diameter 35, avg shortest path 12.1. The generator is
+    # structure-matched, not an exact copy, so the test allows a band.
     assert 25 <= diameter(topo) <= 45
     assert 8.0 <= average_shortest_path_length(topo) <= 17.0
 
