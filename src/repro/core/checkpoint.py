@@ -140,10 +140,9 @@ def transfer_weights(source: AllocatorModel, target: AllocatorModel) -> int:
     Copied values adopt each *target* parameter's dtype: transferring
     from a float32-cast donor into a float64 model upcasts instead of
     silently turning the target into a mixed-precision model whose
-    parameters disagree with its aggregation matrices (cast the donor
-    back with ``astype`` first if full-precision weights are wanted).
-    Any cached full-precision master state on the target is invalidated
-    — it described the overwritten weights.
+    parameters disagree with its aggregation matrices, and transferring
+    from a float64 model into a float32-cast one is how ``TealScheme``
+    fills its inference copy.
 
     Returns:
         The number of parameters copied.
@@ -167,6 +166,4 @@ def transfer_weights(source: AllocatorModel, target: AllocatorModel) -> int:
     for a, b in zip(src, dst):
         b.data = a.data.astype(b.data.dtype, copy=True)
         b.grad = None
-    if hasattr(target, "_master64"):
-        target._master64 = None
     return len(dst)

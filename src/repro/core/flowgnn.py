@@ -210,12 +210,8 @@ class FlowGNN(Module):
 
         # Compute dtype of the forward (see repro.nn.precision); astype()
         # switches it together with the parameters and aggregation
-        # matrices. The float64 aggregates built above are stashed before
-        # the first downcast so casting back to float64 restores them
-        # exactly (a float32 round trip would round e.g. the 1/3 degree
-        # scales). The fused inference path reuses the workspace buffers.
+        # matrices. The fused inference path reuses the workspace buffers.
         self._dtype = np.dtype(np.float64)
-        self._aggregates64 = None
         self.workspace = Workspace()
 
         # Layer dims grow 1, 2, ..., num_layers (§4 embedding growth).
@@ -243,35 +239,19 @@ class FlowGNN(Module):
         The precision hook of the substrate: the sparse aggregation
         matrices and degree scales must match the embedding dtype or
         every sparse product would silently promote back to float64.
-        Casting away from float64 stashes the exact float64 aggregates;
-        casting back restores them bit for bit instead of upcasting
-        rounded float32 values. Workspace buffers are dropped (they are
+        The cast is one way (a float32 round trip rounds e.g. the 1/3
+        degree scales). Workspace buffers are dropped (they are
         dtype-keyed). Parameters are always (re)cast, so a model whose
-        parameter dtypes changed out-of-band is repaired rather than
-        skipped.
+        parameter dtypes changed out-of-band is repaired.
         """
         dtype = np.dtype(dtype)
-        params = self.parameters()
-        if dtype == self._dtype and (not params or params[0].data.dtype == dtype):
-            return self
         super().astype(dtype)
-        if self._dtype == np.float64 and dtype != np.float64:
-            self._aggregates64 = (
-                self.edge_agg, self.path_agg, self.edge_agg_t,
-                self.path_agg_t, self.edge_scale, self.path_scale,
-            )
-        if dtype == np.float64 and self._aggregates64 is not None:
-            (
-                self.edge_agg, self.path_agg, self.edge_agg_t,
-                self.path_agg_t, self.edge_scale, self.path_scale,
-            ) = self._aggregates64
-        else:
-            self.edge_agg = self.edge_agg.astype(dtype)
-            self.path_agg = self.path_agg.astype(dtype)
-            self.edge_agg_t = self.edge_agg_t.astype(dtype)
-            self.path_agg_t = self.path_agg_t.astype(dtype)
-            self.edge_scale = self.edge_scale.astype(dtype)
-            self.path_scale = self.path_scale.astype(dtype)
+        self.edge_agg = self.edge_agg.astype(dtype, copy=False)
+        self.path_agg = self.path_agg.astype(dtype, copy=False)
+        self.edge_agg_t = self.edge_agg_t.astype(dtype, copy=False)
+        self.path_agg_t = self.path_agg_t.astype(dtype, copy=False)
+        self.edge_scale = self.edge_scale.astype(dtype, copy=False)
+        self.path_scale = self.path_scale.astype(dtype, copy=False)
         self._dtype = dtype
         self.workspace.clear()
         return self

@@ -187,30 +187,12 @@ class TealModel(AllocatorModel):
     def astype(self, dtype) -> "TealModel":
         """Cast the whole model (FlowGNN aggregation state included).
 
-        Precision round trips are lossless: casting away from float64
-        stashes the exact float64 parameters, and casting back restores
-        them (an f32 round trip would otherwise perturb weights by
-        ~1e-8, breaking "training always sees the float64 model").
-        ``transfer_weights`` and ``load_model`` invalidate or bypass the
-        stash, so out-of-band weight updates never resurrect old values.
+        One way: casting a float32 model back to float64 upcasts the
+        rounded values. ``TealScheme`` therefore never casts its model;
+        it casts a copy for float32 inference.
         """
-        dtype = np.dtype(dtype)
-        if dtype == self.dtype:
-            # Still route through FlowGNN so a model whose parameter
-            # dtypes changed out-of-band gets repaired.
-            self.flow_gnn.astype(dtype)
-            self.policy.astype(dtype)
-            return self
-        master = getattr(self, "_master64", None)
-        if self.dtype == np.float64 and dtype != np.float64:
-            self._master64 = [p.data.copy() for p in self.parameters()]
         self.flow_gnn.astype(dtype)
         self.policy.astype(dtype)
-        if dtype == np.float64 and master is not None:
-            for p, arr in zip(self.parameters(), master):
-                p.data = arr
-                p.grad = None
-            self._master64 = None
         return self
 
     @property

@@ -25,17 +25,13 @@ from ..lp.objectives import (
     Objective,
     TotalFlowObjective,
 )
-from ..nn.precision import (
-    EVALUATION_DTYPE,
-    FLOAT64,
-    Precision,
-    resolve_precision,
-)
+from ..nn.precision import EVALUATION_DTYPE, resolve_precision
 from ..baselines.base import TEScheme
 from ..paths.pathset import PathSet
 from ..simulation.evaluator import Allocation
 from ..traffic.matrix import TrafficMatrix
 from .admm import AdmmFineTuner
+from .checkpoint import transfer_weights
 from .coma import ComaTrainer, TrainingHistory
 from .direct_loss import DirectLossTrainer
 from .model import TealModel
@@ -65,13 +61,13 @@ class TealScheme(TEScheme):
         num_policy_layers: Policy hidden layers (Figure 15c).
         seed: Weight-init seed.
         use_admm: Force-enable/disable ADMM fine-tuning.
-        precision: Inference precision policy (default float64; the
-            harness and sweeps pass float32 — see
-            :mod:`repro.nn.precision`). Training always runs float64;
-            the model is cast to the inference precision lazily at the
-            first ``allocate`` call, and the ADMM acceptance check
-            scores both candidates through the float64 evaluator
-            whatever the storage dtype.
+        precision: Inference dtype (default float64; the harness and
+            sweeps pass float32 — see :mod:`repro.nn.precision`).
+            ``model`` stays float64 for its whole life: training,
+            checkpoints and weight transfer use it as is, and a float32
+            scheme runs a cast copy of it for inference. The ADMM
+            acceptance check scores both candidates through the float64
+            evaluator whatever the storage dtype.
     """
 
     name = "Teal"
@@ -85,7 +81,7 @@ class TealScheme(TEScheme):
         num_policy_layers: int = 1,
         seed: int = 0,
         use_admm: bool | None = None,
-        precision: Precision | str | None = None,
+        precision: np.dtype | str | None = None,
     ) -> None:
         super().__init__(objective)
         self.pathset = pathset
@@ -94,6 +90,13 @@ class TealScheme(TEScheme):
             pathset, hyper=hyper, num_policy_layers=num_policy_layers,
             seed=seed,
         )
+        self._num_policy_layers = num_policy_layers
+        # Adam steps, load_model and transfer_weights all replace a
+        # parameter's array, so array identity against this list tells
+        # when the cast inference copy is stale (see _inference_model).
+        self._parameters = self.model.parameters()
+        self._inference: TealModel | None = None
+        self._inference_weights: list[np.ndarray] = []
         if use_admm is None:
             # §5.5: "we opt to omit ADMM in these [MLU / delay] experiments"
             # — the paper keeps ADMM only for the default total-flow runs.
@@ -108,15 +111,26 @@ class TealScheme(TEScheme):
         )
         self.trained = False
 
-    def _ensure_precision(self) -> None:
-        """Cast the model to the inference precision (lazy, idempotent).
+    def _inference_model(self) -> TealModel:
+        """The model ``allocate_batch`` runs at the scheme precision.
 
-        Deferred to the first inference call so that training — and the
-        harness' on-disk checkpointing, which stores full-precision
-        weights — always sees the float64 model.
+        ``self.model`` itself when the dtypes agree; otherwise a cast
+        copy, rebuilt whenever any of ``self.model``'s weight arrays has
+        been replaced since the copy was filled.
         """
-        if self.model.dtype != self.precision.dtype:
-            self.model.astype(self.precision.dtype)
+        if self.precision == self.model.dtype:
+            return self.model
+        weights = [p.data for p in self._parameters]
+        if self._inference is None or any(
+            a is not b for a, b in zip(weights, self._inference_weights)
+        ):
+            copy = TealModel(
+                self.pathset, hyper=self.model.hyper,
+                num_policy_layers=self._num_policy_layers,
+            ).astype(self.precision)
+            transfer_weights(self.model, copy)
+            self._inference, self._inference_weights = copy, weights
+        return self._inference
 
     # ------------------------------------------------------------------
     # Training (offline stage)
@@ -138,10 +152,6 @@ class TealScheme(TEScheme):
             Histories keyed by phase (``"warm_start"``, ``"coma"``).
         """
         config = config if config is not None else TrainingConfig()
-        # Training stays float64 whatever the inference precision: the
-        # 6-layer gradient chain and Adam's moment accumulation are where
-        # single precision actually loses accuracy (repro.nn.precision).
-        self.model.astype(FLOAT64.dtype)
         histories: dict[str, TrainingHistory] = {}
         warm_steps = config.warm_start_steps
         if warm_steps > 0:
@@ -215,7 +225,6 @@ class TealScheme(TEScheme):
                 non-finite or negative demands or capacities.
         """
         self.model.check_compatible(pathset)
-        self._ensure_precision()
         demands = np.asarray(demands, dtype=EVALUATION_DTYPE)
         num_matrices = demands.shape[0]
         caps = self._capacities_batch(pathset, num_matrices, capacities)
@@ -226,8 +235,9 @@ class TealScheme(TEScheme):
         if num_matrices == 0:
             return []
 
+        model = self._inference_model()
         start = time.perf_counter()
-        ratios_batch = self.model.split_ratios_batch(demands, caps)
+        ratios_batch = model.split_ratios_batch(demands, caps)
         forward_time = (time.perf_counter() - start) / num_matrices
 
         admm_time = 0.0
@@ -278,20 +288,16 @@ class TealScheme(TEScheme):
         Returns:
             A new trained :class:`TealScheme` bound to ``new_pathset``.
         """
-        from .checkpoint import transfer_weights
-
         new_scheme = TealScheme(
             new_pathset,
             objective=self.objective,
             hyper=self.model.hyper,
             admm=self.admm.config,
+            num_policy_layers=self._num_policy_layers,
             seed=seed,
             use_admm=self.use_admm,
             precision=self.precision,
         )
-        # Warm-start from full-precision weights (the donor may have been
-        # cast for inference; retraining always begins in float64).
-        self.model.astype(FLOAT64.dtype)
         transfer_weights(self.model, new_scheme.model)
         if config is None:
             config = TrainingConfig(steps=20, warm_start_steps=60, log_every=20)

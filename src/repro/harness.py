@@ -40,7 +40,7 @@ from .core.batching import Workspace
 from .core.checkpoint import load_model, save_model
 from .exceptions import ReproError
 from .lp.objectives import Objective, TotalFlowObjective, get_objective
-from .nn.precision import DEFAULT_INFERENCE_PRECISION, Precision, resolve_precision
+from .nn.precision import DEFAULT_INFERENCE_PRECISION, resolve_precision
 from .paths.pathset import PathSet
 from .simulation.evaluator import evaluate_allocations_batch
 from .simulation.metrics import SchemeRun
@@ -392,7 +392,7 @@ def trained_teal(
     config: TrainingConfig | None = None,
     seed: int = 0,
     use_cache: bool = True,
-    precision: Precision | str | None = None,
+    precision: np.dtype | str | None = None,
     cache_dir: str | Path | None = None,
     **teal_kwargs,
 ) -> TealScheme:
@@ -431,7 +431,7 @@ def trained_teal(
     # a subset of fields silently returned models trained under a
     # different failure_rate / batch size / training seed. The scenario's
     # build_key likewise distinguishes workloads that share (name, seed,
-    # num_demands) but differ in splits, headroom, or scale. Precision
+    # num_demands) but differ in splits, headroom, or scale. The precision
     # is part of the key: a float32-inference scheme must not be handed
     # to a caller that asked for float64 parity numbers.
     key = (
@@ -445,8 +445,8 @@ def trained_teal(
         precision.name,
         tuple(sorted(teal_kwargs.items())),
     )
-    # On-disk tier: checkpoints are precision-independent (float64
-    # weights, saved before the lazy inference cast), so the disk key
+    # On-disk tier: checkpoints are precision-independent (the model
+    # is float64; float32 inference runs a cast copy), so the disk key
     # drops the precision component of the in-memory key.
     disk_key = key[:7] + key[8:]
     checkpoint = None
@@ -456,20 +456,8 @@ def trained_teal(
         cached = _TEAL_CACHE[key]
         if checkpoint is not None and not checkpoint.exists():
             # The caller asked for persistence after an in-memory hit:
-            # materialize the checkpoint now. A model already cast for
-            # inference round-trips through its float64 master state
-            # (lossless — see TealModel.astype), so the checkpoint
-            # always holds the exact full-precision weights.
-            model = cached.model
-            inference_dtype = None
-            if model.dtype != np.float64:
-                if getattr(model, "_master64", None) is None:
-                    return cached  # exact float64 weights are gone
-                inference_dtype = model.dtype
-                model.astype(np.float64)
-            save_model(model, checkpoint, key=disk_key)
-            if inference_dtype is not None:
-                model.astype(inference_dtype)
+            # materialize the checkpoint now (the model is float64).
+            save_model(cached.model, checkpoint, key=disk_key)
         return cached
     objective = get_objective(objective_name)
     teal = TealScheme(

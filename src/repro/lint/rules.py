@@ -13,8 +13,8 @@ The four rules and the invariants they guard:
   threaded decision. A ``dtype=float`` / ``dtype=np.float64`` literal or
   an ``astype(float)`` inside the precision-threaded modules silently
   re-hardcodes float64 and breaks the policy's one-point control. Route
-  through ``Precision.dtype``, ``EVALUATION_DTYPE``, or a variable
-  derived from them.
+  through a dtype returned by ``resolve_precision``,
+  ``EVALUATION_DTYPE``, or a variable derived from them.
 - **RL002 kernel-aliasing** — the fused ``*_into`` kernels in
   :mod:`repro.core.batching` declare, per kernel, which arguments they
   clobber and which pairs may alias (``KERNEL_CONTRACTS``). Passing the
@@ -90,12 +90,13 @@ RULES: dict[str, Rule] = {
     for rule in (
         Rule(
             id="RL001",
-            title="dtype literals must route through the Precision policy",
+            title="dtype literals must route through the precision policy",
             rationale=(
                 "dtype=float / dtype=np.float64 / astype(float) literals "
                 "inside precision-threaded modules re-hardcode a dtype the "
-                "Precision policy is supposed to control; use "
-                "Precision.dtype, EVALUATION_DTYPE, or a derived variable."
+                "precision policy is supposed to control; use a "
+                "resolve_precision dtype, EVALUATION_DTYPE, or a derived "
+                "variable."
             ),
             scope="src/repro/{nn,core,simulation}/ (except nn/precision.py)",
         ),
@@ -140,7 +141,7 @@ RULES: dict[str, Rule] = {
 # ----------------------------------------------------------------------
 # Path scoping
 # ----------------------------------------------------------------------
-#: Modules threaded with the Precision policy: RL001 applies here.
+#: Modules threaded with the precision policy: RL001 applies here.
 PRECISION_SCOPES = ("/repro/nn/", "/repro/core/", "/repro/simulation/")
 
 #: The policy definition itself is exempt from RL001 (it is the one

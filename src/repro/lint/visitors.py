@@ -96,7 +96,7 @@ class DtypePolicyVisitor(_RuleVisitor):
                         keyword.value,
                         f"dtype={literal} hardcodes a dtype in a "
                         "precision-threaded module; derive it from the "
-                        "Precision policy (Precision.dtype / "
+                        "precision policy (a resolve_precision dtype / "
                         "EVALUATION_DTYPE)",
                     )
         if (
@@ -112,8 +112,8 @@ class DtypePolicyVisitor(_RuleVisitor):
                     node.args[1],
                     f"np.{node.func.attr}(..., {literal}) hardcodes a "
                     "dtype in a precision-threaded module; derive it "
-                    "from the Precision policy (Precision.dtype / "
-                    "EVALUATION_DTYPE)",
+                    "from the precision policy (a resolve_precision "
+                    "dtype / EVALUATION_DTYPE)",
                 )
         if (
             isinstance(node.func, ast.Attribute)
@@ -126,7 +126,8 @@ class DtypePolicyVisitor(_RuleVisitor):
                     node.args[0],
                     f"astype({literal}) hardcodes a dtype in a "
                     "precision-threaded module; derive it from the "
-                    "Precision policy (Precision.dtype / EVALUATION_DTYPE)",
+                    "precision policy (a resolve_precision dtype / "
+                    "EVALUATION_DTYPE)",
                 )
         self.generic_visit(node)
 

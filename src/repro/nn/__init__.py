@@ -12,9 +12,6 @@ from .optim import SGD, Adam, Optimizer
 from .precision import (
     DEFAULT_INFERENCE_PRECISION,
     DEFAULT_PRECISION,
-    FLOAT32,
-    FLOAT64,
-    Precision,
     resolve_precision,
 )
 from .tensor import Parameter, Tensor, as_tensor
@@ -23,10 +20,7 @@ __all__ = [
     "Tensor",
     "Parameter",
     "as_tensor",
-    "Precision",
     "resolve_precision",
-    "FLOAT32",
-    "FLOAT64",
     "DEFAULT_PRECISION",
     "DEFAULT_INFERENCE_PRECISION",
     "functional",

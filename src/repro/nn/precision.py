@@ -1,134 +1,86 @@
-"""Precision policy: dtype as an explicit, end-to-end decision.
+"""The compute dtype as an explicit, end-to-end precision policy.
 
 The paper's headline result is wall-clock acceleration, and production
 systems in this space run their hot paths in single precision on
-purpose. This module makes the compute dtype a first-class *policy*
-instead of an accident of ``np.asarray``: a :class:`Precision` object
-names a storage dtype and the accumulation dtype used for reductions and
-acceptance checks, and is threaded through the whole stack —
-``nn.Tensor`` (dtype-preserving payloads), FlowGNN / ``TealModel``
-(float32 forward via :meth:`~repro.nn.layers.Module.astype`), the ADMM
-fine-tuner (single-precision F/z/s/dual updates), ``TealScheme``,
-``harness.trained_teal`` (precision in the cache key), the sweep grid,
-and the CLI (``--precision {float32,float64}``).
+purpose. A precision here is simply a numpy dtype — ``float32`` or
+``float64`` — validated by :func:`resolve_precision` and threaded
+through ``nn.Tensor`` (dtype-preserving payloads), FlowGNN /
+``TealModel`` (a one-way :meth:`~repro.nn.layers.Module.astype`), the
+ADMM fine-tuner (single-precision F/z/s/dual updates), ``TealScheme``,
+``harness.trained_teal`` (the dtype's ``.name`` is in the cache key),
+the sweep grid, and the CLI (``--precision {float32,float64}``).
 
-Policy defaults:
+Policy:
 
-- **Training stays float64** — gradients through a 6-layer GNN and Adam's
-  second-moment accumulation are where single precision actually bites,
-  and training is off the deployment hot path.
-- **Inference and sweeps default to float32** — the deployment forward +
-  ADMM path matches float64 results within 1e-4 relative on the
-  benchmark topologies (verified by ``tests/test_precision.py``) at a
-  measurably lower cost.
+- **The trained model is float64 for its whole life.** Gradients
+  through a 6-layer GNN and Adam's second-moment accumulation are where
+  single precision actually bites, and checkpoints store the float64
+  weights, so training, ``load_model``, ``transfer_weights`` and
+  ``save_model`` always see ``TealScheme.model`` in float64.
+- **float32 inference runs a cast copy.** A float32 ``TealScheme``
+  derives an inference ``TealModel`` from the float64 one (one-way
+  ``astype`` plus ``transfer_weights``) and rebuilds it whenever the
+  float64 weights change. Harness, sweeps and the CLI default to
+  float32: the deployment forward + ADMM path matches float64 results
+  within 1e-4 relative on the benchmark topologies (verified by
+  ``tests/test_precision.py``) at a measurably lower cost.
 - **Reductions accumulate in float64** regardless of storage dtype:
-  segment sums run through ``np.bincount`` (a float64 accumulator), and
-  the ADMM acceptance check scores allocations through the float64
-  evaluator — so float32 storage never degrades the *decisions* made
-  about an allocation, only the arithmetic inside it.
+  segment sums run through ``np.bincount`` (a float64 accumulator), the
+  ADMM F-solve runs in :data:`EVALUATION_DTYPE`, and the acceptance
+  check scores allocations through the float64 evaluator — so float32
+  storage never degrades the *decisions* made about an allocation, only
+  the arithmetic inside it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import ReproError
 
-#: The dtypes a Precision may name (half precision is deliberately
-#: excluded: numpy has no fast float16 kernels, so it would only add
-#: rounding error without saving time).
+#: The supported precisions (half precision is deliberately excluded:
+#: numpy has no fast float16 kernels, so it would only add rounding
+#: error without saving time).
 _SUPPORTED = ("float32", "float64")
 
-
-@dataclass(frozen=True)
-class Precision:
-    """A named dtype policy for the compute substrate.
-
-    Frozen and hashable so it can sit inside cache keys (see
-    :func:`repro.harness.trained_teal`).
-
-    Attributes:
-        name: ``"float32"`` or ``"float64"``.
-    """
-
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.name not in _SUPPORTED:
-            raise ReproError(
-                f"unknown precision {self.name!r}; expected one of {_SUPPORTED}"
-            )
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Storage dtype of tensors, parameters, and ADMM iterates."""
-        return np.dtype(self.name)
-
-    @property
-    def accumulate_dtype(self) -> np.dtype:
-        """Dtype of segment reductions and acceptance/residual checks.
-
-        Always float64: ``np.bincount`` accumulates in double whatever
-        the weights' storage dtype, and the objective/acceptance scoring
-        runs through the float64 evaluator — documented behaviour the
-        parity tests rely on.
-        """
-        return np.dtype(np.float64)
-
-    @property
-    def itemsize(self) -> int:
-        """Bytes per element of the storage dtype."""
-        return self.dtype.itemsize
-
-    def array(self, value) -> np.ndarray:
-        """``np.asarray`` in this precision's storage dtype."""
-        return np.asarray(value, dtype=self.dtype)
-
-    def __str__(self) -> str:  # readable in logs / JSON records
-        return self.name
-
-
-#: The two supported policies, as shared singletons.
-FLOAT32 = Precision("float32")
-FLOAT64 = Precision("float64")
-
-#: Scoring/IO dtype: demand volumes, capacities, and evaluator inputs
-#: are always float64 regardless of the compute Precision — the
-#: "reductions accumulate in float64" half of the policy. Lint rule
+#: Scoring/IO dtype: demand volumes, capacities, evaluator inputs and the
+#: ADMM F-solve are always float64 regardless of the compute precision —
+#: the "reductions accumulate in float64" half of the policy. Lint rule
 #: RL001 (repro.lint) requires dtype literals in precision-threaded
-#: modules to route through this constant or a Precision, so every
-#: hardcoded dtype is an explicit, greppable policy decision.
+#: modules to route through this constant or a resolved precision, so
+#: every hardcoded dtype is an explicit, greppable policy decision.
 EVALUATION_DTYPE = np.dtype(np.float64)
 
 #: Library-wide default: float64 (full-precision, backward compatible).
-DEFAULT_PRECISION = FLOAT64
+DEFAULT_PRECISION = np.dtype(np.float64)
 
 #: Default for inference-heavy entry points (harness, sweeps, CLI):
 #: float32, per the measured parity/speedup tradeoff documented above.
-DEFAULT_INFERENCE_PRECISION = FLOAT32
+DEFAULT_INFERENCE_PRECISION = np.dtype(np.float32)
 
 
 def resolve_precision(
-    spec: "Precision | str | np.dtype | None",
-    default: "Precision | str" = DEFAULT_PRECISION,
-) -> Precision:
-    """Coerce a user-facing precision spec to a :class:`Precision`.
+    spec: "str | np.dtype | type | None",
+    default: "str | np.dtype" = DEFAULT_PRECISION,
+) -> np.dtype:
+    """Validate a user-facing precision spec and return its numpy dtype.
 
     Args:
-        spec: ``None`` (use ``default``), a :class:`Precision`, a name
-            (``"float32"``/``"float64"``), or a numpy dtype.
-        default: Policy used when ``spec`` is None.
+        spec: ``None`` (use ``default``), a name (``"float32"`` /
+            ``"float64"``), or anything ``np.dtype`` accepts.
+        default: The precision used when ``spec`` is None.
 
     Raises:
         ReproError: On unsupported dtypes or unknown names.
     """
     if spec is None:
         spec = default
-    if isinstance(spec, Precision):
-        return spec
-    if isinstance(spec, str):
-        return Precision(spec)
-    name = np.dtype(spec).name
-    return Precision(name)
+    try:
+        name = np.dtype(spec).name
+    except TypeError:
+        name = None
+    if name not in _SUPPORTED:
+        raise ReproError(
+            f"unknown precision {spec!r}; expected one of {_SUPPORTED}"
+        )
+    return np.dtype(name)

@@ -58,7 +58,7 @@ def _as_array(value) -> np.ndarray:
     if isinstance(value, (np.float32, np.float64)):
         # Reductions of float32 arrays yield numpy scalars; keep them.
         return np.asarray(value)
-    return np.asarray(value, dtype=DEFAULT_PRECISION.dtype)
+    return np.asarray(value, dtype=DEFAULT_PRECISION)
 
 
 def _transpose_last(arr: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from ..cache import atomic_write_json
 from ..config import TE_INTERVAL_SECONDS, TrainingConfig
 from ..exceptions import ReproError
+from ..nn.precision import resolve_precision
 from ..simulation.metrics import SchemeRun, format_comparison_table
 from ..simulation.streaming import EventSchedule, LinkFailure
 from .cellbatch import chunk_level_keys, resolve_cell_batch
@@ -136,11 +137,11 @@ class ScenarioSuite:
             raise ReproError(
                 f"failure_at must be non-negative, got {self.failure_at}"
             )
-        if self.precision not in ("float32", "float64"):
-            raise ReproError(
-                f"unknown precision {self.precision!r}; "
-                "expected 'float32' or 'float64'"
-            )
+        # One list of supported precisions; the field stays a name so
+        # to_dict/from_dict round-trip it as JSON.
+        object.__setattr__(
+            self, "precision", resolve_precision(self.precision).name
+        )
         if self.cell_batch is not None:
             # Validate eagerly so a bad config fails at suite build, not
             # deep inside a pool worker.

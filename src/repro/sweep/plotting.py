@@ -64,7 +64,7 @@ SCHEME_SLOTS = {
     "TEAVAR*": 5,
 }
 
-#: Precision series of the speedup figure (same fixed-slot rule).
+#: Per-precision series of the speedup figure (same fixed-slot rule).
 PRECISION_SLOTS = {"float32": 0, "float64": 1}
 
 # Chart chrome (light surface).

@@ -252,6 +252,18 @@ class TestRetraining:
         assert report.satisfied_fraction > 0.4
         assert retrained.pathset is new_pathset
 
+    def test_retrain_keeps_policy_depth(self):
+        """The retrained scheme has the donor's policy depth, so every
+        donor weight has a slot to land in."""
+        pathset = PathSet.from_topology(b4(capacity=60.0))
+        trace = TrafficTrace.generate(12, 4, seed=8)
+        donor = TealScheme(pathset, num_policy_layers=2, seed=0)
+        retrained = donor.retrain_for(
+            pathset, trace.matrices[:2],
+            config=TrainingConfig(steps=0, warm_start_steps=1, log_every=10),
+        )
+        assert retrained.model.num_parameters() == donor.model.num_parameters()
+
     def test_warm_start_better_than_cold_at_same_budget(self):
         """The value of §4's warm start: same tiny budget, better result."""
         from repro.lp import TotalFlowObjective

@@ -171,7 +171,9 @@ class TestDegenerateInputs:
         return build_scenario("B4", train=4, validation=1, test=2, seed=0)
 
     @pytest.mark.parametrize(
-        "scheme_name", ["LP-all", "LP-top", "NCFlow", "POP", "Teal"]
+        "scheme_name",
+        # Teal-float32 is the harness' deployment precision.
+        ["LP-all", "LP-top", "NCFlow", "POP", "Teal", "Teal-float32"],
     )
     @pytest.mark.parametrize(
         "case", ["zero_demands", "zero_capacities", "half_links_down"]
@@ -191,11 +193,14 @@ class TestDegenerateInputs:
             caps[::2] = 0.0
         if scheme_name == "Teal":
             scheme = TealScheme(pathset, seed=0)
+        elif scheme_name == "Teal-float32":
+            scheme = TealScheme(pathset, seed=0, precision="float32")
         else:
             scheme = make_baselines(scenario, include=(scheme_name,))[scheme_name]
         allocation = scheme.allocate(pathset, demands, caps)
         report = evaluate_allocation(pathset, allocation.split_ratios, demands, caps)
 
+        assert np.all(np.isfinite(allocation.split_ratios))
         assert np.isfinite(report.satisfied_fraction)
         assert 0.0 <= report.satisfied_fraction <= 1.0
         if case == "zero_demands":
@@ -210,3 +215,47 @@ class TestDegenerateInputs:
         )
         # Reconciliation drops every path crossing a dead link.
         assert np.all(report.edge_loads[dead] == 0.0)
+
+
+class TestRandomTopologyInvariants:
+    """Invariants of untrained Teal (both precisions) and LP-all over
+    random SWAN-like graphs, demand scales and dead links."""
+
+    @given(
+        num_nodes=st.integers(6, 15),
+        seed=st.integers(0, 2**16),
+        log_scale=st.floats(-1.0, 3.0),
+        dead_links=st.integers(0, 2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_teal_and_lp_all_invariants(
+        self, num_nodes, seed, log_scale, dead_links
+    ):
+        from repro.baselines.lp_all import LpAll
+        from repro.core import TealScheme
+        from repro.topology.failures import sample_link_failures
+        from repro.topology.generators import swan
+        from repro.traffic import TrafficTrace
+
+        topology = swan(num_nodes=num_nodes, seed=seed)
+        pathset = PathSet.from_topology(topology)
+        matrix = TrafficTrace.generate(num_nodes, 1, seed=seed)[0]
+        demands = pathset.demand_volumes(matrix.values) * 10.0**log_scale
+        caps = topology.capacities.copy()
+        caps[sample_link_failures(topology, dead_links, seed=seed)] = 0.0
+
+        lp = LpAll().allocate(pathset, demands, caps)
+        lp_satisfied = evaluate_allocation(
+            pathset, lp.split_ratios, demands, caps
+        ).satisfied_fraction
+        for precision in ("float64", "float32"):
+            teal = TealScheme(pathset, seed=0, precision=precision)
+            ratios = teal.allocate(pathset, demands, caps).split_ratios
+            assert ratios.dtype == precision
+            eps = np.finfo(ratios.dtype).eps
+            assert np.all(ratios.sum(axis=-1, dtype=np.float64) <= 1 + 2 * eps)
+            satisfied = evaluate_allocation(
+                pathset, ratios, demands, caps
+            ).satisfied_fraction
+            assert 0.0 <= satisfied <= 1.0
+            assert lp_satisfied >= satisfied - 1e-6

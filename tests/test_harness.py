@@ -239,18 +239,18 @@ class TestTrainedTealDiskCache:
         self, b4_scenario, tmp_path
     ):
         """Asking for persistence after an in-memory hit writes the
-        checkpoint (even when the cached model was already cast for
-        inference — the float64 masters make the save lossless)."""
+        checkpoint, also after float32 inference has run (the model
+        stays float64; inference used a cast copy)."""
         teal = trained_teal(b4_scenario, config=self._CONFIG)  # no cache_dir
         demands = b4_scenario.demands(b4_scenario.split.test[0])
-        teal.allocate(b4_scenario.pathset, demands)  # lazy float32 cast
-        assert teal.model.dtype == np.float32
+        teal.allocate(b4_scenario.pathset, demands)  # float32 inference
+        assert teal.model.dtype == np.float64
 
         again = trained_teal(
             b4_scenario, config=self._CONFIG, cache_dir=tmp_path
         )
         assert again is teal
-        assert teal.model.dtype == np.float32  # cast state untouched
+        assert teal.model.dtype == np.float64
         checkpoints = list(tmp_path.glob("teal-*.npz"))
         assert len(checkpoints) == 1
         # The checkpoint holds float64 weights loadable into a fresh model.

@@ -94,7 +94,7 @@ def test_rl001_flags_dtype_literals_in_precision_scope(tmp_path):
             a = np.zeros(3, dtype=float)          # positive: keyword literal
             b = np.asarray(x, np.float64)          # positive: positional literal
             c = x.astype("float32")                # positive: astype literal
-            d = np.zeros(3, dtype=precision.dtype) # negative: policy-derived
+            d = np.zeros(3, dtype=precision)       # negative: policy-derived
             return a, b, c, d
         """,
     )

@@ -37,9 +37,8 @@ from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.precision import (
     DEFAULT_INFERENCE_PRECISION,
-    FLOAT32,
-    FLOAT64,
-    Precision,
+    DEFAULT_PRECISION,
+    EVALUATION_DTYPE,
     resolve_precision,
 )
 from repro.nn.tensor import Parameter, Tensor
@@ -54,35 +53,42 @@ PARITY_RTOL = 1e-4
 
 
 # ----------------------------------------------------------------------
-# The Precision policy object
+# The precision policy: a validated numpy dtype
 # ----------------------------------------------------------------------
 class TestPrecisionPolicy:
     def test_dtypes(self):
-        assert FLOAT32.dtype == np.float32
-        assert FLOAT64.dtype == np.float64
-        assert FLOAT32.accumulate_dtype == np.float64
-        assert FLOAT32.itemsize == 4 and FLOAT64.itemsize == 8
+        for spec in ("float32", np.float32, np.dtype(np.float32)):
+            resolved = resolve_precision(spec)
+            assert isinstance(resolved, np.dtype)
+            assert resolved == np.float32 and resolved.itemsize == 4
+        assert resolve_precision("float64").itemsize == 8
+        # Reductions and the ADMM F-solve accumulate in float64.
+        assert EVALUATION_DTYPE == np.float64
 
     def test_resolve(self):
-        assert resolve_precision(None) is FLOAT64
-        assert resolve_precision(None, default="float32") == FLOAT32
-        assert resolve_precision("float32") == FLOAT32
-        assert resolve_precision(FLOAT32) is FLOAT32
-        assert resolve_precision(np.float32) == FLOAT32
-        assert resolve_precision(np.dtype(np.float64)) == FLOAT64
+        assert resolve_precision(None) == DEFAULT_PRECISION == np.float64
+        assert resolve_precision(None, default="float32") == np.float32
+        assert resolve_precision("float32") == np.float32
+        assert resolve_precision(np.float64) == np.float64
+        assert resolve_precision(np.dtype(np.float64)) == np.float64
 
     def test_unknown_precision_rejected(self):
-        with pytest.raises(ReproError):
-            Precision("float16")
-        with pytest.raises(ReproError):
-            resolve_precision("bfloat16")
+        for spec in ("float16", "bfloat16", np.float16, "int32", "double-ish"):
+            with pytest.raises(ReproError):
+                resolve_precision(spec)
 
     def test_hashable_for_cache_keys(self):
-        assert hash(Precision("float32")) == hash(FLOAT32)
-        assert len({FLOAT32, FLOAT64, Precision("float32")}) == 2
+        """trained_teal keys on the resolved dtype's name: every spelling
+        of one precision gives the same key."""
+        names = {
+            resolve_precision(spec).name
+            for spec in ("float32", np.float32, np.dtype(np.float32))
+        }
+        assert names == {"float32"}
+        assert len({resolve_precision(s) for s in ("float32", np.float64)}) == 2
 
     def test_inference_default_is_float32(self):
-        assert DEFAULT_INFERENCE_PRECISION == FLOAT32
+        assert DEFAULT_INFERENCE_PRECISION == np.float32
 
 
 # ----------------------------------------------------------------------
@@ -506,30 +512,15 @@ class TestSchemePrecisionParity:
             list(b4_trace[:4]),
             config=TrainingConfig(steps=2, warm_start_steps=4, log_every=10),
         )
-        # Post-training the weights are still full precision (this is
-        # what the harness' on-disk checkpoints store)...
+        # Post-training the weights are full precision (this is what the
+        # harness' on-disk checkpoints store)...
         assert scheme.model.dtype == np.float64
         demands = b4_pathset.demand_volumes(b4_trace[5].values)
         allocation = scheme.allocate(b4_pathset, demands)
-        # ...and the first inference call casts to the scheme precision.
-        assert scheme.model.dtype == np.float32
+        # ...and inference runs a float32 copy, leaving the model alone.
+        assert scheme.model.dtype == np.float64
+        assert all(p.data.dtype == np.float64 for p in scheme.model.parameters())
         assert allocation.split_ratios.dtype == np.float32
-
-    def test_precision_round_trip_is_lossless(self, b4_pathset, b4_demands):
-        """float64 -> float32 -> float64 restores the exact weights and
-        aggregation matrices (the float64 masters are stashed), so an
-        inference cast never perturbs later training."""
-        model = TealModel(b4_pathset, seed=4)
-        reference_params = [p.data.copy() for p in model.parameters()]
-        reference_scale = model.flow_gnn.edge_scale.copy()
-        reference_out = model.split_ratios(b4_demands)
-
-        model.astype(np.float32).astype(np.float64)
-        for p, ref in zip(model.parameters(), reference_params):
-            assert p.data.dtype == np.float64
-            assert np.array_equal(p.data, ref)
-        assert np.array_equal(model.flow_gnn.edge_scale, reference_scale)
-        assert np.array_equal(model.split_ratios(b4_demands), reference_out)
 
     def test_transfer_weights_preserves_target_dtype(self, b4_pathset):
         """A float32-cast donor must not turn a float64 target into a
@@ -571,6 +562,65 @@ class TestSchemePrecisionParity:
                 assert np.array_equal(
                     batched[t].split_ratios, single.split_ratios
                 )
+
+
+# ----------------------------------------------------------------------
+# One float64 model; float32 inference runs a cast copy
+# ----------------------------------------------------------------------
+class TestFloat32InferenceCopy:
+    @pytest.mark.parametrize("update", ["load_model", "transfer_weights", "train"])
+    def test_weight_updates_after_float32_allocate(
+        self, update, b4_pathset, b4_trace, tmp_path
+    ):
+        """Every way of replacing the float64 weights after a float32
+        allocate reaches the next allocate, bit for bit as a fresh
+        float32 scheme loaded with the same weights."""
+        from repro.core import load_model, save_model, transfer_weights
+
+        scheme = TealScheme(b4_pathset, seed=0, precision="float32")
+        demands = b4_pathset.demand_volumes(b4_trace[5].values)
+        before = scheme.allocate(b4_pathset, demands).split_ratios
+        if update == "load_model":
+            donor = save_model(TealModel(b4_pathset, seed=7), tmp_path / "donor")
+            load_model(scheme.model, donor)
+        elif update == "transfer_weights":
+            transfer_weights(TealModel(b4_pathset, seed=7), scheme.model)
+        else:
+            scheme.train(
+                list(b4_trace[:4]),
+                config=TrainingConfig(steps=2, warm_start_steps=4, log_every=10),
+            )
+        after = scheme.allocate(b4_pathset, demands).split_ratios
+
+        fresh = TealScheme(b4_pathset, seed=1, precision="float32")
+        load_model(fresh.model, save_model(scheme.model, tmp_path / "same"))
+        expected = fresh.allocate(b4_pathset, demands).split_ratios
+        assert after.dtype == expected.dtype == np.float32
+        assert np.array_equal(after, expected)
+        assert not np.array_equal(after, before)
+
+    def test_model_outputs_stay_float64(self, b4_pathset, b4_demands):
+        scheme = TealScheme(b4_pathset, seed=0, precision="float32")
+        before = scheme.model.split_ratios(b4_demands)
+        scheme.allocate(b4_pathset, b4_demands)
+        after = scheme.model.split_ratios(b4_demands)
+        assert before.dtype == after.dtype == np.float64
+        assert np.array_equal(before, after)
+        assert scheme.model.flow_embeddings(b4_demands).dtype == np.float64
+
+    def test_copy_is_reused_until_weights_change(self, b4_pathset, b4_demands):
+        from repro.core import transfer_weights
+
+        scheme = TealScheme(b4_pathset, seed=0, precision="float32")
+        first = scheme._inference_model()
+        assert first is not scheme.model and first.dtype == np.float32
+        scheme.allocate(b4_pathset, b4_demands)
+        assert scheme._inference_model() is first
+        transfer_weights(TealModel(b4_pathset, seed=7), scheme.model)
+        assert scheme._inference_model() is not first
+        # float64 schemes run the model itself.
+        f64 = TealScheme(b4_pathset, seed=0, precision="float64")
+        assert f64._inference_model() is f64.model
 
 
 # ----------------------------------------------------------------------
@@ -660,7 +710,7 @@ class TestKdlScaleParity:
 
 
 # ----------------------------------------------------------------------
-# Precision through the sweep grid spec
+# The precision field of the sweep grid spec
 # ----------------------------------------------------------------------
 class TestSuitePrecision:
     def test_default_and_roundtrip(self):
@@ -676,3 +726,14 @@ class TestSuitePrecision:
 
         with pytest.raises(ReproError):
             ScenarioSuite(topologies=("B4",), precision="float16")
+        with pytest.raises(ReproError):
+            ScenarioSuite(topologies=("B4",), precision="bfloat16")
+
+    def test_dtype_spec_stored_as_name(self):
+        """The suite validates through resolve_precision and keeps the
+        field a name, so to_dict stays JSON."""
+        from repro.sweep import ScenarioSuite
+
+        suite = ScenarioSuite(topologies=("B4",), precision=np.float64)
+        assert suite.precision == "float64"
+        assert suite == ScenarioSuite(topologies=("B4",), precision="float64")
