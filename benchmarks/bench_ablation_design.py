@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import AdmmConfig, TrainingConfig
+from repro.config import AdmmConfig, TealHyperparameters, TrainingConfig
 from repro.core import AdmmFineTuner, ComaTrainer, DirectLossTrainer, TealModel
 from repro.harness import trained_teal
 from repro.lp import TotalFlowObjective
@@ -52,7 +52,8 @@ def test_training_algorithm_ablation(swan_scenario):
     results["direct loss only"] = _mean_satisfied(scenario, direct)
 
     def rl_variant(samples: int, label: str) -> None:
-        model = TealModel(scenario.pathset, seed=0)
+        hyper = TealHyperparameters(counterfactual_samples=samples)
+        model = TealModel(scenario.pathset, hyper=hyper, seed=0)
         DirectLossTrainer(
             model, objective, TrainingConfig(steps=100, log_every=75)
         ).train(matrices, steps=100)
@@ -60,7 +61,6 @@ def test_training_algorithm_ablation(swan_scenario):
             model,
             objective,
             TrainingConfig(steps=50, warm_start_steps=0, log_every=25),
-            counterfactual_samples=samples,
         )
         trainer.train(matrices)
         results[label] = _mean_satisfied(scenario, model)

@@ -3,8 +3,9 @@
 Sweeps (on the SWAN scenario, with short training budgets):
 
 - 15a: number of FlowGNN layers (4 / 6 / 8) — paper: gains saturate at 6.
-- 15b: final embedding dimension — realized through the layer count in
-  the paper's growth scheme; we additionally sweep the growth factor.
+- 15b: final embedding dimension. The paper grows the embedding by one
+  element per layer, so the final dimension equals the layer count and
+  15b reports 15a's runs, labelled by dimension.
 - 15c: number of dense (hidden) layers in the policy net (1 / 2 / 4) —
   paper: little difference, the policy can stay lightweight.
 """
@@ -12,6 +13,7 @@ Sweeps (on the SWAN scenario, with short training budgets):
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.config import TealHyperparameters, TrainingConfig
 from repro.core import TealScheme
@@ -38,11 +40,21 @@ def _train_and_eval(scenario, **teal_kwargs) -> float:
     return float(np.mean(sats))
 
 
-def test_fig15a_gnn_layers(swan_scenario):
-    results = {}
-    for layers in [4, 6, 8]:
-        hyper = TealHyperparameters(num_gnn_layers=layers)
-        results[layers] = _train_and_eval(swan_scenario, hyper=hyper, seed=0)
+@pytest.fixture(scope="module")
+def layer_sweep(swan_scenario):
+    """Satisfied demand per FlowGNN depth (4 / 6 / 8), shared by 15a/15b."""
+    return {
+        layers: _train_and_eval(
+            swan_scenario,
+            hyper=TealHyperparameters(num_gnn_layers=layers),
+            seed=0,
+        )
+        for layers in [4, 6, 8]
+    }
+
+
+def test_fig15a_gnn_layers(layer_sweep):
+    results = layer_sweep
     rows = [("FlowGNN layers", "satisfied %")]
     for layers, sat in results.items():
         rows.append((layers, f"{100 * sat:.1f}"))
@@ -53,11 +65,9 @@ def test_fig15a_gnn_layers(swan_scenario):
     assert results[6] >= results[8] - 0.05
 
 
-def test_fig15b_embedding_dim(swan_scenario):
-    results = {}
-    for growth, label in [(1, 6), (2, 11), (4, 21)]:
-        hyper = TealHyperparameters(embedding_growth=growth)
-        results[label] = _train_and_eval(swan_scenario, hyper=hyper, seed=0)
+def test_fig15b_embedding_dim(layer_sweep):
+    # One element per layer: the final embedding dimension is the depth.
+    results = dict(layer_sweep)
     rows = [("final embedding dim", "satisfied %")]
     for dim, sat in results.items():
         rows.append((dim, f"{100 * sat:.1f}"))

@@ -16,6 +16,7 @@ Nothing is written outside pytest's temporary directories. Run with::
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import time
 import tracemalloc
@@ -79,7 +80,7 @@ def training_batch():
     )
     # A quiet log cadence so timing measures gradient steps, not the
     # per-log greedy evaluations. Batched passes run off the config's
-    # minibatch; looped passes override batch_size=1.
+    # minibatch; looped passes use a copy with batch_matrices=1.
     config = TrainingConfig(
         steps=TRAINING_BATCH, warm_start_steps=0, log_every=10_000,
         batch_matrices=TRAINING_BATCH,
@@ -93,12 +94,15 @@ def test_batched_training_step(training_batch, trainer_cls):
     scenario, config = training_batch
     matrices = scenario.split.train
     objective = TotalFlowObjective()
-    looped = trainer_cls(TealModel(scenario.pathset, seed=0), objective, config)
+    looped = trainer_cls(
+        TealModel(scenario.pathset, seed=0), objective,
+        dataclasses.replace(config, batch_matrices=1),
+    )
     batched = trainer_cls(TealModel(scenario.pathset, seed=0), objective, config)
-    looped.train(matrices, steps=1, batch_size=1)  # warm-up
+    looped.train(matrices, steps=1)  # warm-up
     batched.train(matrices, steps=1)
     looped_s = best_of(
-        lambda: looped.train(matrices, steps=TRAINING_BATCH, batch_size=1), 3
+        lambda: looped.train(matrices, steps=TRAINING_BATCH), 3
     )
     batched_s = best_of(lambda: batched.train(matrices, steps=1), 3)
     assert looped_s / batched_s >= 1.2, (looped_s, batched_s)

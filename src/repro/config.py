@@ -58,11 +58,10 @@ class TealHyperparameters:
 
     Attributes:
         num_gnn_layers: Number of GNN layers (each followed by a DNN
-            coordination layer) in FlowGNN.
-        embedding_growth: Elements appended to the embedding per layer; the
-            paper grows the embedding by one element per layer starting at 1.
+            coordination layer) in FlowGNN. The embedding grows by one
+            element per layer starting at 1, so this is also the final
+            embedding dimension; the path budget comes from the path set.
         policy_hidden: Width of the policy network's single hidden layer.
-        num_paths: Candidate paths per demand.
         learning_rate: Adam step size.
         action_log_std: Initial log standard deviation of the Gaussian policy
             used during COMA* training.
@@ -71,22 +70,10 @@ class TealHyperparameters:
     """
 
     num_gnn_layers: int = FLOWGNN_NUM_LAYERS
-    embedding_growth: int = 1
     policy_hidden: int = POLICY_HIDDEN_SIZE
-    num_paths: int = NUM_PATHS_PER_DEMAND
     learning_rate: float = LEARNING_RATE
     action_log_std: float = -1.0
     counterfactual_samples: int = 4
-
-    @property
-    def embedding_dim(self) -> int:
-        """Final embedding dimension produced by FlowGNN."""
-        return 1 + self.embedding_growth * (self.num_gnn_layers - 1)
-
-    @property
-    def policy_input_dim(self) -> int:
-        """Input width of the policy network (num_paths x embedding_dim)."""
-        return self.num_paths * self.embedding_dim
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,8 @@ from .checkpoint import load_model, save_model, transfer_weights
 from .coma import ComaTrainer, DecomposableReward, TrainingHistory, masked_softmax_np
 from .direct_loss import (
     DirectLossTrainer,
-    mlu_surrogate_loss,
     mlu_surrogate_loss_batch,
-    model_path_flows,
     model_path_flows_batch,
-    surrogate_loss,
     surrogate_loss_batch,
 )
 from .flowgnn import DemandDNNLayer, FlowGNN, FlowGNNLayer
@@ -33,11 +30,8 @@ __all__ = [
     "TrainingHistory",
     "masked_softmax_np",
     "DirectLossTrainer",
-    "surrogate_loss",
     "surrogate_loss_batch",
-    "mlu_surrogate_loss",
     "mlu_surrogate_loss_batch",
-    "model_path_flows",
     "model_path_flows_batch",
     "SegmentOps",
     "Workspace",

@@ -62,7 +62,6 @@ class NaiveDnnModel(AllocatorModel):
         out_dim = pathset.num_demands * pathset.max_paths
         self.net = mlp(
             [in_dim, hidden, hidden, hidden, hidden, hidden, out_dim],
-            activation="relu",
             rng=rng,
         )
         self.policy = ActionHead(pathset.max_paths, self.hyper.action_log_std)
@@ -124,7 +123,6 @@ class NaiveGnnModel(AllocatorModel):
         ]
         self.head = mlp(
             [2 * embedding_dim, self.hyper.policy_hidden, pathset.max_paths],
-            activation="relu",
             rng=rng,
         )
         self.policy = ActionHead(pathset.max_paths, self.hyper.action_log_std)
@@ -190,7 +188,7 @@ class GlobalPolicyModel(AllocatorModel):
                 "on large topologies, §5.7)"
             )
         rng = np.random.default_rng(seed + 1)
-        self.net = mlp([in_dim, hidden, out_dim], activation="relu", rng=rng)
+        self.net = mlp([in_dim, hidden, out_dim], rng=rng)
         self.policy = ActionHead(pathset.max_paths, self.hyper.action_log_std)
 
     def logits(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:

@@ -24,6 +24,7 @@ re-simulation per agent — O(D) slower, used by the agreement tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,98 @@ def sample_training_capacities(
     return augmented
 
 
+def training_minibatches(
+    pathset: PathSet,
+    matrices: list[TrafficMatrix],
+    capacities: np.ndarray | None,
+    config: TrainingConfig,
+    steps: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, bool]]:
+    """The minibatch stream both trainers consume, one tuple per step.
+
+    Step ``s`` stacks the ``config.batch_matrices`` consecutive matrices
+    starting at index ``s * batch_matrices`` of the cycled trace, and
+    draws one :func:`sample_training_capacities` row per matrix from
+    ``rng``. The draws for a step happen when the step is requested, so
+    a trainer that also samples actions from ``rng`` interleaves with
+    them.
+
+    Args:
+        pathset: Path set the demands are laid out on.
+        matrices: Training traffic matrices (cycled through).
+        capacities: Nominal link capacities (default: topology's).
+        config: Minibatch size, failure augmentation and log cadence.
+        steps: Number of steps to yield.
+        rng: Generator for the failure augmentation.
+
+    Yields:
+        ``(step, demands, capacities, logged)``: the (T, D) demand stack,
+        the (T, E) capacity stack, and whether the step is one the
+        trainer records in its :class:`TrainingHistory` (every
+        ``config.log_every`` steps and the last).
+
+    Raises:
+        TrainingError: If the trace is empty or ``config.batch_matrices``
+            is below 1.
+    """
+    if not matrices:
+        raise TrainingError("training requires at least one traffic matrix")
+    batch = config.batch_matrices
+    if batch < 1:
+        raise TrainingError("batch_matrices must be >= 1")
+    if capacities is None:
+        capacities = pathset.topology.capacities
+    capacities = np.asarray(capacities, dtype=EVALUATION_DTYPE)
+    all_demands = [pathset.demand_volumes(m.values) for m in matrices]
+    for step in range(steps):
+        indices = [
+            (step * batch + offset) % len(matrices) for offset in range(batch)
+        ]
+        demands = np.stack([all_demands[i] for i in indices])
+        step_caps = np.stack(
+            [
+                sample_training_capacities(pathset, capacities, config, rng)
+                for _ in indices
+            ]
+        )
+        logged = step % config.log_every == 0 or step == steps - 1
+        yield step, demands, step_caps, logged
+
+
+@dataclass
+class TrainingHistory:
+    """Per-logging-step training diagnostics."""
+
+    steps: list[int] = field(default_factory=list)
+    rewards: list[float] = field(default_factory=list)
+    satisfied: list[float] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)
+
+    def log_step(
+        self,
+        objective: Objective,
+        pathset: PathSet,
+        step: int,
+        ratios: np.ndarray,
+        demands: np.ndarray,
+        capacities: np.ndarray,
+        loss: float,
+    ) -> None:
+        """Record the reward and satisfied fraction of one step's ratios.
+
+        ``capacities`` are the step's own (failure-sampled) capacities:
+        scoring under the nominal ones would report a reward for an input
+        the model never saw, and the logged reward and loss would
+        describe different inputs.
+        """
+        self.steps.append(step)
+        self.rewards.append(objective.reward(pathset, ratios, demands, capacities))
+        report = evaluate_allocation(pathset, ratios, demands, capacities)
+        self.satisfied.append(report.satisfied_fraction)
+        self.losses.append(loss)
+
+
 class DecomposableReward:
     """Per-demand reward values under the mean-field incremental model.
 
@@ -118,72 +211,16 @@ class DecomposableReward:
         keys = self.pair_demand * pathset.topology.num_edges + self.pair_edge
         _, self.key_inverse = np.unique(keys, return_inverse=True)
         self.num_keys = int(self.key_inverse.max()) + 1 if len(keys) else 0
-        # Tiled-index segment ops so a (T, ...) stack runs the identical
-        # flat primitives as the per-TM path (see core.batching).
+        # Tiled-index segment ops so every row of a (T, ...) stack runs
+        # the same flat primitives (see core.batching).
         self._key_ops = SegmentOps(self.key_inverse, self.num_keys)
         self._path_ops = SegmentOps(self.pair_path, pathset.num_paths)
         self._demand_ops = SegmentOps(pathset.path_demand, pathset.num_demands)
-
-    def _own_edge_load(self, path_flows: np.ndarray) -> np.ndarray:
-        """(I,) per-incidence-pair load contributed by the pair's demand."""
-        pair_flows = path_flows[self.pair_path]
-        per_key = np.bincount(
-            self.key_inverse, weights=pair_flows, minlength=self.num_keys
-        )
-        return per_key[self.key_inverse]
 
     def _own_edge_load_batch(self, path_flows: np.ndarray) -> np.ndarray:
         """(T, I) per-pair own loads for a (T, P) stack of path flows."""
         per_key = self._key_ops.sum(path_flows[:, self.pair_path])
         return per_key[:, self.key_inverse]
-
-    def demand_values(
-        self,
-        base_flows: np.ndarray,
-        candidate_flows: np.ndarray,
-        capacities: np.ndarray,
-        base_loads: np.ndarray | None = None,
-        base_own: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """(D,) per-demand value if each demand alone used candidate_flows.
-
-        Args:
-            base_flows: (P,) intended flows of the joint action.
-            candidate_flows: (P,) intended flows under candidate actions
-                (each demand's counterfactual evaluated independently).
-            capacities: (E,) link capacities.
-            base_loads: Precomputed edge loads of base_flows (optional).
-            base_own: Precomputed own-load pairs of base_flows (optional).
-        """
-        ps = self.pathset
-        if base_loads is None:
-            base_loads = ps.edge_loads(base_flows)
-        if base_own is None:
-            base_own = self._own_edge_load(base_flows)
-        cand_own = self._own_edge_load(candidate_flows)
-        pair_load = base_loads[self.pair_edge] - base_own + cand_own
-        caps = capacities[self.pair_edge]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            util = np.where(
-                caps > 0,
-                pair_load / np.maximum(caps, _EPS),
-                np.where(pair_load > _EPS, np.inf, 0.0),
-            )
-        bottleneck = np.zeros(ps.num_paths)
-        np.maximum.at(bottleneck, self.pair_path, util)
-
-        if self.is_mlu:
-            per_demand = np.zeros(ps.num_demands)
-            np.maximum.at(per_demand, ps.path_demand, bottleneck)
-            return -per_demand
-
-        scale = 1.0 / np.maximum(bottleneck, 1.0)
-        scale[~np.isfinite(scale)] = 0.0
-        delivered_value = candidate_flows * scale * self.path_values
-        per_demand = np.bincount(
-            ps.path_demand, weights=delivered_value, minlength=ps.num_demands
-        )
-        return per_demand
 
     def demand_values_batch(
         self,
@@ -195,9 +232,9 @@ class DecomposableReward:
     ) -> np.ndarray:
         """(T, D) per-demand counterfactual values over a minibatch.
 
-        The batched analogue of :meth:`demand_values`: every array gains a
-        leading (T,) axis and the segment reductions run over tiled
-        indices, so row ``t`` reproduces the per-TM result bit for bit.
+        Every array carries a leading (T,) axis and the segment
+        reductions run over tiled indices, so row ``t`` is independent of
+        the other rows: a batch of one gives the same row bit for bit.
 
         Args:
             base_flows: (T, P) intended flows of the joint actions.
@@ -247,31 +284,15 @@ class DecomposableReward:
         return values
 
 
-@dataclass
-class TrainingHistory:
-    """Per-logging-step training diagnostics."""
-
-    steps: list[int] = field(default_factory=list)
-    rewards: list[float] = field(default_factory=list)
-    satisfied: list[float] = field(default_factory=list)
-    losses: list[float] = field(default_factory=list)
-
-    def record(self, step: int, reward: float, satisfied: float, loss: float) -> None:
-        self.steps.append(step)
-        self.rewards.append(reward)
-        self.satisfied.append(satisfied)
-        self.losses.append(loss)
-
-
 class ComaTrainer:
     """Trains a TealModel end to end with COMA* policy gradients.
 
     Args:
         model: The model to train (FlowGNN + policy).
         objective: TE objective providing the reward.
-        config: Training budget and seeds.
-        counterfactual_samples: Monte-Carlo samples for the baseline
-            (Appendix B, Equation 2).
+        config: Training budget and seeds. The Monte-Carlo sample count
+            of the counterfactual baseline (Appendix B, Equation 2) is
+            the model's ``hyper.counterfactual_samples``.
         exact_counterfactual: Use full re-simulation for the baseline
             (slow; for validation on small instances).
     """
@@ -281,17 +302,12 @@ class ComaTrainer:
         model: TealModel,
         objective: Objective | None = None,
         config: TrainingConfig | None = None,
-        counterfactual_samples: int | None = None,
         exact_counterfactual: bool = False,
     ) -> None:
         self.model = model
         self.objective = objective if objective is not None else TotalFlowObjective()
         self.config = config if config is not None else TrainingConfig()
-        self.samples = (
-            counterfactual_samples
-            if counterfactual_samples is not None
-            else model.hyper.counterfactual_samples
-        )
+        self.samples = model.hyper.counterfactual_samples
         if self.samples < 1:
             raise TrainingError("counterfactual_samples must be >= 1")
         self.exact = exact_counterfactual
@@ -383,61 +399,35 @@ class ComaTrainer:
         matrices: list[TrafficMatrix],
         capacities: np.ndarray | None = None,
         steps: int | None = None,
-        batch_size: int | None = None,
     ) -> TrainingHistory:
         """Run the COMA* training loop over a traffic trace.
 
-        Every step consumes a minibatch of ``batch_size`` consecutive
-        matrices (default: ``config.batch_matrices``) through one batched
-        forward — action sampling, the decomposable reward, and the
-        counterfactual baseline are all vectorized across the minibatch,
-        so a single backward covers T matrices. ``batch_size=1``
-        reproduces the classic per-matrix loop (same RNG stream, same
-        updates).
+        Every step consumes ``config.batch_matrices`` consecutive
+        matrices through one batched forward — action sampling, the
+        decomposable reward, and the counterfactual baseline are all
+        vectorized across the minibatch, so a single backward covers T
+        matrices.
 
         Args:
             matrices: Training traffic matrices (cycled through).
             capacities: Link capacities (default: topology's).
             steps: Override the configured step budget.
-            batch_size: Override ``config.batch_matrices``.
 
         Returns:
             A :class:`TrainingHistory` of rewards/losses.
 
         Raises:
-            TrainingError: If the trace is empty.
+            TrainingError: If the trace is empty or
+                ``config.batch_matrices`` is below 1.
         """
-        if not matrices:
-            raise TrainingError("training requires at least one traffic matrix")
-        ps = self.model.pathset
-        if capacities is None:
-            capacities = ps.topology.capacities
-        capacities = np.asarray(capacities, dtype=EVALUATION_DTYPE)
         total_steps = self.config.steps if steps is None else int(steps)
-        batch = (
-            self.config.batch_matrices if batch_size is None else int(batch_size)
-        )
-        if batch < 1:
-            raise TrainingError("batch_size must be >= 1")
         rng = np.random.default_rng(self.config.seed)
-        mask = ps.path_mask
+        ps = self.model.pathset
         history = TrainingHistory()
-        all_demands = [ps.demand_volumes(m.values) for m in matrices]
-
-        for step in range(total_steps):
-            indices = [
-                (step * batch + offset) % len(matrices)
-                for offset in range(batch)
-            ]
-            demands_b = np.stack([all_demands[i] for i in indices])
-            caps_b = np.stack(
-                [
-                    sample_training_capacities(ps, capacities, self.config, rng)
-                    for _ in indices
-                ]
-            )
-
-            logits = self.model.logits_batch(demands_b, caps_b)
+        for step, demands, caps, logged in training_minibatches(
+            ps, matrices, capacities, self.config, total_steps, rng
+        ):
+            logits = self.model.logits_batch(demands, caps)
             actions = self.model.policy.sample_actions(logits, rng)
             alt_actions = np.stack(
                 [
@@ -446,7 +436,7 @@ class ComaTrainer:
                 ]
             )
             advantage = self.step_advantages(
-                actions, alt_actions, demands_b, caps_b, rng
+                actions, alt_actions, demands, caps, rng
             )
 
             log_prob = self.model.policy.log_prob(logits, actions)
@@ -455,17 +445,11 @@ class ComaTrainer:
             loss.backward()
             self.optimizer.step()
 
-            if step % self.config.log_every == 0 or step == total_steps - 1:
-                greedy = masked_softmax_np(logits.numpy(), mask)
-                # Score the greedy allocation under the capacities its
-                # logits were computed for (the failure-sampled step
-                # capacities) — evaluating under the nominal capacities
-                # would report a reward for an input the model never saw.
-                reward = self.objective.reward(
-                    ps, greedy[0], demands_b[0], caps_b[0]
+            if logged:
+                # The greedy allocation of this step's (pre-update) logits.
+                greedy = masked_softmax_np(logits.numpy(), ps.path_mask)
+                history.log_step(
+                    self.objective, ps, step, greedy[0], demands[0],
+                    caps[0], loss.item(),
                 )
-                report = evaluate_allocation(
-                    ps, greedy[0], demands_b[0], caps_b[0]
-                )
-                history.record(step, reward, report.satisfied_fraction, loss.item())
         return history

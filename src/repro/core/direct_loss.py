@@ -23,10 +23,10 @@ reproduction addition — the paper's point that surrogates are
 objective-specific design work stands). The p-norm is evaluated in the
 overflow-safe factored form (see :func:`repro.nn.functional.p_norm`).
 
-Both surrogates come in per-matrix and minibatch flavours: the batched
-variants run a (T, D) demand stack and a (T, E) capacity stack through
-one ``forward_batch`` pass and return the mean per-matrix loss, so one
-backward covers the whole minibatch.
+Both surrogates take a minibatch: a (T, D) demand stack and a (T, E)
+capacity stack run through one ``forward_batch`` pass, and the loss is
+the mean per-matrix loss, so one backward covers the whole minibatch. A
+single matrix is the batch of one.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import TrainingConfig
-from ..exceptions import TrainingError
+from ..exceptions import SolverError, TrainingError
 from ..lp.objectives import (
     MinMaxLinkUtilizationObjective,
     Objective,
@@ -42,24 +42,10 @@ from ..lp.objectives import (
 )
 from ..nn import functional as F
 from ..nn.optim import Adam
-from ..nn.precision import EVALUATION_DTYPE
 from ..nn.tensor import Tensor
-from ..simulation.evaluator import evaluate_allocation
 from ..traffic.matrix import TrafficMatrix
-from .coma import TrainingHistory, sample_training_capacities
+from .coma import TrainingHistory, training_minibatches
 from .model import AllocatorModel
-
-
-def model_path_flows(
-    model: AllocatorModel, demands: np.ndarray, capacities: np.ndarray
-) -> Tensor:
-    """Differentiable (P,) intended path flows from the model's ratios."""
-    ps = model.pathset
-    ratios = model(demands, capacities)  # (D, k), differentiable
-    demand_grid = demands[:, None] * ps.path_mask  # (D, k) volumes
-    flows_grid = ratios * Tensor(demand_grid)
-    flat = flows_grid.reshape(ps.num_demands * ps.max_paths, 1)
-    return F.take_rows(flat, model.scatter_index).reshape(ps.num_paths)
 
 
 def model_path_flows_batch(
@@ -92,7 +78,6 @@ def surrogate_loss_batch(
     demands: np.ndarray,
     capacities: np.ndarray,
     path_values: np.ndarray,
-    overuse_weight: float = 1.0,
 ) -> Tensor:
     """Mean negated flow surrogate over a minibatch (Appendix A).
 
@@ -105,7 +90,6 @@ def surrogate_loss_batch(
         demands: (T, D) demand volumes.
         capacities: (T, E) link capacities.
         path_values: (P,) per-unit-flow objective weights.
-        overuse_weight: Multiplier on the link-overuse penalty.
 
     Returns:
         Scalar loss tensor (lower is better).
@@ -119,37 +103,7 @@ def surrogate_loss_batch(
     ).reshape(num_matrices, ps.topology.num_edges)
     overuse = F.relu(loads - Tensor(capacities)).sum(axis=-1)  # (T,)
     scale = np.maximum(demands.sum(axis=-1), 1e-9)
-    return ((overuse * overuse_weight - value) * Tensor(1.0 / scale)).mean()
-
-
-def surrogate_loss(
-    model: AllocatorModel,
-    demands: np.ndarray,
-    capacities: np.ndarray,
-    path_values: np.ndarray,
-    overuse_weight: float = 1.0,
-) -> Tensor:
-    """Negated flow surrogate (Appendix A): overuse minus intended value.
-
-    Args:
-        model: The model (provides ratios differentiably).
-        demands: (D,) demand volumes.
-        capacities: (E,) link capacities.
-        path_values: (P,) per-unit-flow objective weights.
-        overuse_weight: Multiplier on the link-overuse penalty.
-
-    Returns:
-        Scalar loss tensor (lower is better).
-    """
-    ps = model.pathset
-    path_flows = model_path_flows(model, demands, capacities)
-    value = (path_flows * Tensor(path_values)).sum()
-    loads = F.sparse_matmul(
-        ps.edge_path_incidence, path_flows.reshape(ps.num_paths, 1)
-    ).reshape(ps.topology.num_edges)
-    overuse = F.relu(loads - Tensor(capacities)).sum()
-    scale = max(float(demands.sum()), 1e-9)
-    return (overuse * overuse_weight - value) / scale
+    return ((overuse - value) * Tensor(1.0 / scale)).mean()
 
 
 def mlu_surrogate_loss_batch(
@@ -160,8 +114,11 @@ def mlu_surrogate_loss_batch(
 ) -> Tensor:
     """Mean p-norm MLU surrogate over a minibatch (warm start for MLU).
 
-    Failed (zero-capacity) links are excluded from the norm; the p-norm
-    uses the overflow-safe factored form per matrix.
+    Failed (zero-capacity) links are excluded from the norm — their
+    utilization is handled by the feasibility semantics, not by MLU.
+    The norm is computed per matrix in the factored
+    ``max * ((u/max)^p sum)^(1/p)`` form, which cannot overflow however
+    overloaded the links are.
 
     Args:
         model: The model (provides ratios differentiably).
@@ -182,29 +139,6 @@ def mlu_surrogate_loss_batch(
     return F.p_norm(utilization, p, axis=-1).mean()
 
 
-def mlu_surrogate_loss(
-    model: AllocatorModel,
-    demands: np.ndarray,
-    capacities: np.ndarray,
-    p: float = 8.0,
-) -> Tensor:
-    """p-norm smoothing of the max link utilization (warm start for MLU).
-
-    Failed (zero-capacity) links are excluded from the norm — their
-    utilization is handled by the feasibility semantics, not by MLU.
-    The norm is computed in the factored ``max * ((u/max)^p sum)^(1/p)``
-    form, which cannot overflow however overloaded the links are.
-    """
-    ps = model.pathset
-    path_flows = model_path_flows(model, demands, capacities)
-    loads = F.sparse_matmul(
-        ps.edge_path_incidence, path_flows.reshape(ps.num_paths, 1)
-    ).reshape(ps.topology.num_edges)
-    inverse_caps = np.where(capacities > 0, 1.0 / np.maximum(capacities, 1e-12), 0.0)
-    utilization = loads * Tensor(inverse_caps)
-    return F.p_norm(utilization, p, axis=-1)
-
-
 class DirectLossTrainer:
     """Trains a model by minimizing a differentiable surrogate loss.
 
@@ -213,8 +147,10 @@ class DirectLossTrainer:
         objective: TE objective. Flow-type objectives use the Appendix A
             surrogate; min-MLU uses the p-norm smoothing.
         config: Training budget.
-        overuse_weight: Penalty multiplier for capacity violations
-            (flow surrogate only).
+
+    Raises:
+        TrainingError: If the objective is neither min-MLU nor has
+            per-path flow values.
     """
 
     def __init__(
@@ -222,7 +158,6 @@ class DirectLossTrainer:
         model: AllocatorModel,
         objective: Objective | None = None,
         config: TrainingConfig | None = None,
-        overuse_weight: float = 1.0,
     ) -> None:
         self.model = model
         self.objective = objective if objective is not None else TotalFlowObjective()
@@ -233,12 +168,11 @@ class DirectLossTrainer:
         else:
             try:
                 self.path_values = self.objective.path_values(model.pathset)
-            except Exception as error:
+            except SolverError as error:
                 raise TrainingError(
                     "direct loss requires a flow-type objective with "
                     f"per-path values or min-MLU; got {self.objective.name}"
                 ) from error
-        self.overuse_weight = overuse_weight
         self.optimizer = Adam(model.parameters(), lr=model.hyper.learning_rate)
 
     def _loss_batch(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
@@ -246,7 +180,7 @@ class DirectLossTrainer:
         if self.is_mlu:
             return mlu_surrogate_loss_batch(self.model, demands, capacities)
         return surrogate_loss_batch(
-            self.model, demands, capacities, self.path_values, self.overuse_weight
+            self.model, demands, capacities, self.path_values
         )
 
     def train(
@@ -254,57 +188,37 @@ class DirectLossTrainer:
         matrices: list[TrafficMatrix],
         capacities: np.ndarray | None = None,
         steps: int | None = None,
-        batch_size: int | None = None,
     ) -> TrainingHistory:
         """Run gradient descent on the surrogate loss over a trace.
 
-        Every step consumes a minibatch of ``batch_size`` consecutive
-        matrices (default: ``config.batch_matrices``) through one batched
-        forward/backward; the loss is the mean of the per-matrix
-        surrogate losses, so ``batch_size=1`` reproduces the classic
-        one-matrix-per-step loop.
+        Every step consumes ``config.batch_matrices`` consecutive
+        matrices through one batched forward/backward; the loss is the
+        mean of the per-matrix surrogate losses.
+
+        Args:
+            matrices: Training traffic matrices (cycled through).
+            capacities: Link capacities (default: topology's).
+            steps: Override the configured step budget.
+
+        Raises:
+            TrainingError: If the trace is empty or
+                ``config.batch_matrices`` is below 1.
         """
-        if not matrices:
-            raise TrainingError("training requires at least one traffic matrix")
-        ps = self.model.pathset
-        if capacities is None:
-            capacities = ps.topology.capacities
-        capacities = np.asarray(capacities, dtype=EVALUATION_DTYPE)
         total_steps = self.config.steps if steps is None else int(steps)
-        batch = (
-            self.config.batch_matrices if batch_size is None else int(batch_size)
-        )
-        if batch < 1:
-            raise TrainingError("batch_size must be >= 1")
         history = TrainingHistory()
         rng = np.random.default_rng(self.config.seed + 101)
-        all_demands = [ps.demand_volumes(m.values) for m in matrices]
-
-        for step in range(total_steps):
-            indices = [
-                (step * batch + offset) % len(matrices)
-                for offset in range(batch)
-            ]
-            demands_b = np.stack([all_demands[i] for i in indices])
-            caps_b = np.stack(
-                [
-                    sample_training_capacities(ps, capacities, self.config, rng)
-                    for _ in indices
-                ]
-            )
-            loss = self._loss_batch(demands_b, caps_b)
+        for step, demands, caps, logged in training_minibatches(
+            self.model.pathset, matrices, capacities, self.config,
+            total_steps, rng,
+        ):
+            loss = self._loss_batch(demands, caps)
             self.optimizer.zero_grad()
             loss.backward()
             self.optimizer.step()
-
-            if step % self.config.log_every == 0 or step == total_steps - 1:
-                # Score the model under the same (failure-sampled)
-                # capacities the training loss saw, so the logged reward
-                # and loss describe the same input.
-                ratios = self.model.split_ratios(demands_b[0], caps_b[0])
-                reward = self.objective.reward(
-                    ps, ratios, demands_b[0], caps_b[0]
+            if logged:
+                ratios = self.model.split_ratios(demands[0], caps[0])
+                history.log_step(
+                    self.objective, self.model.pathset, step, ratios,
+                    demands[0], caps[0], loss.item(),
                 )
-                report = evaluate_allocation(ps, ratios, demands_b[0], caps_b[0])
-                history.record(step, reward, report.satisfied_fraction, loss.item())
         return history

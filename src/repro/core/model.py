@@ -11,12 +11,12 @@ import numpy as np
 
 from ..config import TealHyperparameters
 from ..exceptions import ModelError
-from ..nn.layers import Linear, Module, ReLU, Tanh
+from ..nn.layers import Linear, Module, ReLU
 from ..nn.precision import EVALUATION_DTYPE
 from ..nn.tensor import Tensor
 from ..paths.pathset import PathSet
 from ..topology.graph import broadcast_capacities
-from .batching import linear_into, masked_softmax_into, relu_, tanh_
+from .batching import linear_into, masked_softmax_into, relu_
 from .flowgnn import FlowGNN
 from .policy import PolicyNetwork
 
@@ -219,8 +219,6 @@ class TealModel(AllocatorModel):
                 x = out
             elif isinstance(module, ReLU):
                 relu_(x)
-            elif isinstance(module, Tanh):
-                tanh_(x)
             else:  # pragma: no cover - TealModel policies are relu MLPs
                 x = module(Tensor(x)).numpy()
         return x

@@ -89,7 +89,7 @@ class PolicyNetwork(ActionHead):
         super().__init__(num_paths, action_log_std)
         rng = np.random.default_rng(seed)
         sizes = [input_dim] + [hidden] * num_hidden_layers + [num_paths]
-        self.net = mlp(sizes, activation="relu", rng=rng)
+        self.net = mlp(sizes, rng=rng)
 
     def forward(self, features: Tensor) -> Tensor:
         """Action logits (D, k) from policy inputs (D, k * embedding_dim)."""

@@ -7,8 +7,8 @@ policy in :mod:`repro.harness`).
 
 from . import functional
 from .init import kaiming_uniform, xavier_uniform
-from .layers import LeakyReLU, Linear, Module, ReLU, Sequential, Tanh, mlp
-from .optim import SGD, Adam, Optimizer
+from .layers import Linear, Module, ReLU, Sequential, mlp
+from .optim import Adam, Optimizer
 from .precision import (
     DEFAULT_INFERENCE_PRECISION,
     DEFAULT_PRECISION,
@@ -28,11 +28,8 @@ __all__ = [
     "Linear",
     "Sequential",
     "ReLU",
-    "Tanh",
-    "LeakyReLU",
     "mlp",
     "Optimizer",
-    "SGD",
     "Adam",
     "xavier_uniform",
     "kaiming_uniform",

@@ -32,21 +32,6 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    """Elementwise leaky ReLU."""
-    x = as_tensor(x)
-    out = Tensor(
-        np.where(x.data > 0, x.data, negative_slope * x.data), parents=(x,)
-    )
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * np.where(x.data > 0, 1.0, negative_slope))
-
-    out._backward_fn = backward
-    return out
-
-
 def tanh(x: Tensor) -> Tensor:
     """Elementwise hyperbolic tangent."""
     x = as_tensor(x)
@@ -61,20 +46,6 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic sigmoid."""
-    x = as_tensor(x)
-    value = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(value, parents=(x,))
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * value * (1.0 - value))
-
-    out._backward_fn = backward
-    return out
-
-
 def exp(x: Tensor) -> Tensor:
     """Elementwise exponential."""
     x = as_tensor(x)
@@ -84,20 +55,6 @@ def exp(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(grad * value)
-
-    out._backward_fn = backward
-    return out
-
-
-def log(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Elementwise natural log with an epsilon floor for stability."""
-    x = as_tensor(x)
-    safe = np.maximum(x.data, eps)
-    out = Tensor(np.log(safe), parents=(x,))
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad / safe)
 
     out._backward_fn = backward
     return out
@@ -378,25 +335,6 @@ def sparse_matmul(
             if transposed is None:
                 transposed = csr.T.tocsr()
             x._accumulate(_sparse_apply(transposed, grad))
-
-    out._backward_fn = backward
-    return out
-
-
-def clip(x: Tensor, low: float | None = None, high: float | None = None) -> Tensor:
-    """Clamp values; gradient is passed through inside the active range."""
-    x = as_tensor(x)
-    value = np.clip(x.data, low, high)
-    out = Tensor(value, parents=(x,))
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            inside = np.ones_like(x.data, dtype=bool)
-            if low is not None:
-                inside &= x.data >= low
-            if high is not None:
-                inside &= x.data <= high
-            x._accumulate(grad * inside)
 
     out._backward_fn = backward
     return out

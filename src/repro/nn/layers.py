@@ -149,23 +149,6 @@ class ReLU(Module):
         return F.relu(x)
 
 
-class Tanh(Module):
-    """Tanh activation module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
-class LeakyReLU(Module):
-    """Leaky-ReLU activation module."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope)
-
-
 class Sequential(Module):
     """Chain of modules applied in order."""
 
@@ -180,32 +163,27 @@ class Sequential(Module):
 
 def mlp(
     sizes: list[int],
-    activation: str = "relu",
     rng: np.random.Generator | None = None,
     final_activation: bool = False,
 ) -> Sequential:
-    """Build a multilayer perceptron.
+    """Build a ReLU multilayer perceptron.
 
     Args:
         sizes: Layer widths, e.g. ``[24, 24, 4]``.
-        activation: ``"relu"``, ``"tanh"`` or ``"leaky_relu"``.
         rng: Weight-init generator.
-        final_activation: Whether to append an activation after the last
-            linear layer.
+        final_activation: Whether to append a ReLU after the last linear
+            layer.
 
     Raises:
-        ModelError: On fewer than two sizes or unknown activation.
+        ModelError: On fewer than two sizes.
     """
     if len(sizes) < 2:
         raise ModelError("mlp needs at least input and output sizes")
-    activations = {"relu": ReLU, "tanh": Tanh, "leaky_relu": LeakyReLU}
-    if activation not in activations:
-        raise ModelError(f"unknown activation {activation!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     layers: list[Module] = []
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         layers.append(Linear(fan_in, fan_out, rng=rng))
         if i < len(sizes) - 2 or final_activation:
-            layers.append(activations[activation]())
+            layers.append(ReLU())
     return Sequential(*layers)

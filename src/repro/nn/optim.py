@@ -25,34 +25,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: list[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ModelError("learning rate must be positive")
-        if not 0 <= momentum < 1:
-            raise ModelError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        """Apply one update; parameters with no gradient are skipped."""
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data = p.data + v
-
-
 class Adam(Optimizer):
     """Adam [Kingma & Ba, 2014] — the paper's optimizer (§4).
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import TrainingConfig
+from repro.config import TealHyperparameters, TrainingConfig
 from repro.core import (
     ComaTrainer,
     DirectLossTrainer,
@@ -58,12 +58,12 @@ class TestVariantInterface:
 
     def test_trainable_with_coma(self, setup, factory):
         pathset, matrices = setup
-        model = factory(pathset, seed=0)
+        hyper = TealHyperparameters(counterfactual_samples=1)
+        model = factory(pathset, hyper=hyper, seed=0)
         trainer = ComaTrainer(
             model,
             TotalFlowObjective(),
             TrainingConfig(steps=3, warm_start_steps=0, log_every=2),
-            counterfactual_samples=1,
         )
         history = trainer.train(matrices[:2])
         assert history.rewards

@@ -1,12 +1,12 @@
 """Batched-vs-looped agreement for the training stack and ADMM, plus
 regression tests for the training-loop correctness fixes.
 
-Every batched path introduced by the batched-training PR must reproduce
-its per-TM counterpart to 1e-8 (the ADMM tiling is bit-exact by
-construction; the trainers go through the batched forward, which agrees
-to float tolerance): direct-loss losses *and gradients*, the COMA*
-advantage/per-step loss under fixed action samples, and
-``fine_tune_batch`` against a ``fine_tune`` loop.
+Each row of a stacked training call must match a batch-of-one call of
+the same function to 1e-8 (the ADMM tiling is bit-exact by construction;
+the trainers go through the batched forward, which agrees to float
+tolerance): direct-loss losses *and gradients*, the COMA* advantage under
+fixed action samples against a numpy oracle, and ``fine_tune_batch``
+against a ``fine_tune`` loop.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import AdmmConfig, TrainingConfig
+from repro.config import AdmmConfig, TealHyperparameters, TrainingConfig
 from repro.core import (
     AdmmFineTuner,
     ComaTrainer,
@@ -23,15 +23,12 @@ from repro.core import (
     TealModel,
     TealScheme,
     masked_softmax_np,
-    mlu_surrogate_loss,
     mlu_surrogate_loss_batch,
     model_path_flows_batch,
-    surrogate_loss,
     surrogate_loss_batch,
 )
 from repro.core import coma as coma_module
-from repro.core import direct_loss as direct_loss_module
-from repro.core.coma import sample_training_capacities
+from repro.core.coma import sample_training_capacities, training_minibatches
 from repro.exceptions import TrainingError
 from repro.lp import MinMaxLinkUtilizationObjective, TotalFlowObjective
 from repro.lp.objectives import DelayPenalizedFlowObjective
@@ -106,7 +103,9 @@ class TestBatchedDirectLoss:
         values = np.ones(pathset.num_paths)
         batched = surrogate_loss_batch(model, demands, caps, values)
         singles = [
-            surrogate_loss(model, demands[t], caps[t], values).item()
+            surrogate_loss_batch(
+                model, demands[t : t + 1], caps[t : t + 1], values
+            ).item()
             for t in range(demands.shape[0])
         ]
         assert batched.item() == pytest.approx(np.mean(singles), abs=TOL)
@@ -127,7 +126,12 @@ class TestBatchedDirectLoss:
         for p in model.parameters():
             p.zero_grad()
         for t in range(T):
-            (surrogate_loss(model, demands[t], caps[t], values) / T).backward()
+            (
+                surrogate_loss_batch(
+                    model, demands[t : t + 1], caps[t : t + 1], values
+                )
+                / T
+            ).backward()
 
         for p, batched in zip(model.parameters(), batched_grads):
             if batched is None:
@@ -141,7 +145,9 @@ class TestBatchedDirectLoss:
         model = TealModel(pathset, seed=1)
         batched = mlu_surrogate_loss_batch(model, demands, caps)
         singles = [
-            mlu_surrogate_loss(model, demands[t], caps[t]).item()
+            mlu_surrogate_loss_batch(
+                model, demands[t : t + 1], caps[t : t + 1]
+            ).item()
             for t in range(demands.shape[0])
         ]
         assert batched.item() == pytest.approx(np.mean(singles), abs=TOL)
@@ -168,9 +174,11 @@ class TestBatchedDirectLoss:
 
     def test_invalid_batch_size(self, tight_b4):
         pathset, matrices = tight_b4
-        trainer = DirectLossTrainer(TealModel(pathset, seed=0))
+        trainer = DirectLossTrainer(
+            TealModel(pathset, seed=0), config=TrainingConfig(batch_matrices=0)
+        )
         with pytest.raises(TrainingError):
-            trainer.train(matrices[:2], steps=1, batch_size=0)
+            trainer.train(matrices[:2], steps=1)
 
 
 class TestMluSurrogateStability:
@@ -182,7 +190,7 @@ class TestMluSurrogateStability:
         demands = pathset.demand_volumes(matrices[0].values)
         # Utilizations ~1e38: u^8 ~ 1e304+ overflows the naive p-norm.
         tiny_caps = np.full(pathset.topology.num_edges, 1e-36)
-        loss = mlu_surrogate_loss(model, demands, tiny_caps)
+        loss = mlu_surrogate_loss_batch(model, demands[None], tiny_caps[None])
         assert np.isfinite(loss.item())
         loss.backward()
         for p in model.parameters():
@@ -213,17 +221,21 @@ class TestMluSurrogateStability:
 
 class TestBatchedComa:
     def test_advantages_match_per_tm_math(self, tight_b4, stacked_inputs):
-        """Batched advantages equal the classic per-TM computation."""
+        """Each batched advantage row equals a numpy oracle built from
+        batch-of-one reward calls."""
         pathset, _ = tight_b4
         demands, caps = stacked_inputs
         T = demands.shape[0]
         samples = 3
-        model = TealModel(pathset, seed=0)
+        model = TealModel(
+            pathset,
+            hyper=TealHyperparameters(counterfactual_samples=samples),
+            seed=0,
+        )
         trainer = ComaTrainer(
             model,
             TotalFlowObjective(),
             TrainingConfig(steps=1, warm_start_steps=0),
-            counterfactual_samples=samples,
         )
         rng = np.random.default_rng(11)
         logits = model.logits_batch(demands, caps)
@@ -237,22 +249,23 @@ class TestBatchedComa:
         mask = pathset.path_mask
         _EPS = 1e-12
         for t in range(T):
+            row_caps = caps[t : t + 1]
             ratios = masked_softmax_np(actions[t], mask)
-            base_flows = pathset.split_ratios_to_path_flows(ratios, demands[t])
-            base_loads = pathset.edge_loads(base_flows)
-            base_own = reward_model._own_edge_load(base_flows)
-            base_values = reward_model.demand_values(
-                base_flows, base_flows, caps[t], base_loads, base_own
-            )
+            base_flows = pathset.split_ratios_to_path_flows(
+                ratios, demands[t]
+            )[None]
+            base_values = reward_model.demand_values_batch(
+                base_flows, base_flows, row_caps
+            )[0]
             baseline = np.zeros(pathset.num_demands)
             for s in range(samples):
                 alt_ratios = masked_softmax_np(alts[s, t], mask)
                 alt_flows = pathset.split_ratios_to_path_flows(
                     alt_ratios, demands[t]
-                )
-                baseline += reward_model.demand_values(
-                    base_flows, alt_flows, caps[t], base_loads, base_own
-                )
+                )[None]
+                baseline += reward_model.demand_values_batch(
+                    base_flows, alt_flows, row_caps
+                )[0]
             baseline /= samples
             advantage = base_values - baseline
             std = advantage.std()
@@ -277,7 +290,10 @@ class TestBatchedComa:
         alt_flows = pathset.split_ratios_to_path_flows_batch(alt, demands)
         batched = reward.demand_values_batch(base_flows, alt_flows, caps)
         for t in range(demands.shape[0]):
-            single = reward.demand_values(base_flows[t], alt_flows[t], caps[t])
+            rows = slice(t, t + 1)
+            single = reward.demand_values_batch(
+                base_flows[rows], alt_flows[rows], caps[rows]
+            )[0]
             assert np.allclose(batched[t], single, atol=TOL)
 
     def test_demand_values_batch_mlu(self, tight_b4, stacked_inputs):
@@ -294,21 +310,11 @@ class TestBatchedComa:
         flows = pathset.split_ratios_to_path_flows_batch(ratios, demands)
         batched = reward.demand_values_batch(flows, flows, caps)
         for t in range(demands.shape[0]):
-            single = reward.demand_values(flows[t], flows[t], caps[t])
+            rows = slice(t, t + 1)
+            single = reward.demand_values_batch(
+                flows[rows], flows[rows], caps[rows]
+            )[0]
             assert np.allclose(batched[t], single, atol=TOL)
-
-    def test_batch_of_one_reproduces_classic_training(self, tight_b4):
-        """batch_size=1 consumes the same RNG stream -> identical history."""
-        pathset, matrices = tight_b4
-        config = TrainingConfig(steps=6, warm_start_steps=0, log_every=2, seed=7)
-        h_default = ComaTrainer(
-            TealModel(pathset, seed=0), TotalFlowObjective(), config
-        ).train(matrices[:4])
-        h_explicit = ComaTrainer(
-            TealModel(pathset, seed=0), TotalFlowObjective(), config
-        ).train(matrices[:4], batch_size=1)
-        assert h_default.losses == h_explicit.losses
-        assert h_default.rewards == h_explicit.rewards
 
     def test_batched_training_improves_reward(self, tight_b4):
         pathset, matrices = tight_b4
@@ -325,9 +331,11 @@ class TestBatchedComa:
 
     def test_invalid_batch_size(self, tight_b4):
         pathset, matrices = tight_b4
-        trainer = ComaTrainer(TealModel(pathset, seed=0))
+        trainer = ComaTrainer(
+            TealModel(pathset, seed=0), config=TrainingConfig(batch_matrices=0)
+        )
         with pytest.raises(TrainingError):
-            trainer.train(matrices[:2], steps=1, batch_size=0)
+            trainer.train(matrices[:2], steps=1)
 
 
 class TestLoggedRewardCapacities:
@@ -355,7 +363,7 @@ class TestLoggedRewardCapacities:
     def test_direct_loss_logs_under_step_capacities(self, tight_b4, monkeypatch):
         pathset, matrices = tight_b4
         monkeypatch.setattr(
-            direct_loss_module, "sample_training_capacities", self._zero_caps
+            coma_module, "sample_training_capacities", self._zero_caps
         )
         trainer = DirectLossTrainer(
             TealModel(pathset, seed=0),
@@ -364,6 +372,59 @@ class TestLoggedRewardCapacities:
         )
         history = trainer.train(matrices[:2])
         assert all(r == 0.0 for r in history.rewards)
+
+
+class TestTrainingMinibatches:
+    """The one minibatch stream both trainers consume."""
+
+    def _stream(self, pathset, matrices, config, steps, seed=0):
+        return list(
+            training_minibatches(
+                pathset, matrices, None, config, steps,
+                np.random.default_rng(seed),
+            )
+        )
+
+    def test_cycles_consecutive_matrices(self, tight_b4):
+        pathset, matrices = tight_b4
+        config = TrainingConfig(batch_matrices=3)
+        stream = self._stream(pathset, matrices[:5], config, steps=4)
+        for step, demands, caps, _ in stream:
+            assert demands.shape == (3, pathset.num_demands)
+            assert caps.shape == (3, pathset.topology.num_edges)
+            for offset in range(3):
+                matrix = matrices[(3 * step + offset) % 5]
+                assert np.array_equal(
+                    demands[offset], pathset.demand_volumes(matrix.values)
+                )
+
+    @pytest.mark.parametrize(
+        "steps,expected", [(7, [0, 3, 6]), (8, [0, 3, 6, 7])]
+    )
+    def test_logs_every_log_every_steps_and_the_last(
+        self, tight_b4, steps, expected
+    ):
+        pathset, matrices = tight_b4
+        config = TrainingConfig(log_every=3)
+        stream = self._stream(pathset, matrices[:2], config, steps=steps)
+        assert [step for step, _, _, logged in stream if logged] == expected
+
+    def test_one_capacity_draw_per_matrix_in_order(self, tight_b4):
+        """Rows are successive sample_training_capacities draws."""
+        pathset, matrices = tight_b4
+        config = TrainingConfig(
+            batch_matrices=2, failure_rate=0.5, max_training_failures=3
+        )
+        stream = self._stream(pathset, matrices[:4], config, steps=5, seed=9)
+        rng = np.random.default_rng(9)
+        nominal = pathset.topology.capacities
+        for _, _, caps, _ in stream:
+            for row in caps:
+                expected = sample_training_capacities(
+                    pathset, nominal, config, rng
+                )
+                assert np.array_equal(row, expected)
+        assert any(np.any(caps == 0.0) for _, _, caps, _ in stream)
 
 
 class TestSampleTrainingCapacitiesCopy:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import TrainingConfig
+from repro.config import TealHyperparameters, TrainingConfig
 from repro.core import (
     ComaTrainer,
     DecomposableReward,
@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.exceptions import TrainingError
 from repro.lp import MinMaxLinkUtilizationObjective, TotalFlowObjective
+from repro.lp.objectives import Objective
 from repro.paths import PathSet
 from repro.topology import b4
 from repro.traffic import TrafficTrace
@@ -56,9 +57,9 @@ class TestDecomposableReward:
             rng.normal(size=(pathset.num_demands, 4)), pathset.path_mask
         )
         flows = pathset.split_ratios_to_path_flows(ratios, demands)
-        values = reward.demand_values(
-            flows, flows, pathset.topology.capacities
-        )
+        values = reward.demand_values_batch(
+            flows[None], flows[None], pathset.topology.capacities[None]
+        )[0]
         joint = objective.evaluate(pathset, ratios, demands)
         assert values.sum() == pytest.approx(joint, rel=1e-9)
 
@@ -75,17 +76,14 @@ class TestDecomposableReward:
         alt = masked_softmax_np(
             rng.normal(size=(pathset.num_demands, 4)), pathset.path_mask
         )
-        base_flows = pathset.split_ratios_to_path_flows(base, demands)
-        alt_flows = pathset.split_ratios_to_path_flows(alt, demands)
-        approx = reward.demand_values(
-            base_flows, alt_flows, pathset.topology.capacities
-        )
-        exact = reward.exact_demand_values(
-            base, alt, demands, pathset.topology.capacities
-        )
-        base_values = reward.demand_values(
-            base_flows, base_flows, pathset.topology.capacities
-        )
+        base_flows = pathset.split_ratios_to_path_flows(base, demands)[None]
+        alt_flows = pathset.split_ratios_to_path_flows(alt, demands)[None]
+        caps = pathset.topology.capacities
+        approx = reward.demand_values_batch(base_flows, alt_flows, caps[None])[0]
+        exact = reward.exact_demand_values(base, alt, demands, caps)
+        base_values = reward.demand_values_batch(
+            base_flows, base_flows, caps[None]
+        )[0]
         joint = objective.evaluate(pathset, base, demands)
         # Advantage comparison: approx advantage vs exact advantage.
         approx_adv = base_values - approx
@@ -106,8 +104,10 @@ class TestDecomposableReward:
         demands = pathset.demand_volumes(matrices[0].values)
         ratios = np.zeros((pathset.num_demands, 4))
         ratios[:, 0] = 1.0
-        flows = pathset.split_ratios_to_path_flows(ratios, demands)
-        values = reward.demand_values(flows, flows, pathset.topology.capacities)
+        flows = pathset.split_ratios_to_path_flows(ratios, demands)[None]
+        values = reward.demand_values_batch(
+            flows, flows, pathset.topology.capacities[None]
+        )
         assert np.all(values <= 0)
 
 
@@ -133,18 +133,19 @@ class TestComaTrainer:
 
     def test_invalid_samples(self, tight_b4):
         pathset, _ = tight_b4
-        model = TealModel(pathset, seed=0)
+        hyper = TealHyperparameters(counterfactual_samples=0)
+        model = TealModel(pathset, hyper=hyper, seed=0)
         with pytest.raises(TrainingError):
-            ComaTrainer(model, counterfactual_samples=0)
+            ComaTrainer(model)
 
     def test_exact_mode_runs(self, tight_b4):
         pathset, matrices = tight_b4
-        model = TealModel(pathset, seed=0)
+        hyper = TealHyperparameters(counterfactual_samples=1)
+        model = TealModel(pathset, hyper=hyper, seed=0)
         trainer = ComaTrainer(
             model,
             TotalFlowObjective(),
             TrainingConfig(steps=2, warm_start_steps=0, log_every=1),
-            counterfactual_samples=1,
             exact_counterfactual=True,
         )
         history = trainer.train(matrices[:2])
@@ -214,3 +215,27 @@ class TestDirectLossTrainer:
         trainer = DirectLossTrainer(model)
         with pytest.raises(TrainingError):
             trainer.train([])
+
+    def test_objective_without_path_values_raises(self, tight_b4):
+        """An objective with no per-path values is a TrainingError."""
+
+        class NoPathValues(TotalFlowObjective):
+            name = "no_path_values"
+
+            def path_values(self, pathset):
+                return Objective.path_values(self, pathset)  # SolverError
+
+        pathset, _ = tight_b4
+        with pytest.raises(TrainingError, match="no_path_values"):
+            DirectLossTrainer(TealModel(pathset, seed=0), NoPathValues())
+
+    def test_other_path_values_errors_propagate(self, tight_b4):
+        """Only the missing-values SolverError is translated."""
+
+        class BrokenPathValues(TotalFlowObjective):
+            def path_values(self, pathset):
+                raise ValueError("broken path values")
+
+        pathset, _ = tight_b4
+        with pytest.raises(ValueError, match="broken path values"):
+            DirectLossTrainer(TealModel(pathset, seed=0), BrokenPathValues())

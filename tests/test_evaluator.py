@@ -218,8 +218,8 @@ class TestDegenerateInputs:
 
 
 class TestRandomTopologyInvariants:
-    """Invariants of untrained Teal (both precisions) and LP-all over
-    random SWAN-like graphs, demand scales and dead links."""
+    """Invariants of untrained Teal (both precisions), LP-all and every
+    baseline over random SWAN-like graphs, demand scales and dead links."""
 
     @given(
         num_nodes=st.integers(6, 15),
@@ -259,3 +259,92 @@ class TestRandomTopologyInvariants:
             ).satisfied_fraction
             assert 0.0 <= satisfied <= 1.0
             assert lp_satisfied >= satisfied - 1e-6
+
+    @staticmethod
+    def _random_instance(num_nodes, seed, log_scale):
+        from repro.topology.generators import swan
+        from repro.traffic import TrafficTrace
+
+        topology = swan(num_nodes=num_nodes, seed=seed)
+        pathset = PathSet.from_topology(topology)
+        matrix = TrafficTrace.generate(num_nodes, 1, seed=seed)[0]
+        demands = pathset.demand_volumes(matrix.values) * 10.0**log_scale
+        return topology, pathset, demands
+
+    @given(
+        num_nodes=st.integers(6, 15),
+        seed=st.integers(0, 2**16),
+        log_scale=st.floats(-1.0, 3.0),
+        dead_links=st.integers(0, 2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_every_scheme_within_capacity_and_below_lp_all(
+        self, num_nodes, seed, log_scale, dead_links
+    ):
+        """Delivered loads fit the capacities for every scheme, and LP-all
+        satisfies at least as much demand as each of them."""
+        from repro.baselines import (
+            EqualSplit,
+            LpAll,
+            LpTop,
+            NCFlow,
+            Pop,
+            ShortestPath,
+            TeavarStar,
+        )
+        from repro.core import TealScheme
+        from repro.topology.failures import sample_link_failures
+
+        topology, pathset, demands = self._random_instance(
+            num_nodes, seed, log_scale
+        )
+        caps = topology.capacities.copy()
+        caps[sample_link_failures(topology, dead_links, seed=seed)] = 0.0
+
+        def satisfied_and_loads(scheme):
+            ratios = scheme.allocate(pathset, demands, caps).split_ratios
+            report = evaluate_allocation(pathset, ratios, demands, caps)
+            return report.satisfied_fraction, report.edge_loads
+
+        lp_satisfied, lp_loads = satisfied_and_loads(LpAll())
+        schemes = [
+            LpTop(), NCFlow(), Pop(), TeavarStar(), ShortestPath(),
+            EqualSplit(), TealScheme(pathset, seed=0),
+        ]
+        for scheme in [LpAll()] + schemes:
+            satisfied, loads = satisfied_and_loads(scheme)
+            assert np.all(loads <= caps * (1 + 1e-9) + 1e-9), scheme.name
+            assert lp_satisfied >= satisfied - 1e-6, scheme.name
+
+    @given(
+        num_nodes=st.integers(6, 15),
+        seed=st.integers(0, 2**16),
+        log_scale=st.floats(-1.0, 3.0),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_lp_all_delivered_monotone_in_nested_failures(
+        self, num_nodes, seed, log_scale
+    ):
+        """Failing more links (a superset) never raises LP-all's total."""
+        from repro.baselines import LpAll
+        from repro.topology.failures import physical_links
+
+        topology, pathset, demands = self._random_instance(
+            num_nodes, seed, log_scale
+        )
+        links = physical_links(topology)
+        order = np.random.default_rng(seed).permutation(len(links))
+        caps = topology.capacities.copy()
+        previous = np.inf
+        for count in range(min(4, len(links)) + 1):
+            if count:
+                u, v = links[order[count - 1]]
+                for a, b in ((u, v), (v, u)):
+                    if topology.has_edge(a, b):
+                        caps[topology.edge_id(a, b)] = 0.0
+            ratios = LpAll().allocate(pathset, demands, caps).split_ratios
+            delivered = evaluate_allocation(
+                pathset, ratios, demands, caps
+            ).delivered_total
+            assert delivered <= previous * (1 + 1e-6) + 1e-9
+            previous = delivered

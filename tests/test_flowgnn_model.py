@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import TealHyperparameters
 from repro.core import (
     ActionHead,
     FlowGNN,
@@ -113,9 +112,8 @@ class TestTealModel:
         model = TealModel(b4_pathset)
         assert model.flow_gnn.num_layers == 6
         assert model.flow_gnn.embedding_dim == 6
-        hyper = TealHyperparameters()
-        assert hyper.embedding_dim == 6
-        assert hyper.policy_input_dim == 24
+        # Policy input: 4 paths x 6-element embeddings (§4).
+        assert model.policy.net.modules[0].in_features == 24
 
     def test_deterministic_given_seed(self, b4_pathset, b4_demands):
         a = TealModel(b4_pathset, seed=1).split_ratios(b4_demands)
