@@ -150,7 +150,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         validation=args.validation,
         test=args.matrices,
         training=training,
-        cell_batch=args.cell_batch,
     )
     print(
         f"sweeping {suite.num_jobs} topology job(s), "
@@ -163,7 +162,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             max_workers=args.workers,
             cache_dir=args.cache_dir,
             resume=args.resume,
-            max_cells=args.max_cells,
         )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -508,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, default=20)
     p_sweep.add_argument("--warm-start-steps", type=int, default=80)
     p_sweep.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="process"
+        "--executor", choices=("serial", "process"), default="process"
     )
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument(
@@ -523,26 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_precision(p_sweep)
     p_sweep.add_argument(
-        "--cell-batch",
-        type=int,
-        default=None,
-        help="grid-cell fusion bound: 0 stacks every compatible cell of "
-        "a topology job into one batched kernel invocation (the "
-        "default), 1 runs a strict per-cell loop, N>1 fuses chunks of "
-        "at most N failure levels; every value is bit-identical "
-        "(default: 0 — see README 'Grid cell batching')",
-    )
-    p_sweep.add_argument(
         "--resume", action="store_true",
         help="load completed grid cells checkpointed under --cache-dir by "
         "an earlier (possibly interrupted) run of the same suite and "
         "execute only the remainder; the merged result is bit-identical "
         "to an uninterrupted run (requires --cache-dir)",
-    )
-    p_sweep.add_argument(
-        "--max-cells", type=int, default=None,
-        help="stop after checkpointing this many grid cells (simulates "
-        "an interruption; mainly for testing --resume)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

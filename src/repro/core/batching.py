@@ -173,7 +173,7 @@ class Workspace:
 
     Buffers are served as contiguous prefix views of a per-key *backing*
     allocation that only ever grows: when a call site's shape shrinks
-    (e.g. a cell-batched sweep's final, smaller chunk) the existing
+    (e.g. a smaller sweep after a larger one) the existing
     backing is re-sliced instead of re-allocated, and a later return to
     the larger shape reuses the same memory. Only a capacity increase or
     a dtype switch pays for a fresh allocation, so alternating batch

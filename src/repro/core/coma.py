@@ -178,6 +178,34 @@ class TrainingHistory:
         self.losses.append(loss)
 
 
+def _floor_dead_values(
+    base_values: np.ndarray, sample_values: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Replace ``-inf`` agent values by a finite per-matrix floor.
+
+    Under min-MLU an agent whose flow crosses a failed (zero-capacity)
+    link is worth ``-inf``; differencing two such values gives NaN, and
+    one of them gives an infinite advantage. The floor ranks a dead-link
+    load one utilization unit below the worst finite value of the same
+    matrix (row), so an agent whose action loads a dead link while its
+    counterfactual samples avoid it gets a negative advantage, and an
+    agent with no alternative gets 0. Rows without ``-inf`` pass through
+    unchanged.
+
+    Args:
+        base_values: (T, D) values of the sampled joint actions.
+        sample_values: One (T, D) array per counterfactual sample.
+    """
+    stack = np.stack([base_values, *sample_values])
+    dead = np.isneginf(stack)
+    if not dead.any():
+        return base_values, sample_values
+    worst = np.where(dead, np.inf, stack).min(axis=(0, 2), keepdims=True)
+    floor = np.where(np.isfinite(worst), worst, 0.0) - 1.0
+    stack = np.where(dead, floor, stack)
+    return stack[0], list(stack[1:])
+
+
 class DecomposableReward:
     """Per-demand reward values under the mean-field incremental model.
 
@@ -363,22 +391,30 @@ class ComaTrainer:
                 base_flows, base_flows, capacities, base_loads, base_own
             )
 
-        baseline = np.zeros((num_matrices, ps.num_demands))
+        sample_values = []
         for sample in range(alt_actions.shape[0]):
             alt_ratios = masked_softmax_np(alt_actions[sample], mask)
             if self.exact:
-                for t in range(num_matrices):
-                    baseline[t] += self.reward_model.exact_demand_values(
-                        ratios[t], alt_ratios[t], demands[t], capacities[t]
-                    )
+                values = np.stack(
+                    [
+                        self.reward_model.exact_demand_values(
+                            ratios[t], alt_ratios[t], demands[t], capacities[t]
+                        )
+                        for t in range(num_matrices)
+                    ]
+                )
             else:
                 alt_flows = ps.split_ratios_to_path_flows_batch(
                     alt_ratios, demands
                 )
-                baseline += self.reward_model.demand_values_batch(
+                values = self.reward_model.demand_values_batch(
                     base_flows, alt_flows, capacities, base_loads, base_own
                 )
-        baseline /= alt_actions.shape[0]
+            sample_values.append(values)
+        base_values, sample_values = _floor_dead_values(
+            base_values, sample_values
+        )
+        baseline = sum(sample_values) / len(sample_values)
         advantage = base_values - baseline
         std = advantage.std(axis=-1, keepdims=True)
         mean = advantage.mean(axis=-1, keepdims=True)

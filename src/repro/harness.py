@@ -556,7 +556,6 @@ def run_failure_sweep(
     capacity_sets: dict,
     matrices: list[TrafficMatrix] | None = None,
     objective: Objective | None = None,
-    cell_batch: int = 0,
 ) -> dict:
     """Offline comparison across several capacity states in one batch.
 
@@ -571,19 +570,11 @@ def run_failure_sweep(
     LP family's ``allocate_batch`` loops ``allocate``, so its times are
     per matrix.
 
-    ``cell_batch`` bounds how many capacity states (grid cells) fuse
-    into one stacked invocation: 0 (the default) stacks all of them —
-    today's fully-fused behavior — while N > 0 walks the states in
-    chunks of at most N and 1 degenerates to a strict per-cell loop
-    (the unbatched reference the cell-batching benchmarks compare
-    against). Every chunk builds its stacks through the *identical*
-    ``np.tile``/``np.repeat`` recipe, and the batched kernels are
-    row-identical across batch sizes (per-row matmuls, per-row tiled
-    segment reductions), so every ``cell_batch`` setting returns
-    bit-identical results — the chunk size only trades peak stack
-    memory against per-call overhead. One evaluation
-    :class:`~repro.core.batching.Workspace` serves every chunk and
-    scheme.
+    The batched kernels are row-identical across batch sizes (per-row
+    matmuls, per-row tiled segment reductions), so a capacity state's
+    rows do not depend on which other states share the stack: a
+    one-level sweep returns the same numbers as that level inside a
+    larger one.
 
     Args:
         scenario: The workload.
@@ -592,8 +583,6 @@ def run_failure_sweep(
             capacity vector in effect for that level.
         matrices: Matrices evaluated at every level (default: test split).
         objective: Objective whose raw value is also recorded.
-        cell_batch: Maximum capacity states per stacked invocation
-            (0 = all at once, 1 = per-cell loop).
 
     Returns:
         Mapping sweep key -> (mapping scheme name -> :class:`SchemeRun`).
@@ -602,8 +591,6 @@ def run_failure_sweep(
         ReproError: When a capacity vector is not (E,), finite, and
             non-negative (checked before any allocation).
     """
-    from .sweep.cellbatch import chunk_level_keys
-
     if matrices is None:
         matrices = scenario.split.test
     if objective is None:
@@ -624,35 +611,30 @@ def run_failure_sweep(
     demands_one = scenario.pathset.demand_volumes_batch(
         np.stack([m.values for m in matrices])
     )
+    demands_all = np.tile(demands_one, (len(keys), 1))
+    caps_all = np.repeat(
+        np.stack([capacity_sets[key] for key in keys]), num_matrices, axis=0
+    )
     workspace = Workspace()
-    for chunk in chunk_level_keys(keys, cell_batch):
-        demands_all = np.tile(demands_one, (len(chunk), 1))
-        caps_all = np.repeat(
-            np.stack([capacity_sets[key] for key in chunk]),
-            num_matrices,
-            axis=0,
+    for name, scheme in schemes.items():
+        allocations = allocate_all(scheme, scenario.pathset, demands_all, caps_all)
+        ratios_all = np.stack([a.split_ratios for a in allocations])
+        batch_report = evaluate_allocations_batch(
+            scenario.pathset, ratios_all, demands_all, caps_all,
+            workspace=workspace,
         )
-        for name, scheme in schemes.items():
-            allocations = allocate_all(
-                scheme, scenario.pathset, demands_all, caps_all
+        values = _objective_values(
+            objective, scenario.pathset, batch_report, ratios_all,
+            demands_all, caps_all,
+        )
+        for row, allocation in enumerate(allocations):
+            key = keys[row // num_matrices]
+            results[key][name].add(
+                satisfied=batch_report.satisfied_fraction[row],
+                compute_time=allocation.compute_time,
+                objective_value=float(values[row]),
+                extras=allocation.extras,
             )
-            ratios_all = np.stack([a.split_ratios for a in allocations])
-            batch_report = evaluate_allocations_batch(
-                scenario.pathset, ratios_all, demands_all, caps_all,
-                workspace=workspace,
-            )
-            values = _objective_values(
-                objective, scenario.pathset, batch_report, ratios_all,
-                demands_all, caps_all,
-            )
-            for row, allocation in enumerate(allocations):
-                key = chunk[row // num_matrices]
-                results[key][name].add(
-                    satisfied=batch_report.satisfied_fraction[row],
-                    compute_time=allocation.compute_time,
-                    objective_value=float(values[row]),
-                    extras=allocation.extras,
-                )
     return results
 
 
@@ -660,7 +642,6 @@ def run_online_failure_sweep(
     scenario: Scenario,
     schemes: dict[str, object],
     schedules: dict,
-    cell_batch: int = 0,
 ) -> dict:
     """Online comparisons across event schedules sharing one forward.
 
@@ -680,10 +661,6 @@ def run_online_failure_sweep(
             :class:`~repro.simulation.streaming.EventSchedule` (e.g.
             built per failure level via
             ``EventSchedule.from_grid_cell``/``from_failure_case``).
-        cell_batch: Maximum schedules per stacked ``allocate_batch``
-            invocation — same semantics (and the same bit-identity
-            guarantee) as :func:`run_failure_sweep`'s ``cell_batch``:
-            0 stacks every schedule, 1 loops per schedule.
 
     Returns:
         Mapping sweep key -> (mapping scheme name ->
@@ -691,29 +668,30 @@ def run_online_failure_sweep(
         schedules yields an empty mapping.
     """
     from .simulation.streaming import StreamingEngine
-    from .sweep.cellbatch import chunk_level_keys
 
     pathset = scenario.pathset
     results: dict = {key: {} for key in schedules}
-    for chunk in chunk_level_keys(list(schedules), cell_batch):
-        demands_all = np.concatenate(
-            [schedules[key].demand_stack(pathset) for key in chunk]
-        )
-        caps_all = np.concatenate(
-            [schedules[key].capacity_stack(scenario.capacities) for key in chunk]
-        )
-        for name, scheme in schemes.items():
-            allocations = allocate_all(scheme, pathset, demands_all, caps_all)
-            engine = StreamingEngine(pathset, scheme, warm_start=False)
-            start = 0
-            for key in chunk:
-                stop = start + schedules[key].num_intervals
-                results[key][name] = engine.run(
-                    schedules[key],
-                    scenario.capacities,
-                    allocations=allocations[start:stop],
-                )
-                start = stop
+    if not schedules:
+        return results
+    demands_all = np.concatenate(
+        [schedule.demand_stack(pathset) for schedule in schedules.values()]
+    )
+    caps_all = np.concatenate(
+        [
+            schedule.capacity_stack(scenario.capacities)
+            for schedule in schedules.values()
+        ]
+    )
+    for name, scheme in schemes.items():
+        allocations = allocate_all(scheme, pathset, demands_all, caps_all)
+        engine = StreamingEngine(pathset, scheme, warm_start=False)
+        start = 0
+        for key, schedule in schedules.items():
+            stop = start + schedule.num_intervals
+            results[key][name] = engine.run(
+                schedule, scenario.capacities, allocations=allocations[start:stop]
+            )
+            start = stop
     return results
 
 

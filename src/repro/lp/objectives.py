@@ -104,10 +104,6 @@ class Objective(ABC):
         """Per-unit-flow value of each path (flow-type objectives only)."""
         raise SolverError(f"objective {self.name} has no per-path flow values")
 
-    def requires_full_routing(self) -> bool:
-        """Whether all demand must be routed (equality demand constraints)."""
-        return False
-
 
 def _capacities_stack(
     pathset: PathSet, capacities: np.ndarray | None, num_matrices: int
@@ -146,9 +142,6 @@ class MinMaxLinkUtilizationObjective(Objective):
 
     name = "min_mlu"
     sense = "min"
-
-    def requires_full_routing(self) -> bool:
-        return True
 
     def evaluate_batch(
         self, pathset, split_ratios, demands, capacities=None

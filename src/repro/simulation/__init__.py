@@ -6,7 +6,6 @@ from .evaluator import (
     FlowReport,
     evaluate_allocation,
     evaluate_allocations_batch,
-    satisfied_demand_fraction,
 )
 from .fallback import FallbackScheme
 from .metrics import SchemeRun, format_comparison_table, speedup
@@ -32,7 +31,6 @@ __all__ = [
     "FlowReport",
     "evaluate_allocation",
     "evaluate_allocations_batch",
-    "satisfied_demand_fraction",
     "OnlineSimulator",
     "IntervalResult",
     "DeploymentTracker",

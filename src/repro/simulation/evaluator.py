@@ -111,25 +111,6 @@ class BatchFlowReport:
         """Per-matrix :class:`FlowReport` views, in batch order."""
         return [self.report(i) for i in range(len(self))]
 
-    def slice(self, start: int, stop: int) -> "BatchFlowReport":
-        """A sub-batch view covering rows ``[start, stop)``.
-
-        The cell-batched sweeps stack several grid cells' matrices into
-        one evaluation pass and unstack per-cell reports with this; the
-        returned report's arrays are views (no copies), identical row
-        for row to evaluating the sub-batch alone.
-        """
-        return BatchFlowReport(
-            delivered_path_flows=self.delivered_path_flows[start:stop],
-            intended_path_flows=self.intended_path_flows[start:stop],
-            edge_loads=self.edge_loads[start:stop],
-            total_demand=self.total_demand[start:stop],
-            delivered_total=self.delivered_total[start:stop],
-            satisfied_fraction=self.satisfied_fraction[start:stop],
-            max_link_utilization=self.max_link_utilization[start:stop],
-            intended_mlu=self.intended_mlu[start:stop],
-        )
-
 
 @dataclass(frozen=True)
 class FlowReport:
@@ -198,9 +179,10 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     ``x.sum(axis=-1)`` is *not* reproducible across batch sizes: numpy's
     2-D last-axis reduction picks SIMD peeling from the allocation's
     base alignment, so the same row summed inside a (6, N) stack and a
-    (2, N) stack can differ in the last ulp — which would break the
-    cell-batching bit-identity contract (chunked sweeps re-stack the
-    same rows into differently-sized arrays). The 1-D pairwise sum is
+    (2, N) stack can differ in the last ulp. A row's result must not
+    depend on the size of the stack it is evaluated in (a sweep level
+    alone and the same level inside a larger sweep, a streaming
+    decision and its batch-of-one replay). The 1-D pairwise sum is
     alignment- and offset-invariant, so summing row by row depends only
     on row *contents* — and bit-matches the single-matrix evaluator's
     ``demands.sum()`` by construction. T is a handful of grid rows, so
@@ -280,7 +262,7 @@ def evaluate_allocations_batch(
             (failure sweeps), or None for the topology defaults.
         workspace: Optional :class:`~repro.core.batching.Workspace` for
             the internal scatter-max scratch; sweeps that score many
-            stacks in a row (one per grid cell or chunk) pass a shared
+            stacks in a row (one per scheme) pass a shared
             per-job workspace so scoring stops re-allocating. Results
             are unaffected: every returned array is freshly computed,
             never a workspace view.
@@ -358,12 +340,3 @@ def evaluate_allocations_batch(
         intended_mlu=intended_mlu,
     )
 
-
-def satisfied_demand_fraction(
-    pathset: PathSet,
-    split_ratios: np.ndarray,
-    demands: np.ndarray,
-    capacities: np.ndarray | None = None,
-) -> float:
-    """Shortcut for :func:`evaluate_allocation`'s satisfied fraction."""
-    return evaluate_allocation(pathset, split_ratios, demands, capacities).satisfied_fraction

@@ -1,19 +1,18 @@
 """Scenario-grid sweep engine: topology × failure × trace × scheme grids.
 
-Declare a grid as a :class:`ScenarioSuite`, run it (serially or with
-concurrent per-topology workers) via :func:`run_scenario_grid`, and get
-back a JSON-serializable :class:`GridResult` of per-cell
-:class:`~repro.simulation.metrics.SchemeRun` records. The
-:mod:`~repro.sweep.analytics` layer reduces one-or-many saved results
-into the paper's aggregate curves (speedup vs topology size, satisfied
-demand by failure level, phase-time breakdowns, precision tables). The
-:mod:`~repro.sweep.cellbatch` layer fuses compatible grid cells into
-single stacked kernel invocations (``cell_batch``), bit-identically.
-The :mod:`~repro.sweep.checkpoint` layer persists completed cells into
-the cache dir so interrupted grids resume (``resume=True`` /
-``repro.cli sweep --resume``) bit-identically, and the
-:mod:`~repro.sweep.plotting` layer renders analytics into the paper's
-figures as SVG (``repro.cli plot``).
+Declare a grid as a :class:`ScenarioSuite`, run it (serially or with a
+process pool of per-topology workers) via :func:`run_scenario_grid`,
+and get back a JSON-serializable :class:`GridResult` of per-cell
+:class:`~repro.simulation.metrics.SchemeRun` records. Every failure
+level of a (topology, seed) job shares one stacked kernel invocation
+per scheme. The :mod:`~repro.sweep.analytics` layer reduces
+one-or-many saved results into the paper's aggregate curves (speedup
+vs topology size, satisfied demand by failure level, phase-time
+breakdowns, precision tables). The :mod:`~repro.sweep.checkpoint` layer
+persists completed cells into the cache dir so interrupted grids resume
+(``resume=True`` / ``repro.cli sweep --resume``) bit-identically, and
+the :mod:`~repro.sweep.plotting` layer renders analytics into the
+paper's figures as SVG (``repro.cli plot``).
 """
 
 from .analytics import (
@@ -30,10 +29,6 @@ from .analytics import (
     satisfied_samples,
     scheme_distributions,
     speedup_curve,
-)
-from .cellbatch import (
-    chunk_level_keys,
-    resolve_cell_batch,
 )
 from .checkpoint import (
     cell_key,
@@ -80,7 +75,6 @@ __all__ = [
     "cdf_figure",
     "cell_key",
     "cell_seed",
-    "chunk_level_keys",
     "format_analytics",
     "load_cell_checkpoint",
     "load_completed_cells",

@@ -23,8 +23,8 @@ Determinism: a cell and its job timing are stored as JSON metadata.
 Python floats serialize via ``repr`` and parse back bit for bit, and
 cell computation is fully seeded by the suite spec, so a resumed grid's
 :class:`~repro.sweep.grid.GridResult` is bit-identical to an
-uninterrupted run across all executors and ``cell_batch`` settings —
-``tests/test_grid_resume.py`` holds this contract.
+uninterrupted run under either executor — ``tests/test_grid_resume.py``
+holds this contract.
 """
 
 from __future__ import annotations

@@ -11,8 +11,17 @@ missing layer: declare the grid once as a :class:`ScenarioSuite`, and
 harness caches, dispatches the batched inner sweep
 (:func:`repro.harness.run_failure_sweep` offline,
 :func:`repro.harness.run_online_failure_sweep` online), and runs
-independent topologies concurrently through a ``concurrent.futures``
-pool.
+independent topologies serially or in a process pool.
+
+Cell batching: within one job every failure level shares one stacked
+invocation per scheme (one ``allocate_batch`` / evaluation pass over the
+whole (level × matrix) stack). Within one suite, mode, scale, pair
+budget, precision and objective are fixed, so there is one bucket per
+(topology, scheme), and each bucket runs once per seed job;
+``GridResult.metadata["cell_batching"]`` records both counts. The
+batched kernels are row-identical across stack sizes (per-row matmuls,
+tiled segment reductions, per-row sums), so a cell's numbers do not
+depend on which other failure levels share its stack.
 
 Determinism contract: every random choice derives from the suite spec —
 scenario construction and training from the per-variant ``seed``,
@@ -28,11 +37,7 @@ import json
 import os
 import time
 import zlib
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from ..cache import atomic_write_json
@@ -41,10 +46,9 @@ from ..exceptions import ReproError
 from ..nn.precision import resolve_precision
 from ..simulation.metrics import SchemeRun, format_comparison_table
 from ..simulation.streaming import EventSchedule, LinkFailure
-from .cellbatch import chunk_level_keys, resolve_cell_batch
 
 #: Executors accepted by :func:`run_scenario_grid`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def cell_seed(topology: str, seed: int, failure_count: int) -> int:
@@ -92,13 +96,10 @@ class ScenarioSuite:
         interval_seconds: TE interval for online mode.
         failure_at: Online mode: interval the failure strikes (None =
             mid-trace).
-        cell_batch: Grid-cell fusion bound (see
-            :mod:`repro.sweep.cellbatch`): 0 stacks every compatible
-            cell of a job into one batched kernel invocation (the
-            default), 1 runs a strict per-cell loop, N > 1 fuses chunks
-            of at most N failure levels. None defers to 0 unless
-            ``run_scenario_grid``'s ``cell_batch`` argument (the CLI
-            flag) is set. Every value is bit-identical.
+        cell_batch: Ignored: every grid runs fully fused, one stack per
+            job. The field is kept only so the perf harness and older
+            saved specs still construct; it stays in :meth:`to_dict`, so
+            suite tokens and existing checkpoints are unchanged.
     """
 
     topologies: tuple[str, ...]
@@ -142,10 +143,6 @@ class ScenarioSuite:
         object.__setattr__(
             self, "precision", resolve_precision(self.precision).name
         )
-        if self.cell_batch is not None:
-            # Validate eagerly so a bad config fails at suite build, not
-            # deep inside a pool worker.
-            resolve_cell_batch(self.cell_batch)
 
     @property
     def num_jobs(self) -> int:
@@ -373,7 +370,6 @@ def _run_topology_job(
     topology: str,
     seed: int,
     cache_dir: str | None = None,
-    cell_batch: int = 0,
 ) -> tuple[list[GridCell], dict]:
     """Build, train, and sweep one (topology, seed) grid job.
 
@@ -382,10 +378,8 @@ def _run_topology_job(
     the harness' persistent tiers: scenarios load from the on-disk
     scenario cache (skipping topology generation, k-shortest-path
     enumeration, and trace synthesis) and Teal models load from the
-    checkpoint cache instead of retraining. ``cell_batch`` bounds how
-    many of the job's failure levels fuse into one stacked kernel
-    invocation (see :mod:`repro.sweep.cellbatch`); every value is
-    bit-identical.
+    checkpoint cache instead of retraining. Every failure level of the
+    job shares one stacked invocation per scheme.
     """
     from .. import harness
     from ..lp.objectives import get_objective
@@ -449,7 +443,6 @@ def _run_topology_job(
             schemes,
             capacity_sets,
             objective=objective,
-            cell_batch=cell_batch,
         )
         results = {
             count: {name: (sweep[count][name], {}) for name in suite.schemes}
@@ -467,9 +460,7 @@ def _run_topology_job(
                 if isinstance(event, LinkFailure)
                 for edge in event.edges
             ]
-        sweep = harness.run_online_failure_sweep(
-            scenario, schemes, schedules, cell_batch=cell_batch
-        )
+        sweep = harness.run_online_failure_sweep(scenario, schemes, schedules)
         results = {
             count: {
                 name: _online_to_scheme_run(name, sweep[count][name])
@@ -511,36 +502,32 @@ def run_scenario_grid(
     executor: str = "serial",
     max_workers: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    cell_batch: int | None = None,
     resume: bool = False,
-    max_cells: int | None = None,
 ) -> GridResult:
-    """Run a scenario grid, optionally with concurrent topology workers.
+    """Run a scenario grid, serially or with a process pool of jobs.
 
     (topology, seed) jobs are independent — they share no mutable state
     beyond the harness caches, which the full-config cache keys keep
-    collision-free — so they dispatch to a ``concurrent.futures`` pool.
+    collision-free — so they dispatch to a ``ProcessPoolExecutor``.
     Cells are assembled in submission order, so the returned cells are
     in deterministic grid order regardless of completion order, and
     every job's randomness is seeded from the spec (see the module
-    docstring), so ``executor="process"``/``"thread"`` reproduce
-    ``"serial"`` bit for bit.
+    docstring), so ``executor="process"`` reproduces ``"serial"`` bit
+    for bit.
 
     With a ``cache_dir``, every completed job's cells are checkpointed
     to disk *as jobs complete* (one atomic ``gridcell-*.npz`` entry per
     cell — see :mod:`repro.sweep.checkpoint`), so an interrupted grid
-    keeps its finished work. ``resume=True`` then
-    loads the verified completed cells and only executes the remainder;
-    because checkpointed cells round-trip exactly and recomputed cells
-    are deterministic, the merged result is bit-identical to an
-    uninterrupted run for every executor and ``cell_batch`` setting.
-    Jobs whose cells are only partially checkpointed (an interrupt
-    mid-``max_cells`` boundary) recompute whole — recomputation yields
-    identical cells, so correctness never depends on partial reuse.
+    keeps its finished work. ``resume=True`` then loads every job whose
+    cells all verify and executes only the remaining jobs; because
+    checkpointed cells round-trip exactly and recomputed cells are
+    deterministic, the merged result is bit-identical to an
+    uninterrupted run. A job with a missing or unusable cell entry
+    recomputes whole.
 
     Args:
         suite: The grid spec.
-        executor: ``"serial"``, ``"thread"``, or ``"process"``.
+        executor: ``"serial"`` or ``"process"``.
         max_workers: Pool width (default: one per job, capped at the
             CPU count).
         cache_dir: Optional persistent cache directory shared by every
@@ -551,24 +538,15 @@ def run_scenario_grid(
             retraining. A cache hit reproduces the rebuilt scenario bit
             for bit, so cached grids equal cold grids exactly. Also the
             home of the per-cell grid checkpoints above.
-        cell_batch: Explicit grid-cell fusion bound; overrides the
-            suite's ``cell_batch`` field (default 0 = fully fused). See
-            :mod:`repro.sweep.cellbatch`. Every value reproduces the
-            per-cell loop bit for bit; the knob only trades invocation
-            count against peak stack size.
-        resume: Load verified completed cells from ``cache_dir`` and
+        resume: Load verified completed jobs from ``cache_dir`` and
             execute only the remainder (requires ``cache_dir``).
-        max_cells: Stop after this many cells (the partial-run /
-            interrupt-simulation knob): jobs run until the quota is
-            met, the last job's surplus cells are dropped, and the
-            checkpoints cover exactly the returned cells.
 
     Returns:
         A :class:`GridResult`.
 
     Raises:
-        ReproError: On an unknown executor name, ``resume`` without a
-            ``cache_dir``, or a non-positive ``max_cells``.
+        ReproError: On an unknown executor name or ``resume`` without a
+            ``cache_dir``.
     """
     if executor not in EXECUTORS:
         raise ReproError(
@@ -576,22 +554,19 @@ def run_scenario_grid(
         )
     if resume and cache_dir is None:
         raise ReproError("resume=True requires a cache_dir to resume from")
-    if max_cells is not None and max_cells < 1:
-        raise ReproError(f"max_cells must be positive, got {max_cells}")
     cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
-    # Precedence: explicit argument (the CLI flag) beats the suite
-    # field, which beats the fully-fused default.
-    spec = cell_batch if cell_batch is not None else suite.cell_batch
-    resolved_cell_batch = resolve_cell_batch(spec)
     jobs = suite.jobs()
-    cells_per_job = len(suite.failure_counts) * len(suite.schemes)
 
     checkpointing = cache_dir is not None
     token = None
     completed: dict = {}
     if checkpointing:
         # Deferred import: checkpoint.py imports this module's types.
-        from .checkpoint import load_completed_cells, suite_token
+        from .checkpoint import (
+            load_completed_cells,
+            save_cell_checkpoint,
+            suite_token,
+        )
 
         token = suite_token(suite)
         if resume:
@@ -599,66 +574,42 @@ def run_scenario_grid(
 
     start = time.perf_counter()
 
-    # Per-job plan: the cell quota (max_cells truncation) and whether
-    # every quota cell is already checkpointed (job skips execution).
-    plans: list[tuple[str, int, int, list, bool]] = []
-    budget = max_cells
-    for topology, seed in jobs:
-        if budget is not None and budget <= 0:
-            break
-        take = cells_per_job if budget is None else min(cells_per_job, budget)
-        if budget is not None:
-            budget -= take
+    outputs: list[tuple[list[GridCell], dict] | None] = [None] * len(jobs)
+    run_indices: list[int] = []
+    loaded_cells = 0
+    for index, (topology, seed) in enumerate(jobs):
         coords = [
             (topology, seed, count, scheme)
             for count in suite.failure_counts
             for scheme in suite.schemes
         ]
-        loaded = bool(completed) and all(c in completed for c in coords[:take])
-        plans.append((topology, seed, take, coords, loaded))
-
-    outputs: list[tuple[list[GridCell], dict] | None] = [None] * len(plans)
-    loaded_cells = 0
-    for index, (topology, seed, take, coords, loaded) in enumerate(plans):
-        if loaded:
-            job_cells = [completed[c][0] for c in coords[:take]]
-            timing = dict(completed[coords[0]][1])
-            outputs[index] = (job_cells, timing)
-            loaded_cells += take
+        if all(c in completed for c in coords):
+            job_cells = [completed[c][0] for c in coords]
+            outputs[index] = (job_cells, dict(completed[coords[0]][1]))
+            loaded_cells += len(job_cells)
+        else:
+            run_indices.append(index)
 
     def record_job(index: int, job_cells: list[GridCell], timing: dict) -> None:
         # Called as each executed job completes (any completion order):
-        # truncate to the quota and checkpoint, so an interrupt right
-        # after this point loses nothing.
-        _, _, take, _, _ = plans[index]
-        kept = job_cells[:take]
-        outputs[index] = (kept, timing)
+        # checkpoint at once, so an interrupt right after this point
+        # loses nothing.
+        outputs[index] = (job_cells, timing)
         if checkpointing:
-            from .checkpoint import save_cell_checkpoint
-
-            for cell in kept:
+            for cell in job_cells:
                 save_cell_checkpoint(cache_dir, token, cell, timing)
 
-    run_indices = [i for i, p in enumerate(plans) if not p[4]]
     if executor == "serial" or not run_indices:
         workers = 1
         for index in run_indices:
-            topology, seed = plans[index][0], plans[index][1]
-            job_cells, timing = _run_topology_job(
-                suite, topology, seed, cache_dir, resolved_cell_batch
-            )
+            topology, seed = jobs[index]
+            job_cells, timing = _run_topology_job(suite, topology, seed, cache_dir)
             record_job(index, job_cells, timing)
     else:
-        pool_cls = (
-            ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        )
         workers = max_workers or min(len(run_indices), os.cpu_count() or 1)
-        with pool_cls(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(
-                    _run_topology_job, suite, plans[i][0], plans[i][1],
-                    cache_dir, resolved_cell_batch,
-                ): i
+                pool.submit(_run_topology_job, suite, *jobs[i], cache_dir): i
                 for i in run_indices
             }
             # as_completed, not submission order: each job checkpoints
@@ -669,12 +620,10 @@ def run_scenario_grid(
                 record_job(futures[future], job_cells, timing)
     total_seconds = time.perf_counter() - start
 
-    done = [output for output in outputs if output is not None]
-    cells = [cell for job_cells, _ in done for cell in job_cells]
-    timings = [timing for _, timing in done]
+    cells = [cell for job_cells, _ in outputs for cell in job_cells]
+    timings = [timing for _, timing in outputs]
     # One bucket per (topology, scheme): only those cells may share a
-    # stacked kernel call. Each bucket runs once per seed job, split into
-    # the same failure-level chunks run_failure_sweep executes.
+    # stacked kernel call. Each bucket runs once per seed job.
     num_buckets = len(suite.topologies) * len(suite.schemes)
     metadata = {
         "executor": executor,
@@ -682,12 +631,9 @@ def run_scenario_grid(
         "num_jobs": len(jobs),
         "num_cells": len(cells),
         "total_seconds": total_seconds,
-        "cell_batch": resolved_cell_batch,
         "cell_batching": {
             "num_buckets": num_buckets,
-            "num_invocations": num_buckets
-            * len(suite.seeds)
-            * len(chunk_level_keys(suite.failure_counts, resolved_cell_batch)),
+            "num_invocations": num_buckets * len(suite.seeds),
         },
         "resumed": resume,
         "checkpointing": {
@@ -695,7 +641,6 @@ def run_scenario_grid(
             "suite_token": token,
             "loaded_cells": loaded_cells,
             "executed_jobs": len(run_indices),
-            "max_cells": max_cells,
         },
     }
     return GridResult(suite=suite, cells=cells, timings=timings, metadata=metadata)

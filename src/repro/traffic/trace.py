@@ -120,19 +120,3 @@ class TrafficTrace:
         """Generate a synthetic trace (see :class:`TrafficGenerator`)."""
         generator = TrafficGenerator(num_nodes, seed=seed, **generator_kwargs)
         return cls(generator.generate(num_intervals))
-
-    @classmethod
-    def generate_split(
-        cls,
-        num_nodes: int,
-        train: int,
-        validation: int,
-        test: int,
-        seed: int = 0,
-        **generator_kwargs,
-    ) -> TraceSplit:
-        """Generate a trace exactly covering a split and return the split."""
-        trace = cls.generate(
-            num_nodes, train + validation + test, seed=seed, **generator_kwargs
-        )
-        return trace.split(train, validation, test)

@@ -43,19 +43,23 @@ class TestParser:
         assert args.cache_dir == "cache"
 
     def test_cell_batch_flag(self):
+        """Every sweep runs fully fused: ``--cell-batch`` is gone."""
         args = build_parser().parse_args(["sweep"])
-        assert args.cell_batch is None  # defer to the suite field, then 0
-        args = build_parser().parse_args(["sweep", "--cell-batch", "0"])
-        assert args.cell_batch == 0
-        args = build_parser().parse_args(["sweep", "--cell-batch", "4"])
-        assert args.cell_batch == 4
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--cell-batch", "many"])
+        assert not hasattr(args, "cell_batch")
+        for value in ("0", "4", "many"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sweep", "--cell-batch", value])
 
     def test_cell_batch_is_sweep_only(self):
+        # No other subcommand ever took the flag.
         for command in ("compare", "failures", "train", "stream"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--cell-batch", "2"])
+
+    def test_retired_sweep_options_rejected(self):
+        for extra in (["--max-cells", "4"], ["--executor", "thread"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sweep", *extra])
 
     def test_cache_prune_arguments(self):
         args = build_parser().parse_args(
@@ -114,7 +118,7 @@ class TestParser:
                 "--failures", "0", "2",
                 "--seeds", "0", "1",
                 "--mode", "online",
-                "--executor", "thread",
+                "--executor", "serial",
                 "--output", "grid.json",
             ]
         )
@@ -122,7 +126,7 @@ class TestParser:
         assert args.failures == [0, 2]
         assert args.seeds == [0, 1]
         assert args.mode == "online"
-        assert args.executor == "thread"
+        assert args.executor == "serial"
         assert args.output == "grid.json"
 
 

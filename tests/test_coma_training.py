@@ -11,8 +11,10 @@ from repro.core import (
     DecomposableReward,
     DirectLossTrainer,
     TealModel,
+    TealScheme,
     masked_softmax_np,
 )
+from repro.core.coma import _floor_dead_values
 from repro.exceptions import TrainingError
 from repro.lp import MinMaxLinkUtilizationObjective, TotalFlowObjective
 from repro.lp.objectives import Objective
@@ -163,6 +165,56 @@ class TestComaTrainer:
         )
         history = trainer.train(matrices[:4])
         assert history.losses
+
+
+class TestDeadLinkAdvantages:
+    """Min-MLU values an agent that loads a failed link at ``-inf``."""
+
+    def test_floor_keeps_advantages_finite_and_signed(self):
+        inf = np.inf
+        # Agents: 0 loads a dead link only in its sampled action, 1 never,
+        # 2 in every sample (no alternative), 3 only in one counterfactual.
+        base = np.array([[-inf, -0.5, -inf, -0.2]])
+        samples = [
+            np.array([[-0.3, -0.5, -inf, -inf]]),
+            np.array([[-0.4, -0.5, -inf, -0.1]]),
+        ]
+        base, samples = _floor_dead_values(base, samples)
+        advantage = base - sum(samples) / len(samples)
+        assert np.isfinite(advantage).all()
+        assert advantage[0, 0] < 0.0
+        assert advantage[0, 1] == 0.0
+        assert advantage[0, 2] == 0.0
+        assert advantage[0, 3] > 0.0
+
+    def test_rows_without_dead_links_pass_through(self):
+        base = np.array([[-0.2, -0.3], [-np.inf, -0.1]])
+        samples = [np.array([[-0.1, -0.4], [-0.2, -0.1]])]
+        floored, floored_samples = _floor_dead_values(base, samples)
+        assert np.array_equal(floored[0], base[0])
+        assert np.array_equal(floored_samples[0], samples[0])
+        # The floor sits one unit below the row's worst finite value.
+        assert floored[1, 0] == -0.2 - 1.0
+
+    def test_min_mlu_training_under_failures_stays_finite(
+        self, b4_pathset, b4_trace
+    ):
+        """Regression: ``-inf - -inf`` advantages turned every weight NaN."""
+        scheme = TealScheme(
+            b4_pathset, MinMaxLinkUtilizationObjective(), use_admm=False
+        )
+        config = TrainingConfig(
+            steps=6,
+            warm_start_steps=2,
+            batch_matrices=4,
+            failure_rate=0.25,
+            log_every=1,
+        )
+        histories = scheme.train(b4_trace.matrices[:8], config=config)
+        for history in histories.values():
+            assert np.isfinite(history.losses).all()
+        for parameter in scheme.model.parameters():
+            assert np.isfinite(parameter.data).all()
 
 
 class TestDirectLossTrainer:

@@ -2,10 +2,9 @@
 
 The contract under test: a grid interrupted at *any* cell boundary and
 resumed with ``resume=True`` produces a :class:`GridResult` bit-identical
-to an uninterrupted run — across precisions, executors, and every
-``cell_batch`` setting — and every persistence failure mode (truncated
-writes, stale schema versions, foreign suites) degrades to a recompute,
-never to wrong data.
+to an uninterrupted run — across precisions and executors — and every
+persistence failure mode (truncated writes, stale schema versions,
+foreign suites) degrades to a recompute, never to wrong data.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import pytest
 from helpers import ENTRY_KINDS, entry_io
 
 import repro.cache as cache_mod
+import repro.sweep.grid as grid_mod
 from repro.cache import (
     CACHE_FORMAT,
     atomic_write_json,
@@ -65,6 +65,23 @@ def comparable(result: GridResult) -> list[tuple]:
         (cell.coords, cell.run.satisfied, cell.run.objective_values)
         for cell in result.cells
     ]
+
+
+def interrupted_run(suite, cache_dir, monkeypatch) -> None:
+    """Run ``suite`` serially until its second job raises mid-grid."""
+    real_job = grid_mod._run_topology_job
+    calls = []
+
+    def flaky_job(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return real_job(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grid_mod, "_run_topology_job", flaky_job)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_scenario_grid(suite, cache_dir=cache_dir)
 
 
 class TestSuiteToken:
@@ -244,10 +261,6 @@ class TestResumeValidation:
         with pytest.raises(ReproError, match="requires a cache_dir"):
             run_scenario_grid(tiny_suite(), resume=True)
 
-    def test_max_cells_must_be_positive(self, tmp_path):
-        with pytest.raises(ReproError, match="max_cells must be positive"):
-            run_scenario_grid(tiny_suite(), cache_dir=tmp_path, max_cells=0)
-
 
 class TestResumeDeterminism:
     """Interrupt at any cell boundary; resume must be bit-identical."""
@@ -257,16 +270,19 @@ class TestResumeDeterminism:
         clear_caches()
         return run_scenario_grid(tiny_suite())
 
-    # 2 = mid-job interrupt (partial job recomputes whole), 4 = clean
-    # job boundary, 6 = one full job + a partial one.
+    # The checkpoints an interrupt leaves after the first k cell writes:
+    # 2 = mid-job (partial job recomputes whole), 4 = clean job
+    # boundary, 6 = one full job + a partial one.
     @pytest.mark.parametrize("k", (2, 4, 6))
     def test_interrupt_then_resume_is_bit_identical(
         self, k, reference, tmp_path
     ):
         suite = tiny_suite()
-        partial = run_scenario_grid(suite, cache_dir=tmp_path, max_cells=k)
-        assert len(partial.cells) == k
-        assert comparable(partial) == comparable(reference)[:k]
+        token = suite_token(suite)
+        full = run_scenario_grid(suite, cache_dir=tmp_path)
+        for cell in full.cells[k:]:
+            cell_path(tmp_path, token, cell.coords).unlink()
+        assert len(load_completed_cells(tmp_path, suite, token)) == k
         resumed = run_scenario_grid(suite, cache_dir=tmp_path, resume=True)
         assert comparable(resumed) == comparable(reference)
         info = resumed.metadata["checkpointing"]
@@ -275,33 +291,59 @@ class TestResumeDeterminism:
         assert info["loaded_cells"] == (k // cells_per_job) * cells_per_job
         assert resumed.metadata["resumed"] is True
 
-    @pytest.mark.parametrize("cell_batch", (0, 1, 2))
-    def test_resume_matches_across_cell_batches(
-        self, cell_batch, reference, tmp_path
+    def test_real_interrupt_keeps_finished_jobs(
+        self, reference, tmp_path, monkeypatch
     ):
         suite = tiny_suite()
-        run_scenario_grid(
-            suite, cache_dir=tmp_path, max_cells=4, cell_batch=cell_batch
+        token = suite_token(suite)
+        interrupted_run(suite, tmp_path, monkeypatch)
+        # The first job checkpointed as it finished; nothing of the second.
+        first_job = [coords for coords, *_ in comparable(reference)[:4]]
+        assert sorted(load_completed_cells(tmp_path, suite, token)) == sorted(
+            first_job
         )
-        resumed = run_scenario_grid(
-            suite, cache_dir=tmp_path, resume=True, cell_batch=cell_batch
-        )
+        resumed = run_scenario_grid(suite, cache_dir=tmp_path, resume=True)
         assert comparable(resumed) == comparable(reference)
+        info = resumed.metadata["checkpointing"]
+        assert (info["loaded_cells"], info["executed_jobs"]) == (4, 1)
 
-    def test_resume_matches_at_float64(self, tmp_path):
-        suite = tiny_suite(precision="float64")
-        clear_caches()
-        reference = run_scenario_grid(suite)
-        run_scenario_grid(suite, cache_dir=tmp_path, max_cells=4)
+    def test_partial_job_recomputes_whole(self, reference, tmp_path):
+        suite = tiny_suite()
+        token = suite_token(suite)
+        full = run_scenario_grid(suite, cache_dir=tmp_path)
+        victim = cell_path(tmp_path, token, full.cells[1].coords)
+        victim.unlink()
+        resumed = run_scenario_grid(suite, cache_dir=tmp_path, resume=True)
+        assert comparable(resumed) == comparable(reference)
+        info = resumed.metadata["checkpointing"]
+        # The first job lost one entry: all four of its cells recompute.
+        assert (info["loaded_cells"], info["executed_jobs"]) == (4, 1)
+        assert victim.exists()
+
+    @pytest.mark.parametrize("cell_batch", (0, 1, 2))
+    def test_resume_matches_across_cell_batches(
+        self, cell_batch, reference, tmp_path, monkeypatch
+    ):
+        """The ignored ``cell_batch`` suite field changes no cell."""
+        suite = tiny_suite(cell_batch=cell_batch)
+        interrupted_run(suite, tmp_path, monkeypatch)
         resumed = run_scenario_grid(suite, cache_dir=tmp_path, resume=True)
         assert comparable(resumed) == comparable(reference)
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    def test_resume_matches_at_float64(self, tmp_path, monkeypatch):
+        suite = tiny_suite(precision="float64")
+        clear_caches()
+        reference = run_scenario_grid(suite)
+        interrupted_run(suite, tmp_path, monkeypatch)
+        resumed = run_scenario_grid(suite, cache_dir=tmp_path, resume=True)
+        assert comparable(resumed) == comparable(reference)
+
+    @pytest.mark.parametrize("executor", ("process",))
     def test_pool_executors_resume_bit_identically(
-        self, executor, reference, tmp_path
+        self, executor, reference, tmp_path, monkeypatch
     ):
         suite = tiny_suite()
-        run_scenario_grid(suite, cache_dir=tmp_path, max_cells=4)
+        interrupted_run(suite, tmp_path, monkeypatch)
         resumed = run_scenario_grid(
             suite,
             executor=executor,

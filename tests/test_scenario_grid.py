@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import TrainingConfig
@@ -18,8 +20,6 @@ from repro.sweep import (
     GridResult,
     ScenarioSuite,
     cell_seed,
-    chunk_level_keys,
-    resolve_cell_batch,
     run_scenario_grid,
     single_topology,
 )
@@ -49,6 +49,23 @@ def comparable(result: GridResult) -> list[tuple]:
     return [
         (cell.coords, cell.run.satisfied, cell.run.objective_values)
         for cell in result.cells
+    ]
+
+
+def by_coords(*results: GridResult) -> dict:
+    """Coords -> deterministic payload, merged over several results."""
+    return {
+        coords: payload
+        for result in results
+        for coords, *payload in comparable(result)
+    }
+
+
+def per_level(suite: ScenarioSuite) -> list[GridResult]:
+    """One grid per failure level: each level runs in a one-level stack."""
+    return [
+        run_scenario_grid(replace(suite, failure_counts=(count,)))
+        for count in suite.failure_counts
     ]
 
 
@@ -201,12 +218,6 @@ class TestRunScenarioGrid:
                     )
         assert comparable(serial_result) == expected
 
-    def test_thread_pool_matches_serial(self, suite, serial_result):
-        clear_caches()  # cold cache: concurrent jobs really build and train
-        threaded = run_scenario_grid(suite, executor="thread", max_workers=2)
-        assert comparable(threaded) == comparable(serial_result)
-        assert threaded.metadata["executor"] == "thread"
-
     def test_process_pool_matches_serial(self, suite, serial_result):
         clear_caches()  # cold cache: workers retrain rather than echo a fork
         forked = run_scenario_grid(suite, executor="process", max_workers=2)
@@ -261,50 +272,8 @@ class TestOnlineGrid:
         assert failed <= nominal + 1e-9
 
 
-class TestResolveCellBatch:
-    def test_default_is_fully_fused(self):
-        assert resolve_cell_batch(None) == 0
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_cell_batch(-1)
-        with pytest.raises(ReproError):
-            resolve_cell_batch("many")
-
-    def test_suite_validates_cell_batch(self):
-        assert tiny_suite(cell_batch=2).cell_batch == 2
-        with pytest.raises(ReproError):
-            tiny_suite(cell_batch=-1)
-
-
-class TestChunkLevelKeys:
-    def test_zero_fuses_everything(self):
-        assert chunk_level_keys([0, 1, 2], 0) == [[0, 1, 2]]
-
-    def test_one_is_the_per_cell_loop(self):
-        assert chunk_level_keys([0, 1, 2], 1) == [[0], [1], [2]]
-
-    def test_uneven_tail_chunk(self):
-        assert chunk_level_keys([0, 1, 2, 3, 4], 2) == [[0, 1], [2, 3], [4]]
-
-    def test_bound_at_least_length_fuses(self):
-        assert chunk_level_keys([0, 1], 5) == [[0, 1]]
-
-    def test_empty_keys(self):
-        assert chunk_level_keys([], 0) == []
-        assert chunk_level_keys([], 2) == []
-
-    def test_order_preserved(self):
-        chunks = chunk_level_keys([3, 0, 2], 2)
-        assert [key for chunk in chunks for key in chunk] == [3, 0, 2]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ReproError):
-            chunk_level_keys([0, 1], -1)
-
-
 class TestCellBatchedGrid:
-    """Batched execution must equal the per-cell loop bit for bit."""
+    """A cell's numbers do not depend on which levels share its stack."""
 
     @pytest.fixture(scope="class", params=("float32", "float64"))
     def suite(self, request) -> ScenarioSuite:
@@ -316,56 +285,62 @@ class TestCellBatchedGrid:
 
     @pytest.fixture(scope="class")
     def fused(self, suite) -> GridResult:
-        # cell_batch unset: resolves to 0, the fully-fused stack.
         return run_scenario_grid(suite)
 
-    @pytest.fixture(scope="class")
-    def chunked(self, suite) -> GridResult:
-        # 3 failure levels in chunks of 2: one full + one ragged chunk.
-        return run_scenario_grid(suite, cell_batch=2)
-
-    def test_fused_metadata(self, fused, chunked):
-        # One bucket per (topology, scheme). Fully fused: one stacked
-        # invocation per (job, scheme); chunks of 2 split 3 levels in two.
-        for result, cell_batch, invocations in ((fused, 0, 4), (chunked, 2, 8)):
-            assert result.metadata["cell_batch"] == cell_batch
-            assert result.metadata["cell_batching"] == {
-                "num_buckets": 4,
-                "num_invocations": invocations,
-            }
+    def test_fused_metadata(self, fused):
+        # One bucket per (topology, scheme), one stacked invocation per
+        # (job, scheme).
+        assert fused.metadata["cell_batching"] == {
+            "num_buckets": 4,
+            "num_invocations": 4,
+        }
+        assert "cell_batch" not in fused.metadata
 
     def test_per_cell_loop_matches_fused(self, suite, fused):
-        looped = run_scenario_grid(suite, cell_batch=1)
-        assert looped.metadata["cell_batch"] == 1
-        assert comparable(looped) == comparable(fused)
-        assert all(t["sweep_seconds"] > 0.0 for t in looped.timings)
+        """Every level run in a one-level suite equals its fused cell."""
+        looped = per_level(suite)
+        assert by_coords(*looped) == by_coords(fused)
+        assert all(t["sweep_seconds"] > 0.0 for r in looped for t in r.timings)
 
-    def test_uneven_chunks_match_fused(self, chunked, fused):
-        assert comparable(chunked) == comparable(fused)
+    def test_uneven_chunks_match_fused(self, suite, fused):
+        head = run_scenario_grid(replace(suite, failure_counts=(0, 1)))
+        tail = run_scenario_grid(replace(suite, failure_counts=(2,)))
+        assert by_coords(head, tail) == by_coords(fused)
 
     def test_argument_overrides_suite_field(self, suite, fused):
-        pinned = ScenarioSuite.from_dict({**suite.to_dict(), "cell_batch": 1})
-        overridden = run_scenario_grid(pinned, cell_batch=2)
-        assert overridden.metadata["cell_batch"] == 2
-        assert comparable(overridden) == comparable(fused)
+        """No argument can chunk a grid any more; the suite field stays inert."""
+        pinned = ScenarioSuite.from_dict({**suite.to_dict(), "cell_batch": 2})
+        with pytest.raises(TypeError):
+            run_scenario_grid(pinned, cell_batch=1)
+        assert comparable(run_scenario_grid(pinned)) == comparable(fused)
 
     def test_env_overridden_by_suite_field(self, suite, fused):
-        """With no argument, the suite field sets the chunk bound."""
-        pinned = ScenarioSuite.from_dict({**suite.to_dict(), "cell_batch": 1})
-        result = run_scenario_grid(pinned)
-        assert result.metadata["cell_batch"] == 1
-        assert comparable(result) == comparable(fused)
+        """``cell_batch`` is kept for old specs only: no value chunks a job."""
+        for cell_batch in (0, 1):
+            pinned = ScenarioSuite.from_dict(
+                {**suite.to_dict(), "cell_batch": cell_batch}
+            )
+            result = run_scenario_grid(pinned)
+            assert "cell_batch" not in result.metadata
+            assert result.metadata["cell_batching"] == (
+                fused.metadata["cell_batching"]
+            )
+            assert comparable(result) == comparable(fused)
 
 
 class TestOnlineCellBatchedGrid:
     def test_online_chunks_match_fused(self):
-        suite = tiny_suite(
-            failure_counts=(0, 1, 2), mode="online", test=3, failure_at=1
-        )
-        fused = run_scenario_grid(suite)
-        for cell_batch in (1, 2):
-            chunked = run_scenario_grid(suite, cell_batch=cell_batch)
-            assert comparable(chunked) == comparable(fused)
+        """Online: every level run alone equals its fused cell."""
+        for precision in ("float32", "float64"):
+            suite = tiny_suite(
+                failure_counts=(0, 1, 2),
+                mode="online",
+                test=3,
+                failure_at=1,
+                precision=precision,
+            )
+            fused = run_scenario_grid(suite)
+            assert by_coords(*per_level(suite)) == by_coords(fused)
 
 
 class TestGridResultJson:
