@@ -6,8 +6,9 @@ an idle machine, so noisy shared CI runners do not fail unrelated
 changes. Correctness twins of these gates (batched == looped, fused ==
 naive, float32 ~ float64, warm quality ~ cold quality) live in the
 tier-1 suite under ``tests/``. The equality checks kept here either make
-a timing comparison honest (naive ADMM == fused) or need the full
-five-topology grid (warm cache == cold), too slow for tier-1.
+a timing comparison honest (naive ADMM ~ fused, within the tier-1
+reference tolerance) or need the full five-topology grid (warm cache ==
+cold), too slow for tier-1.
 
 Nothing is written outside pytest's temporary directories. Run with::
 
@@ -23,6 +24,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import REFERENCE_TOL, naive_admm_batch
 
 from repro.config import AdmmConfig, TrainingConfig
 from repro.core import (
@@ -33,7 +35,6 @@ from repro.core import (
     TealScheme,
     transfer_weights,
 )
-from repro.core.admm import _project_ratios
 from repro.harness import (
     build_scenario,
     clear_caches,
@@ -152,8 +153,8 @@ def test_batched_evaluation():
         return evaluate_allocations_batch(pathset, ratios, demands)
 
     looped(), batched()  # warm-up
-    looped_s = best_of(looped, 3)
-    batched_s = best_of(batched, 3)
+    looped_s = best_of(looped, 7)
+    batched_s = best_of(batched, 7)
     assert looped_s / batched_s >= 3.0, (looped_s, batched_s)
 
 
@@ -208,87 +209,6 @@ def precision_batch():
     return scenario, demands, trained
 
 
-def _naive_admm_batch(tuner: AdmmFineTuner, ratios, demands) -> np.ndarray:
-    """The pre-fusion float64 ADMM loop (one fresh ndarray per op).
-
-    A reimplementation of the elementwise update chains the fused
-    kernels replaced. It must equal ``fine_tune_batch`` at float64 bit
-    for bit, which is what makes it an honest timing baseline.
-    """
-    s = tuner.structures
-    ps = tuner.pathset
-    num_matrices = demands.shape[0]
-    capacities = np.broadcast_to(
-        ps.topology.capacities, (num_matrices, ps.topology.num_edges)
-    )
-    pos_mean = np.array([float(row[row > 0].mean()) for row in capacities])
-    scale = np.maximum(pos_mean, 1e-9)[:, None]
-    d_norm = demands / scale
-    c_norm = capacities / scale
-    rho = tuner.config.rho
-    d_p = d_norm[:, s.path_demand]
-    w_p = tuner.path_values
-    a = np.maximum(d_p * d_p * s.hops, 1e-9)
-    F = np.clip(ratios, 0.0, 1.0)
-    F_flat = np.zeros((num_matrices, s.num_paths))
-    valid = ps.path_mask
-    F_flat[:, ps.demand_path_ids[valid]] = F[:, valid]
-    z = (F_flat * d_p)[:, s.pair_path]
-    sum_z = tuner._pair_to_edge.sum(z)
-    s1 = np.maximum(0.0, 1.0 - tuner._path_to_demand.sum(F_flat))
-    s3 = np.maximum(0.0, c_norm - sum_z)
-    # Complementary-slackness dual warm start (same as the fused path).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        warm_util = np.where(
-            c_norm > 0,
-            sum_z / np.maximum(c_norm, 1e-9),
-            np.where(sum_z > 1e-9, np.inf, 0.0),
-        )
-    congestion_price = (warm_util > 1.0).astype(float)
-    path_price = tuner._pair_to_path.sum(congestion_price[:, s.pair_edge])
-    reduced_value = np.maximum(0.0, w_p - path_price)
-    lam1 = tuner._path_to_demand.max(d_p) * tuner._path_to_demand.max(
-        reduced_value
-    )
-    lam3 = np.zeros((num_matrices, s.num_edges))
-    lam4 = np.zeros((num_matrices, len(s.pair_path)))
-    for _ in range(tuner.iterations):
-        lam4_pp = tuner._pair_to_path.sum(lam4)
-        z_pp = tuner._pair_to_path.sum(z)
-        b = (
-            d_p * w_p
-            - lam1[:, s.path_demand]
-            - d_p * lam4_pp
-            + rho * (1.0 - s1[:, s.path_demand])
-            + rho * d_p * z_pp
-        )
-        inv_a = 1.0 / a
-        correction = tuner._path_to_demand.sum(b * inv_a) / (
-            1.0 + tuner._path_to_demand.sum(inv_a)
-        )
-        F_flat = np.clip(
-            (inv_a / rho) * (b - correction[:, s.path_demand]), 0.0, 1.0
-        )
-        beta = (
-            -lam3[:, s.pair_edge]
-            + lam4
-            + rho * (c_norm - s3)[:, s.pair_edge]
-            + rho * (F_flat * d_p)[:, s.pair_path]
-        )
-        sum_beta = tuner._pair_to_edge.sum(beta)
-        z = (beta - (sum_beta / (1.0 + s.paths_per_edge))[:, s.pair_edge]) / rho
-        sum_F = tuner._path_to_demand.sum(F_flat)
-        sum_z = tuner._pair_to_edge.sum(z)
-        s1 = np.maximum(0.0, (1.0 - sum_F) - lam1 / rho)
-        s3 = np.maximum(0.0, (c_norm - sum_z) - lam3 / rho)
-        lam1 += rho * (sum_F + s1 - 1.0)
-        lam3 += rho * (sum_z + s3 - c_norm)
-        lam4 += rho * ((F_flat * d_p)[:, s.pair_path] - z)
-    out = np.zeros_like(F)
-    out[:, valid] = F_flat[:, ps.demand_path_ids[valid]]
-    return _project_ratios(out)
-
-
 def test_fused_forward(precision_batch):
     """Fused forward: float64 >= 1.05x and float32 >= 1.2x the naive
     float64 Tensor path, with a smaller float32 temporary footprint."""
@@ -302,7 +222,7 @@ def test_fused_forward(precision_batch):
         model = TealModel(scenario.pathset, seed=0).astype(dtype)
         run = functools.partial(model.split_ratios_batch, demands, fused=fused)
         run()  # warm-up: first-call costs, workspace buffers
-        seconds[name] = best_of(run, PRECISION_REPEATS)
+        seconds[name] = best_of(run, 7)
         peak[name] = _peak_bytes(run)
     assert seconds["naive64"] / seconds["fused64"] >= 1.05, seconds
     assert seconds["naive64"] / seconds["fused32"] >= 1.2, seconds
@@ -310,13 +230,16 @@ def test_fused_forward(precision_batch):
 
 
 def test_fused_admm(precision_batch):
-    """Fused float32 ADMM >= 1.0x the naive float64 loop, with a smaller
-    temporary footprint; the naive loop equals fused float64 exactly."""
+    """Fused float32 ADMM >= 1.0x the naive incidence-level float64 loop,
+    with a smaller temporary footprint; the naive loop agrees with fused
+    float64 within the tier-1 reference tolerance (the two compute
+    different, equivalent arithmetic)."""
     scenario, demands, trained = precision_batch
     ratios = trained.model.split_ratios_batch(demands).astype(float)
     baseline = AdmmFineTuner(scenario.pathset, AdmmConfig(iterations=12))
-    naive = functools.partial(_naive_admm_batch, baseline, ratios, demands)
-    assert np.array_equal(naive(), baseline.fine_tune_batch(ratios, demands))
+    naive = functools.partial(naive_admm_batch, baseline, ratios, demands)
+    gap = np.abs(naive() - baseline.fine_tune_batch(ratios, demands)).max()
+    assert gap <= REFERENCE_TOL[12], gap
     naive_s = best_of(naive, PRECISION_REPEATS)
     naive_peak = _peak_bytes(naive)
     tuner32 = AdmmFineTuner(

@@ -49,11 +49,12 @@ import numpy as np
 from .exceptions import ReproError
 
 #: Schema version stamped into every cache entry; bump on layout
-#: changes. Readers treat any other stamp as a miss and rebuild, so a
-#: long-lived cache directory never deserializes a stale layout.
+#: changes or when stored results change. Readers treat any other stamp
+#: as a miss and rebuild, so a long-lived cache directory never
+#: deserializes a stale layout or mixes old results into a resumed run.
 #: Entries written before the shared format (version 1 and unstamped)
 #: read as stale.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 #: Entry kinds this module manages (``{kind}-*.npz``). Anything else in
 #: the directory (user files, other artifacts) is left alone.

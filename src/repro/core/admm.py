@@ -16,10 +16,29 @@ Each ADMM iteration minimizes the augmented Lagrangian blockwise. Both
 the F-block (per demand, ≤k variables) and the z-block (per edge)
 reduce to rank-1-plus-diagonal linear systems solved in closed form via
 Sherman-Morrison — every demand/edge independently, which is the
-parallelism §3.4 highlights; here it appears as flat numpy vector math
-over all demands/edges at once. The F >= 0 bound is enforced by
-projection after each F-step (standard practice for box constraints in
-ADMM fine-tuners).
+parallelism §3.4 highlights. The F >= 0 bound is enforced by projection
+after each F-step (standard practice for box constraints in ADMM
+fine-tuners).
+
+**Edge-space form.** No iterate is stored per incidence. With
+``load_e = sum_{p ∋ e} F_p d_p`` and ``m_e`` paths on edge ``e``, the
+z-step and the G4 dual step leave, after every iteration,
+
+    q_e    = -lam3_e + mu_e + rho (c_e - s3_e)
+    sb_e   = (m_e q_e + rho load_e) / (1 + m_e)
+    h_e    = (q_e - sb_e) / rho  =  (q_e / rho - load_e) / (1 + m_e)
+    z_pe   = F_p d_p + h_e,        lam4_pe = mu_e,   mu <- mu - rho h
+
+(warm start: ``h = mu = 0``). Substituting, the F-step's incidence terms
+become ``d_p (rho hops_p F_p d_p + A^T (rho h - mu))``, with F from the
+previous iteration, and
+``sum_p z_pe = load_e + m_e h_e``, with ``A`` the (E, P) edge-path
+incidence. An iteration therefore costs one ``A @ (F d)`` and one
+``A^T @ (rho h - mu)`` sparse product plus vector math over paths,
+edges and demands. Iterates are stored node-major, (N, T) for a stack
+of T matrices, so each sparse product is one ``csr_matvecs`` call whose
+per-element sums run in a fixed order whatever T is (see
+:func:`~repro.core.batching.csr_matmul_into`).
 
 Warm-starting from the network output is essential: §3.4 notes randomly
 initialized ADMM would need far more iterations (benchmarked in
@@ -36,9 +55,8 @@ the deployed pipeline guards this with an objective acceptance check
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse as sp
 
 from ..config import AdmmConfig
 from ..exceptions import ModelError
@@ -46,14 +64,12 @@ from ..nn.precision import EVALUATION_DTYPE, resolve_precision
 from ..paths.pathset import PathSet
 from ..topology.graph import broadcast_capacities
 from .batching import (
-    SegmentOps,
     Workspace,
     admm_dual_step_,
     admm_f_rhs_into,
     admm_f_solve_into,
     admm_slack_into,
-    admm_z_rhs_into,
-    admm_z_solve_into,
+    csr_matmul_into,
 )
 
 _EPS = 1e-9
@@ -73,36 +89,6 @@ def _project_ratios(ratios: np.ndarray) -> np.ndarray:
     return np.where(sums > 1.0, ratios / np.maximum(sums, _EPS), ratios)
 
 
-@dataclass
-class _AdmmStructures:
-    """Static index structures shared by every ADMM run on a pathset."""
-
-    pair_path: np.ndarray  # (I,) path id of each (path, edge) incidence
-    pair_edge: np.ndarray  # (I,) edge id of each incidence
-    hops: np.ndarray  # (P,) edges per path (n_p)
-    paths_per_edge: np.ndarray  # (E,) paths per edge (m_e)
-    num_paths: int
-    num_edges: int
-    num_demands: int
-    path_demand: np.ndarray  # (P,)
-
-
-def _build_structures(pathset: PathSet) -> _AdmmStructures:
-    coo = pathset.edge_path_incidence.tocoo()
-    return _AdmmStructures(
-        pair_path=coo.col.astype(np.int64),
-        pair_edge=coo.row.astype(np.int64),
-        hops=pathset.path_hop_counts.astype(EVALUATION_DTYPE),
-        paths_per_edge=np.asarray(
-            pathset.edge_path_incidence.sum(axis=1)
-        ).reshape(-1),
-        num_paths=pathset.num_paths,
-        num_edges=pathset.topology.num_edges,
-        num_demands=pathset.num_demands,
-        path_demand=pathset.path_demand,
-    )
-
-
 class AdmmFineTuner:
     """Runs warm-started ADMM iterations on an allocation (§3.4).
 
@@ -112,12 +98,10 @@ class AdmmFineTuner:
             the paper's 2 (<100 nodes) or 5 iterations automatically.
         path_values: Optional per-path per-unit-flow objective weights
             (1 for total flow; the delay-penalized weights otherwise).
-        precision: Storage dtype of the F/z/s/dual iterates (default
-            float64). Segment sums always *accumulate* in float64
-            (``np.bincount``) and the deployment acceptance check scores
-            candidates through the float64 evaluator, so float32 storage
-            perturbs the iterates but not the accept/reject decisions —
-            see :mod:`repro.nn.precision`.
+        precision: dtype of the returned ratios (default float64). The
+            iterates are O(P + E) per matrix and always float64, and the
+            acceptance check scores candidates through the float64
+            evaluator — see :mod:`repro.nn.precision`.
     """
 
     def __init__(
@@ -130,7 +114,6 @@ class AdmmFineTuner:
         self.pathset = pathset
         self.config = config if config is not None else AdmmConfig()
         self.precision = resolve_precision(precision)
-        self.structures = _build_structures(pathset)
         if path_values is None:
             path_values = np.ones(pathset.num_paths)
         path_values = np.asarray(path_values, dtype=EVALUATION_DTYPE)
@@ -140,31 +123,38 @@ class AdmmFineTuner:
         self.iterations = self.config.resolve_iterations(
             pathset.topology.num_nodes
         )
-        # Tiled-index segment ops: the batched fine-tuner runs the same
-        # flat bincount/scatter primitives as the per-TM path over a
-        # (T, ...) stack (see core.batching), so both agree bit for bit.
-        s = self.structures
-        self._pair_to_path = SegmentOps(s.pair_path, s.num_paths)
-        self._pair_to_edge = SegmentOps(s.pair_edge, s.num_edges)
-        self._path_to_demand = SegmentOps(s.path_demand, s.num_demands)
-        # Preallocated buffers of the fused update loop (keyed by batch
-        # shape and dtype, so a sweep of equal-sized stacks never
-        # re-allocates) and per-dtype casts of the static structures.
+        # Static structure, node-major to match the (N, T) iterates: the
+        # (E, P) incidence A, its transpose, the (D, P) demand-path
+        # membership, and per-path/per-edge columns.
+        self._incidence = pathset.edge_path_incidence
+        self._incidence_t = self._incidence.T.tocsr()
+        self._demand_paths = sp.csr_matrix(
+            (
+                np.ones(pathset.num_paths, dtype=EVALUATION_DTYPE),
+                (pathset.path_demand, np.arange(pathset.num_paths)),
+            ),
+            shape=(pathset.num_demands, pathset.num_paths),
+        )
+        hops = pathset.path_hop_counts.astype(EVALUATION_DTYPE)
+        self._hops = hops[:, None]
+        self._rho_hops = (self.config.rho * hops)[:, None]
+        self._w_p = path_values[:, None]
+        self._paths_per_edge = np.asarray(self._incidence.sum(axis=1))  # (E, 1)
+        self._one_plus_ppe = 1.0 + self._paths_per_edge
+        # Each demand's k path slots, padding pointing at row P (a zero
+        # row appended by _demand_max).
+        self._demand_slots = np.where(
+            pathset.path_mask, pathset.demand_path_ids, pathset.num_paths
+        )
+        # Preallocated iterates and scratch (keyed by name; a sweep of
+        # equal-sized stacks never re-allocates).
         self._workspace = Workspace()
-        self._static_cache: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _static_arrays(
-        self, dtype: np.dtype
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(path_values, 1 + paths_per_edge) cast to ``dtype``."""
-        cached = self._static_cache.get(dtype.name)
-        if cached is None:
-            cached = (
-                self.path_values.astype(dtype, copy=False),
-                (1.0 + self.structures.paths_per_edge).astype(dtype, copy=False),
-            )
-            self._static_cache[dtype.name] = cached
-        return cached
+    def _demand_max(self, x: np.ndarray) -> np.ndarray:
+        """Per-demand max of a non-negative (P, T) stack over the demand's
+        paths: (D, T), 0 for a demand without paths."""
+        padded = np.concatenate([x, np.zeros_like(x[:1])])
+        return padded[self._demand_slots].max(axis=1)
 
     def fine_tune(
         self,
@@ -184,10 +174,8 @@ class AdmmFineTuner:
         Returns:
             (D, k) fine-tuned split ratios (clipped to the simplex box).
         """
-        # One code path for both shapes: the batched fine-tuner with T=1
-        # reproduces the historical per-TM loop bit for bit (the tiled
-        # segment primitives accumulate in the same order), so the
-        # single-TM entry point simply runs the stack of one.
+        # One code path for both shapes: the batched fine-tuner on a
+        # stack of one.
         ratios = np.asarray(split_ratios)
         demands = np.asarray(demands)
         if capacities is not None:
@@ -206,11 +194,11 @@ class AdmmFineTuner:
         """Fine-tune a (T, ...) stack of allocations in one vectorized run.
 
         The per-demand/per-edge independence of the F/z/s/dual blocks
-        (§3.4) makes each ADMM update flat vector math over segment
-        reductions; adding the matrix axis only tiles those segment
-        indices (see :mod:`repro.core.batching`), so T matrices cost T
-        times the arithmetic but a single pass of Python — and row ``t``
-        reproduces :meth:`fine_tune` on slice ``t`` exactly.
+        (§3.4) makes each ADMM update flat vector math over the stack's
+        columns. Every sum runs in a fixed order per element, so T
+        matrices cost T times the arithmetic but a single pass of Python
+        — and row ``t`` reproduces :meth:`fine_tune` on slice ``t``
+        exactly.
 
         Args:
             split_ratios: (T, D, k) warm-start ratios (e.g. batched model
@@ -221,76 +209,68 @@ class AdmmFineTuner:
             iterations: Override the configured iteration count.
 
         Returns:
-            (T, D, k) fine-tuned split ratios.
+            (T, D, k) fine-tuned split ratios in the tuner's precision.
         """
-        s = self.structures
-        dtype = self.precision
-        split_ratios = np.asarray(split_ratios, dtype=dtype)
-        demands = np.asarray(demands, dtype=dtype)
+        f64 = EVALUATION_DTYPE
+        ps = self.pathset
+        split_ratios = np.asarray(split_ratios, dtype=f64)
+        demands = np.asarray(demands, dtype=f64)
         num_matrices = demands.shape[0]
         if capacities is None:
-            capacities = self.pathset.topology.capacities
+            capacities = ps.topology.capacities
         capacities = np.asarray(
-            broadcast_capacities(np.asarray(capacities), num_matrices), dtype=dtype
+            broadcast_capacities(np.asarray(capacities), num_matrices), dtype=f64
         )
         iters = self.iterations if iterations is None else int(iterations)
         if iters <= 0 or num_matrices == 0:
-            return _project_ratios(split_ratios)
+            return _project_ratios(split_ratios).astype(self.precision, copy=False)
 
-        # The F-block's Sherman-Morrison solve always runs in the
-        # accumulation dtype (float64): its 1/max(d^2 * hops, eps)
-        # diagonal reaches ~1e5 for small demands, so float32 rounding of
-        # the cancellation-heavy right-hand side would be amplified into
-        # ~1e-4 allocation drift (measured on UsCarrier). With the solve
-        # in float64 and the z/s/dual iterates stored single precision,
-        # float32 tracks float64 within ~1e-6 delivered flow.
-        solve = EVALUATION_DTYPE
-        mixed = dtype != solve
-        w_p, one_plus_ppe = self._static_arrays(dtype)
         ws = self._workspace
-        num_pairs = len(s.pair_path)
-        shape_tp = (num_matrices, s.num_paths)
-        shape_ti = (num_matrices, num_pairs)
-        shape_te = (num_matrices, s.num_edges)
-        shape_td = (num_matrices, s.num_demands)
+        shape_p = (ps.num_paths, num_matrices)
+        shape_e = (ps.topology.num_edges, num_matrices)
+        shape_d = (ps.num_demands, num_matrices)
+        A, A_t, Dm = self._incidence, self._incidence_t, self._demand_paths
+        path_demand = ps.path_demand
 
         # Per-matrix scale normalization (rho stays scale-free per TM),
-        # computed row by row with the same compacted mean as the
-        # historical per-TM loop — a masked whole-row sum can differ in
-        # the last ulp, which would break bit-for-bit parity.
+        # computed row by row so a row's scale is independent of T.
         pos_mean = np.asarray(
             [
                 float(row[row > 0].mean()) if (row > 0).any() else 1.0
                 for row in capacities
             ]
         )
-        scale = np.maximum(pos_mean, _EPS).astype(dtype)[:, None]  # (T, 1)
-        d_norm = demands / scale
-        c_norm = capacities / scale
+        scale = np.maximum(pos_mean, _EPS)[:, None]  # (T, 1)
+        d_norm = np.ascontiguousarray((demands / scale).T)  # (D, T)
+        c_norm = np.ascontiguousarray((capacities / scale).T)  # (E, T)
         rho = self.config.rho
 
-        d_p = d_norm[:, s.path_demand]  # (T, P)
-        d_p_solve = d_p.astype(solve) if mixed else d_p
-        w_p_solve = self.path_values  # float64 master
-        a = np.maximum(d_p_solve * d_p_solve * s.hops, _EPS)
-        # Loop invariants of the F-solve, hoisted (identical values).
+        d_p = np.take(d_norm, path_demand, axis=0)  # (P, T)
+        a = np.maximum(d_p * d_p * self._hops, _EPS)
         inv_a = 1.0 / a
         inv_a_over_rho = inv_a / rho
-        correction_denom = 1.0 + self._path_to_demand.sum(inv_a)
+        correction_denom = ws.buffer("correction_denom", shape_d, f64)
+        csr_matmul_into(Dm, inv_a, correction_denom)
+        correction_denom += 1.0
 
-        # Warm start (primal), stacked.
-        F = np.clip(split_ratios, 0.0, 1.0)
-        F_flat = np.zeros(shape_tp, dtype=dtype)
-        valid = self.pathset.path_mask
-        F_flat[:, self.pathset.demand_path_ids[valid]] = F[:, valid]
-        z = ws.buffer("z", shape_ti, dtype)
-        flow_pairs = ws.buffer("flow_pairs", shape_ti, dtype)  # (F*d) gathers
-        tp_buf = ws.buffer("tp", shape_tp, dtype)  # per-path scratch
-        np.multiply(F_flat, d_p, out=tp_buf)
-        np.take(tp_buf, s.pair_path, axis=1, out=z)  # z_pe = F_p * d_p
-        sum_z = self._pair_to_edge.sum(z, dtype=dtype)
-        s1 = np.maximum(0.0, 1.0 - self._path_to_demand.sum(F_flat, dtype=dtype))
-        s3 = np.maximum(0.0, c_norm - sum_z)
+        # Warm start (primal): F from the ratios, z = F*d (h = 0).
+        valid = ps.path_mask
+        path_ids = ps.demand_path_ids[valid]
+        F = ws.buffer("F", shape_p, f64)
+        F.fill(0.0)
+        F[path_ids] = np.clip(split_ratios, 0.0, 1.0)[:, valid].T
+        fd = ws.buffer("fd", shape_p, f64)  # F * d, the path flows
+        np.multiply(F, d_p, out=fd)
+        load = ws.buffer("load", shape_e, f64)  # A @ fd
+        csr_matmul_into(A, fd, load)
+        sum_F = ws.buffer("sum_F", shape_d, f64)
+        csr_matmul_into(Dm, F, sum_F)
+        s1 = ws.buffer("s1", shape_d, f64)
+        np.subtract(1.0, sum_F, out=s1)
+        np.maximum(s1, 0.0, out=s1)
+        s3 = ws.buffer("s3", shape_e, f64)
+        np.subtract(c_norm, load, out=s3)
+        np.maximum(s3, 0.0, out=s3)
         # Dual warm start via complementary slackness: lam1_d estimates
         # the marginal value of demand d's constraint. Saturated edges
         # carry a unit congestion price; a demand's marginal value is its
@@ -302,82 +282,74 @@ class AdmmFineTuner:
         with np.errstate(divide="ignore", invalid="ignore"):
             warm_util = np.where(
                 c_norm > 0,
-                sum_z / np.maximum(c_norm, _EPS),
-                np.where(sum_z > _EPS, np.inf, 0.0),
+                load / np.maximum(c_norm, _EPS),
+                np.where(load > _EPS, np.inf, 0.0),
             )
-        congestion_price = (warm_util > 1.0).astype(dtype)
-        path_price = self._pair_to_path.sum(
-            congestion_price[:, s.pair_edge], dtype=dtype
+        congestion_price = (warm_util > 1.0).astype(f64)
+        b = ws.buffer("b", shape_p, f64)  # F-rhs; path_price at warm start
+        csr_matmul_into(A_t, congestion_price, b)
+        reduced_value = np.maximum(0.0, self._w_p - b)
+        lam1 = ws.buffer("lam1", shape_d, f64)
+        np.multiply(
+            self._demand_max(d_p), self._demand_max(reduced_value), out=lam1
         )
-        reduced_value = np.maximum(0.0, w_p - path_price)
-        best_reduced = self._path_to_demand.max(reduced_value)
-        demand_volume = self._path_to_demand.max(d_p)
-        lam1 = demand_volume * best_reduced
-        lam3 = np.zeros(shape_te, dtype=dtype)
-        lam4 = np.zeros(shape_ti, dtype=dtype)
+        lam3 = ws.buffer("lam3", shape_e, f64)
+        mu = ws.buffer("mu", shape_e, f64)  # lam4_pe = mu_e
+        h = ws.buffer("h", shape_e, f64)  # z_pe = F_p d_p + h_e
+        for buf in (lam3, mu, h):
+            buf.fill(0.0)
 
-        # Per-iteration scratch (preallocated; see core.batching). The
-        # F-solve buffers live in the accumulation dtype.
-        b = ws.buffer("b", shape_tp, solve)
-        tp_solve = ws.buffer("tp_solve", shape_tp, solve)
-        gather_p = ws.buffer("gather_p", shape_tp, dtype)
-        f_solve = ws.buffer("f_solve", shape_tp, solve) if mixed else F_flat
-        tp_scratch = ws.buffer("tp_scratch", shape_tp, dtype)
-        beta = ws.buffer("beta", shape_ti, dtype)
-        ti_buf = ws.buffer("ti", shape_ti, dtype)
-        te_buf = ws.buffer("te", shape_te, dtype)
-        td_buf = ws.buffer("td", shape_td, dtype)
+        # Per-iteration scratch.
+        tp = ws.buffer("tp", shape_p, f64)
+        coupling = ws.buffer("coupling", shape_p, f64)
+        lam1_g = ws.buffer("lam1_g", shape_p, f64)
+        te = ws.buffer("te", shape_e, f64)
+        td = ws.buffer("td", shape_d, f64)
+        sum_z = ws.buffer("sum_z", shape_e, f64)
 
         for _ in range(iters):
             # ---- F-update: per-demand rank-1 + diagonal system ---------
-            # Segment sums come out of bincount in float64 — exactly the
-            # accumulation dtype the solve wants.
-            lam4_per_path = self._pair_to_path.sum(lam4)
-            z_per_path = self._pair_to_path.sum(z)
-            np.take(lam1, s.path_demand, axis=1, out=gather_p)  # lam1 gather
-            np.take(s1, s.path_demand, axis=1, out=tp_scratch)  # s1 gather
-            admm_f_rhs_into(
-                d_p_solve, w_p_solve, gather_p, lam4_per_path, tp_scratch,
-                z_per_path, rho, b, tp_solve,
-            )
-            np.multiply(b, inv_a, out=tp_solve)
-            correction = self._path_to_demand.sum(tp_solve)
-            correction /= correction_denom
-            np.take(correction, s.path_demand, axis=1, out=tp_solve)
-            admm_f_solve_into(b, inv_a_over_rho, tp_solve, f_solve)
-            if mixed:
-                np.copyto(F_flat, f_solve)  # store single precision
+            # coupling = rho*hops*fd + A^T(rho*h - mu), the z/lam4 terms
+            np.multiply(h, rho, out=te)
+            te -= mu
+            csr_matmul_into(A_t, te, coupling)
+            np.multiply(fd, self._rho_hops, out=tp)
+            coupling += tp
+            np.take(lam1, path_demand, axis=0, out=lam1_g)
+            np.take(s1, path_demand, axis=0, out=tp)
+            admm_f_rhs_into(d_p, self._w_p, lam1_g, tp, coupling, rho, b, tp)
+            np.multiply(b, inv_a, out=tp)
+            csr_matmul_into(Dm, tp, td)
+            td /= correction_denom
+            np.take(td, path_demand, axis=0, out=tp)
+            admm_f_solve_into(b, inv_a_over_rho, tp, F)
 
-            # ---- z-update: per-edge rank-1 + identity system ------------
-            np.subtract(c_norm, s3, out=te_buf)
-            np.take(te_buf, s.pair_edge, axis=1, out=ti_buf)  # (c - s3) gather
-            np.multiply(F_flat, d_p, out=tp_buf)
-            np.take(tp_buf, s.pair_path, axis=1, out=flow_pairs)  # F*d gather
-            np.take(lam3, s.pair_edge, axis=1, out=beta)  # lam3 gather
-            admm_z_rhs_into(beta, lam4, ti_buf, flow_pairs, rho, beta)
-            sum_beta = self._pair_to_edge.sum(beta, dtype=dtype)
-            sum_beta /= one_plus_ppe
-            np.take(sum_beta, s.pair_edge, axis=1, out=ti_buf)
-            admm_z_solve_into(beta, ti_buf, rho, z)
+            # ---- z-update in edge space: h = (q/rho - load) / (1 + m) ---
+            np.multiply(F, d_p, out=fd)
+            csr_matmul_into(A, fd, load)
+            np.subtract(mu, lam3, out=h)
+            h /= rho
+            h += c_norm
+            h -= s3
+            h -= load
+            h /= self._one_plus_ppe
 
             # ---- s-updates (non-negative slacks) -------------------------
-            sum_F = self._path_to_demand.sum(F_flat, dtype=dtype)
-            sum_z = self._pair_to_edge.sum(z, dtype=dtype)
-            admm_slack_into(1.0, sum_F, lam1, rho, s1, td_buf)
-            admm_slack_into(c_norm, sum_z, lam3, rho, s3, te_buf)
+            csr_matmul_into(Dm, F, sum_F)
+            np.multiply(h, self._paths_per_edge, out=sum_z)
+            sum_z += load
+            admm_slack_into(1.0, sum_F, lam1, rho, s1, td)
+            admm_slack_into(c_norm, sum_z, lam3, rho, s3, te)
 
             # ---- dual updates -------------------------------------------
-            admm_dual_step_(lam1, sum_F, s1, 1.0, rho, td_buf)
-            admm_dual_step_(lam3, sum_z, s3, c_norm, rho, te_buf)
-            np.multiply(F_flat, d_p, out=tp_buf)
-            np.take(tp_buf, s.pair_path, axis=1, out=flow_pairs)
-            np.subtract(flow_pairs, z, out=flow_pairs)
-            flow_pairs *= rho
-            lam4 += flow_pairs
+            admm_dual_step_(lam1, sum_F, s1, 1.0, rho, td)
+            admm_dual_step_(lam3, sum_z, s3, c_norm, rho, te)
+            np.multiply(h, rho, out=te)
+            mu -= te
 
-        ratios = np.zeros_like(F)
-        ratios[:, valid] = F_flat[:, self.pathset.demand_path_ids[valid]]
-        return _project_ratios(ratios)
+        ratios = np.zeros_like(split_ratios)
+        ratios[:, valid] = F[path_ids].T
+        return _project_ratios(ratios).astype(self.precision, copy=False)
 
     def refine(
         self,

@@ -3,9 +3,9 @@
 Two families of primitives live here, both shared across the training,
 inference, and ADMM stacks:
 
-**Segment ops.** The per-matrix math in COMA*'s decomposable reward and
-in the ADMM fine-tuner is built from three flat-index primitives over
-fixed integer maps (path -> demand, incidence pair -> edge, ...):
+**Segment ops.** The per-matrix math in COMA*'s decomposable reward is
+built from three flat-index primitives over fixed integer maps
+(path -> demand, incidence pair -> edge, ...):
 ``np.bincount`` segment sums, ``np.maximum.at`` segment maxima, and
 plain gathers. All of them extend to a leading (T,) batch axis by
 *tiling*: offset the index array by ``t * num_segments`` for batch
@@ -13,11 +13,12 @@ element ``t`` and run the same 1-D primitive over the flattened (T * N,)
 weights. Because every segment still accumulates its elements in the
 original order, the tiled result is bit-identical to running the
 per-matrix primitive T times — which is what lets the batched trainers
-and ``fine_tune_batch`` reproduce the per-TM loops to machine precision
-instead of merely "close". Segment sums always *accumulate* in float64
-(``np.bincount``'s accumulator) whatever the storage dtype — the
-"float64 accumulation" half of the precision policy
-(:mod:`repro.nn.precision`).
+reproduce the per-TM loops to machine precision instead of merely
+"close". The ADMM fine-tuner gets the same guarantee from
+:func:`csr_matmul_into` over node-major (N, T) stacks. Segment sums
+always *accumulate* in float64 (``np.bincount``'s accumulator) whatever
+the storage dtype — the "float64 accumulation" half of the precision
+policy (:mod:`repro.nn.precision`).
 
 **Fused kernels.** The FlowGNN forward and the ADMM update loop are
 chains of elementwise ops; written naively each op allocates a fresh
@@ -47,11 +48,9 @@ kernel                   writes            inout        scratch     may alias
 ``take_rows_into``       out               —            —           —
 ``padded_take_rows_into`` out              —            —           —
 ``masked_softmax_into``  out               —            reduce_buf  logits == out
-``admm_f_rhs_into``      out               —            tmp         —
+``admm_f_rhs_into``      out               —            coupling,   s1_g == tmp
+                                                        tmp
 ``admm_f_solve_into``    out               —            —           —
-``admm_z_rhs_into``      out               slack_g,     —           lam3_g == out
-                                           flow_g
-``admm_z_solve_into``    out               —            —           —
 ``admm_slack_into``      out               —            tmp         —
 ``admm_dual_step_``      —                 dual         tmp         —
 ``SegmentOps.expand_into`` out             —            —           —
@@ -79,9 +78,10 @@ import scipy.sparse as sp
 try:  # scipy's typed C kernels; fall back to `csr @ dense` if moved.
     from scipy.sparse import _sparsetools
 
+    _CSR_MATVEC = _sparsetools.csr_matvec
     _CSR_MATVECS = _sparsetools.csr_matvecs
 except (ImportError, AttributeError):  # pragma: no cover - scipy internal
-    _CSR_MATVECS = None
+    _CSR_MATVEC = _CSR_MATVECS = None
 
 #: Armed by repro.lint.sanitize.install_sanitizers (REPRO_SANITIZE=1):
 #: Workspace.buffer NaN-poisons fresh allocations when set.
@@ -249,14 +249,17 @@ class Workspace:
 def csr_matmul_into(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = csr @ dense`` through a preallocated buffer.
 
-    The sparse-aggregation kernel of the FlowGNN fast path. Uses scipy's
-    ``csr_matvecs`` C routine directly (it *accumulates* into the output
-    buffer, so the buffer is zeroed first); a (B, N, F) batched operand
+    The sparse-product kernel of the FlowGNN fast path and the ADMM
+    fine-tuner. Uses scipy's ``csr_matvecs`` C routine directly (it
+    *accumulates* into the output buffer, so the buffer is zeroed
+    first); a (B, N, F) batched operand
     runs one call per batch row — per output element the accumulation
     order over the row's nonzeros is identical to ``csr @ dense``, so the
-    result is bit-identical to the allocating product. Falls back to the
-    allocating product if scipy's internals are unavailable or the
-    operands are not contiguous/dtype-matched.
+    result is bit-identical to the allocating product. A single column
+    runs ``csr_matvec``: the same per-element accumulation with a third
+    of the loop overhead. Falls back to the allocating product if scipy's
+    internals are unavailable or the operands are not
+    contiguous/dtype-matched.
     """
     if dense.ndim > 2:
         for b in range(dense.shape[0]):
@@ -272,16 +275,11 @@ def csr_matmul_into(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray) -> n
         return out
     n_row, n_col = csr.shape
     out[...] = 0.0
-    _CSR_MATVECS(
-        n_row,
-        n_col,
-        dense.shape[1],
-        csr.indptr,
-        csr.indices,
-        csr.data,
-        dense.reshape(-1),
-        out.reshape(-1),
-    )
+    sparse = (csr.indptr, csr.indices, csr.data, dense.reshape(-1), out.reshape(-1))
+    if dense.shape[1] == 1:
+        _CSR_MATVEC(n_row, n_col, *sparse)
+    else:
+        _CSR_MATVECS(n_row, n_col, dense.shape[1], *sparse)
     return out
 
 
@@ -392,34 +390,26 @@ def admm_f_rhs_into(
     d_p: np.ndarray,
     w_p: np.ndarray,
     lam1_g: np.ndarray,
-    lam4_pp: np.ndarray,
     s1_g: np.ndarray,
-    z_pp: np.ndarray,
+    coupling: np.ndarray,
     rho: float,
     out: np.ndarray,
     tmp: np.ndarray,
 ) -> np.ndarray:
-    """F-update right-hand side, fused.
+    """F-update right-hand side, fused (consumes ``coupling``).
 
-    ``out = d_p*w_p - lam1_g - d_p*lam4_pp + rho*(1 - s1_g) + (rho*d_p)*z_pp``
-    in exactly that (left-associated) order — note the last term
-    associates as ``(rho * d_p) * z_pp``, matching the historical
-    elementwise expression bit for bit. Arithmetic runs in ``out``'s
-    dtype: lower-precision operands (e.g. float32 duals/slacks under the
-    mixed-precision policy) are promoted, never the reverse.
+    ``out = d_p*w_p - lam1_g + rho*(1 - s1_g) + d_p*coupling`` in that
+    (left-associated) order, where ``coupling`` is the edge-space
+    incidence term ``rho*hops*(F*d) + A^T(rho*h - mu)`` (see
+    :mod:`repro.core.admm`).
     """
     np.multiply(d_p, w_p, out=out)
     out -= lam1_g
-    np.multiply(d_p, lam4_pp, out=tmp)
-    out -= tmp
-    # A dtype-strong 1.0 keeps the subtraction in out's precision even
-    # when s1_g is a float32 gather.
-    np.subtract(tmp.dtype.type(1.0), s1_g, out=tmp)
+    np.subtract(1.0, s1_g, out=tmp)
     tmp *= rho
     out += tmp
-    np.multiply(d_p, rho, out=tmp)
-    tmp *= z_pp
-    out += tmp
+    coupling *= d_p
+    out += coupling
     return out
 
 
@@ -436,38 +426,6 @@ def admm_f_solve_into(
     np.subtract(b, correction_g, out=out)
     out *= inv_a_over_rho
     np.clip(out, 0.0, 1.0, out=out)
-    return out
-
-
-def admm_z_rhs_into(
-    lam3_g: np.ndarray,
-    lam4: np.ndarray,
-    slack_g: np.ndarray,
-    flow_g: np.ndarray,
-    rho: float,
-    out: np.ndarray,
-) -> np.ndarray:
-    """z-update right-hand side, fused (consumes the gathered operands).
-
-    ``out = -lam3_g + lam4 + rho*slack_g + rho*flow_g`` in that order;
-    ``slack_g`` and ``flow_g`` are scaled in place (they are scratch
-    gathers of ``(c - s3)`` and ``F*d``).
-    """
-    np.negative(lam3_g, out=out)
-    out += lam4
-    slack_g *= rho
-    out += slack_g
-    flow_g *= rho
-    out += flow_g
-    return out
-
-
-def admm_z_solve_into(
-    beta: np.ndarray, correction_g: np.ndarray, rho: float, out: np.ndarray
-) -> np.ndarray:
-    """Rank-1-plus-identity z-solve: ``out = (beta - correction_g) / rho``."""
-    np.subtract(beta, correction_g, out=out)
-    out /= rho
     return out
 
 
@@ -573,24 +531,14 @@ KERNEL_CONTRACTS: dict[str, KernelContract] = {
     ),
     "admm_f_rhs_into": KernelContract(
         params=(
-            "d_p", "w_p", "lam1_g", "lam4_pp", "s1_g", "z_pp", "rho",
-            "out", "tmp",
+            "d_p", "w_p", "lam1_g", "s1_g", "coupling", "rho", "out", "tmp",
         ),
         writes=("out",),
-        scratch=("tmp",),
+        scratch=("coupling", "tmp"),
+        may_alias=(("s1_g", "tmp"),),
     ),
     "admm_f_solve_into": KernelContract(
         params=("b", "inv_a_over_rho", "correction_g", "out"),
-        writes=("out",),
-    ),
-    "admm_z_rhs_into": KernelContract(
-        params=("lam3_g", "lam4", "slack_g", "flow_g", "rho", "out"),
-        writes=("out",),
-        inout=("slack_g", "flow_g"),
-        may_alias=(("lam3_g", "out"),),
-    ),
-    "admm_z_solve_into": KernelContract(
-        params=("beta", "correction_g", "rho", "out"),
         writes=("out",),
     ),
     "admm_slack_into": KernelContract(

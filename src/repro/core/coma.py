@@ -231,23 +231,23 @@ class DecomposableReward:
             self.path_values = objective.path_values(pathset)
 
         coo = pathset.edge_path_incidence.tocoo()
-        self.pair_path = coo.col.astype(np.int64)
-        self.pair_edge = coo.row.astype(np.int64)
-        self.pair_demand = pathset.path_demand[self.pair_path]
+        self.incidence_path = coo.col.astype(np.int64)
+        self.incidence_edge = coo.row.astype(np.int64)
+        self.incidence_demand = pathset.path_demand[self.incidence_path]
         # Group pairs sharing a (demand, edge) key so a demand's multiple
         # paths crossing one edge pool their contribution.
-        keys = self.pair_demand * pathset.topology.num_edges + self.pair_edge
+        keys = self.incidence_demand * pathset.topology.num_edges + self.incidence_edge
         _, self.key_inverse = np.unique(keys, return_inverse=True)
         self.num_keys = int(self.key_inverse.max()) + 1 if len(keys) else 0
         # Tiled-index segment ops so every row of a (T, ...) stack runs
         # the same flat primitives (see core.batching).
         self._key_ops = SegmentOps(self.key_inverse, self.num_keys)
-        self._path_ops = SegmentOps(self.pair_path, pathset.num_paths)
+        self._path_ops = SegmentOps(self.incidence_path, pathset.num_paths)
         self._demand_ops = SegmentOps(pathset.path_demand, pathset.num_demands)
 
     def _own_edge_load_batch(self, path_flows: np.ndarray) -> np.ndarray:
         """(T, I) per-pair own loads for a (T, P) stack of path flows."""
-        per_key = self._key_ops.sum(path_flows[:, self.pair_path])
+        per_key = self._key_ops.sum(path_flows[:, self.incidence_path])
         return per_key[:, self.key_inverse]
 
     def demand_values_batch(
@@ -277,8 +277,8 @@ class DecomposableReward:
         if base_own is None:
             base_own = self._own_edge_load_batch(base_flows)
         cand_own = self._own_edge_load_batch(candidate_flows)
-        pair_load = base_loads[:, self.pair_edge] - base_own + cand_own
-        caps = capacities[:, self.pair_edge]
+        pair_load = base_loads[:, self.incidence_edge] - base_own + cand_own
+        caps = capacities[:, self.incidence_edge]
         with np.errstate(divide="ignore", invalid="ignore"):
             util = np.where(
                 caps > 0,

@@ -6,7 +6,7 @@ purpose. A precision here is simply a numpy dtype — ``float32`` or
 ``float64`` — validated by :func:`resolve_precision` and threaded
 through ``nn.Tensor`` (dtype-preserving payloads), FlowGNN /
 ``TealModel`` (a one-way :meth:`~repro.nn.layers.Module.astype`), the
-ADMM fine-tuner (single-precision F/z/s/dual updates), ``TealScheme``,
+ADMM fine-tuner (the dtype of its returned ratios), ``TealScheme``,
 ``harness.trained_teal`` (the dtype's ``.name`` is in the cache key),
 the sweep grid, and the CLI (``--precision {float32,float64}``).
 
@@ -26,10 +26,10 @@ Policy:
   ``tests/test_precision.py``) at a measurably lower cost.
 - **Reductions accumulate in float64** regardless of storage dtype:
   segment sums run through ``np.bincount`` (a float64 accumulator), the
-  ADMM F-solve runs in :data:`EVALUATION_DTYPE`, and the acceptance
-  check scores allocations through the float64 evaluator — so float32
-  storage never degrades the *decisions* made about an allocation, only
-  the arithmetic inside it.
+  ADMM iterates are O(P + E) per matrix and always
+  :data:`EVALUATION_DTYPE`, and the acceptance check scores allocations
+  through the float64 evaluator — so float32 storage never degrades the
+  *decisions* made about an allocation, only the arithmetic inside it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ..exceptions import ReproError
 _SUPPORTED = ("float32", "float64")
 
 #: Scoring/IO dtype: demand volumes, capacities, evaluator inputs and the
-#: ADMM F-solve are always float64 regardless of the compute precision —
+#: ADMM iterates are always float64 regardless of the compute precision —
 #: the "reductions accumulate in float64" half of the policy. Lint rule
 #: RL001 (repro.lint) requires dtype literals in precision-threaded
 #: modules to route through this constant or a resolved precision, so

@@ -79,6 +79,8 @@ class PathSet:
         path_mask: (D, k) bool array; True where a real path exists.
         edge_path_incidence: (E, P) CSR incidence matrix.
         path_hop_counts: (P,) number of edges on each path.
+        path_edge_index: (P, max hops) edge ids of each path, padded
+            with E.
         path_latencies: (P,) total latency of each path.
     """
 
@@ -139,6 +141,16 @@ class PathSet:
         self.path_hop_counts = np.array(
             [len(e) for e in self.path_edge_ids], dtype=np.int64
         )
+        # (P, max hops) edge ids per path; short rows are padded with E,
+        # one past the last edge, so each hop column gathers from a
+        # (T, E + 1) stack whose extra column is 0.
+        self.path_edge_index = np.full(
+            (self.num_paths, int(self.path_hop_counts.max(initial=1))),
+            topology.num_edges,
+            dtype=np.int64,
+        )
+        for pid, eids in enumerate(self.path_edge_ids):
+            self.path_edge_index[pid, : len(eids)] = eids
         self.path_latencies = np.array(
             [
                 path_cost(topology, nodes, topology.latencies)

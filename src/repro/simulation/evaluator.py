@@ -153,24 +153,27 @@ def _path_max_utilization_batch(
 ) -> np.ndarray:
     """Per-path bottleneck utilizations (T, P) from per-edge utils (T, E).
 
-    One unbuffered scatter-max over the COO expansion covers the whole
-    batch: the path axis leads so ``maximum.at`` broadcasts each edge's
-    (T,) utilization column into the path rows it lies on. With a
-    ``workspace`` the (P, T) scatter buffer is reused (zero-filled)
-    across calls instead of reallocated — the buffer is internal to
-    this function, so workspace reuse never aliases returned arrays.
+    Walks the hop columns of the path set's padded ``path_edge_index``:
+    each column gathers one edge utilization per path from ``util`` with
+    a zero column appended (the padding slots read it), and a running
+    ``maximum`` folds it in. Max is exact and utilizations are
+    non-negative, so the result equals a zero-initialised scatter-max
+    over the incidence entries exactly, with (T, P) temporaries only.
+    With a ``workspace`` the per-hop gather buffer is reused across
+    calls; the returned array is always fresh.
     """
-    coo = pathset.edge_path_incidence.tocoo()
-    shape = (pathset.num_paths, util.shape[0])
-    if workspace is None:
-        bottleneck = np.zeros(shape)
-    else:
-        bottleneck = workspace.buffer(("evaluator", "bottleneck"), shape, np.float64)
-        bottleneck[...] = 0.0
-    np.maximum.at(bottleneck, coo.col, util.T[coo.row])
-    # A view: the single caller consumes it before its next request, and
-    # the downstream scale/delivered arrays are fresh allocations.
-    return bottleneck.T
+    index = pathset.path_edge_index
+    padded = np.concatenate([util, np.zeros_like(util[:, :1])], axis=1)
+    bottleneck = np.take(padded, index[:, 0], axis=1)
+    hop_util = None
+    if workspace is not None:
+        hop_util = workspace.buffer(
+            ("evaluator", "hop_util"), bottleneck.shape, bottleneck.dtype
+        )
+    for column in index.T[1:]:
+        hop = np.take(padded, column, axis=1, out=hop_util)
+        np.maximum(bottleneck, hop, out=bottleneck)
+    return bottleneck
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -249,7 +252,7 @@ def evaluate_allocations_batch(
 
     The vectorized core of the scenario engine: T traffic matrices are
     scored in a handful of array ops — two sparse products for edge loads,
-    one scatter-max for path bottlenecks — instead of a Python loop per
+    one per-hop gather-max for path bottlenecks — instead of a Python loop per
     matrix. Semantics are identical to :func:`evaluate_allocation` applied
     row by row (the per-TM function is a batch-of-one wrapper).
 
@@ -261,7 +264,7 @@ def evaluate_allocations_batch(
         capacities: (E,) shared capacities, (T, E) per-matrix capacities
             (failure sweeps), or None for the topology defaults.
         workspace: Optional :class:`~repro.core.batching.Workspace` for
-            the internal scatter-max scratch; sweeps that score many
+            the internal bottleneck-gather scratch; sweeps that score many
             stacks in a row (one per scheme) pass a shared
             per-job workspace so scoring stops re-allocating. Results
             are unaffected: every returned array is freshly computed,

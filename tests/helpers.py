@@ -82,3 +82,114 @@ def entry_io(kind: str, cache_dir, scenario, model, cell):
             )
 
     return write, load
+
+
+#: Largest |ratio| gap allowed between ``fine_tune_batch`` and the
+#: incidence-level reference (:func:`naive_admm_batch`) at float64,
+#: by iteration count. The two run the same ADMM in different but
+#: equivalent arithmetic, so they round differently, and the F-solve's
+#: ``inv_a / rho`` factor (up to ~3e8 for tiny demands) amplifies that
+#: rounding; the gaps sit on the smallest demands, so the flow gaps are
+#: below 5e-9. Measured maxima on B4 over four traces (model and
+#: Dirichlet warm starts, nominal and failed links, a zero-demand row):
+#: 1.6e-15 after 1 iteration, 2.4e-6 after 12, 9.5e-6 after 50. Over
+#: 1450 random SWAN-like instances at 12 iterations: 5.1e-6. Each bound
+#: is five to twelve times the measured maximum.
+REFERENCE_TOL = {1: 2e-14, 12: 3e-5, 50: 1e-4}
+
+
+def naive_admm_batch(
+    tuner, ratios, demands, capacities=None, iterations=None
+) -> np.ndarray:
+    """Reference ADMM loop over per-incidence ``z``/``lam4`` iterates.
+
+    The incidence-level form of Appendix C, one fresh float64 ndarray
+    per op: ``z`` and ``lam4`` hold one entry per (path, edge) incidence,
+    reduced with segment sums built here from the path set's COO
+    incidence. ``AdmmFineTuner.fine_tune_batch`` runs the equivalent
+    edge-space form, so the two agree to rounding, not bit for bit.
+    Only the tuner's public config (pathset, rho, iterations, path
+    values) is read.
+    """
+    from repro.core.admm import _project_ratios
+    from repro.core.batching import SegmentOps
+    from repro.topology.graph import broadcast_capacities
+
+    ps = tuner.pathset
+    coo = ps.edge_path_incidence.tocoo()
+    pair_path = coo.col.astype(np.int64)
+    pair_edge = coo.row.astype(np.int64)
+    to_path = SegmentOps(pair_path, ps.num_paths)
+    to_edge = SegmentOps(pair_edge, ps.topology.num_edges)
+    to_demand = SegmentOps(ps.path_demand, ps.num_demands)
+    hops = ps.path_hop_counts.astype(float)
+    paths_per_edge = to_edge.sum(np.ones((1, len(pair_edge))))[0]
+
+    demands = np.asarray(demands, dtype=float)
+    num_matrices = demands.shape[0]
+    if capacities is None:
+        capacities = ps.topology.capacities
+    capacities = broadcast_capacities(np.asarray(capacities, float), num_matrices)
+    pos_mean = np.array(
+        [float(row[row > 0].mean()) if (row > 0).any() else 1.0 for row in capacities]
+    )
+    scale = np.maximum(pos_mean, 1e-9)[:, None]
+    d_norm = demands / scale
+    c_norm = capacities / scale
+    rho = tuner.config.rho
+    d_p = d_norm[:, ps.path_demand]
+    w_p = tuner.path_values
+    a = np.maximum(d_p * d_p * hops, 1e-9)
+    F = np.clip(np.asarray(ratios, dtype=float), 0.0, 1.0)
+    F_flat = np.zeros((num_matrices, ps.num_paths))
+    valid = ps.path_mask
+    F_flat[:, ps.demand_path_ids[valid]] = F[:, valid]
+    z = (F_flat * d_p)[:, pair_path]
+    sum_z = to_edge.sum(z)
+    s1 = np.maximum(0.0, 1.0 - to_demand.sum(F_flat))
+    s3 = np.maximum(0.0, c_norm - sum_z)
+    # Complementary-slackness dual warm start.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        warm_util = np.where(
+            c_norm > 0,
+            sum_z / np.maximum(c_norm, 1e-9),
+            np.where(sum_z > 1e-9, np.inf, 0.0),
+        )
+    congestion_price = (warm_util > 1.0).astype(float)
+    path_price = to_path.sum(congestion_price[:, pair_edge])
+    reduced_value = np.maximum(0.0, w_p - path_price)
+    lam1 = to_demand.max(d_p) * to_demand.max(reduced_value)
+    lam3 = np.zeros((num_matrices, ps.topology.num_edges))
+    lam4 = np.zeros((num_matrices, len(pair_path)))
+    iters = tuner.iterations if iterations is None else int(iterations)
+    for _ in range(iters):
+        b = (
+            d_p * w_p
+            - lam1[:, ps.path_demand]
+            - d_p * to_path.sum(lam4)
+            + rho * (1.0 - s1[:, ps.path_demand])
+            + rho * d_p * to_path.sum(z)
+        )
+        inv_a = 1.0 / a
+        correction = to_demand.sum(b * inv_a) / (1.0 + to_demand.sum(inv_a))
+        F_flat = np.clip(
+            (inv_a / rho) * (b - correction[:, ps.path_demand]), 0.0, 1.0
+        )
+        beta = (
+            -lam3[:, pair_edge]
+            + lam4
+            + rho * (c_norm - s3)[:, pair_edge]
+            + rho * (F_flat * d_p)[:, pair_path]
+        )
+        sum_beta = to_edge.sum(beta)
+        z = (beta - (sum_beta / (1.0 + paths_per_edge))[:, pair_edge]) / rho
+        sum_F = to_demand.sum(F_flat)
+        sum_z = to_edge.sum(z)
+        s1 = np.maximum(0.0, (1.0 - sum_F) - lam1 / rho)
+        s3 = np.maximum(0.0, (c_norm - sum_z) - lam3 / rho)
+        lam1 += rho * (sum_F + s1 - 1.0)
+        lam3 += rho * (sum_z + s3 - c_norm)
+        lam4 += rho * ((F_flat * d_p)[:, pair_path] - z)
+    out = np.zeros_like(F)
+    out[:, valid] = F_flat[:, ps.demand_path_ids[valid]]
+    return _project_ratios(out)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import REFERENCE_TOL, naive_admm_batch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,3 +167,123 @@ class TestRefine:
             objective.reward_batch(b4_pathset, out, demands * 3.0)
             >= objective.reward_batch(b4_pathset, ratios, demands * 3.0)
         )
+
+
+# ----------------------------------------------------------------------
+# Edge-space iterates vs the incidence-level reference loop
+# (helpers.naive_admm_batch; tolerances in helpers.REFERENCE_TOL)
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def reference_stack(b4_pathset, b4_trace):
+    """Model and Dirichlet warm starts over six B4 matrices, one of
+    them all-zero demand."""
+    from repro.core import TealModel
+
+    demands = np.stack(
+        [b4_pathset.demand_volumes(m.values) for m in b4_trace[:6]]
+    )
+    demands[2] = 0.0
+    model_ratios = TealModel(b4_pathset, seed=1).split_ratios_batch(demands)
+    rng = np.random.default_rng(9)
+    random_ratios = (
+        rng.dirichlet(np.ones(4), size=demands.shape) * b4_pathset.path_mask
+    )
+    return demands, (model_ratios, random_ratios)
+
+
+def _capacity_stack(pathset, demands, failed):
+    caps = np.tile(pathset.topology.capacities, (demands.shape[0], 1))
+    if failed:
+        caps[:, :6] = 0.0
+    return caps
+
+
+class TestEdgeSpaceMatchesReference:
+    @pytest.mark.parametrize("iterations", [1, 12, 50])
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_b4(self, b4_pathset, reference_stack, iterations, failed):
+        demands, warm_starts = reference_stack
+        caps = _capacity_stack(b4_pathset, demands, failed)
+        tuner = AdmmFineTuner(
+            b4_pathset, AdmmConfig(iterations=iterations, rho=3.0)
+        )
+        for ratios in warm_starts:
+            tuned = tuner.fine_tune_batch(ratios, demands, caps)
+            reference = naive_admm_batch(tuner, ratios, demands, caps)
+            gap = np.abs(tuned - reference).max()
+            assert gap <= REFERENCE_TOL[iterations], gap
+
+    @given(
+        num_nodes=st.integers(6, 15),
+        seed=st.integers(0, 2**16),
+        log_scale=st.floats(-1.0, 3.0),
+        dead_links=st.integers(0, 2),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_topology(self, num_nodes, seed, log_scale, dead_links):
+        from repro.core import TealModel
+        from repro.paths import PathSet
+        from repro.topology.failures import sample_link_failures
+        from repro.topology.generators import swan
+        from repro.traffic import TrafficTrace
+
+        topology = swan(num_nodes=num_nodes, seed=seed)
+        pathset = PathSet.from_topology(topology)
+        matrix = TrafficTrace.generate(num_nodes, 1, seed=seed)[0]
+        demands = pathset.demand_volumes(matrix.values)[None] * 10.0**log_scale
+        caps = topology.capacities.copy()
+        caps[sample_link_failures(topology, dead_links, seed=seed)] = 0.0
+        ratios = TealModel(pathset, seed=0).split_ratios_batch(demands)
+        tuner = AdmmFineTuner(pathset, AdmmConfig(iterations=12))
+        gap = np.abs(
+            tuner.fine_tune_batch(ratios, demands, caps)
+            - naive_admm_batch(tuner, ratios, demands, caps)
+        ).max()
+        assert gap <= REFERENCE_TOL[12], gap
+
+    @pytest.mark.parametrize("iterations", [2, 12])
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_refine_accepts_the_same_rows(
+        self, b4_pathset, reference_stack, iterations, failed
+    ):
+        demands, warm_starts = reference_stack
+        caps = _capacity_stack(b4_pathset, demands, failed)
+        objective = TotalFlowObjective()
+        tuner = AdmmFineTuner(
+            b4_pathset, AdmmConfig(iterations=iterations, rho=3.0)
+        )
+        for ratios in warm_starts:
+            scored = objective.reward_batch(b4_pathset, ratios, demands, caps)
+            tuned = tuner.fine_tune_batch(ratios, demands, caps)
+            reference = naive_admm_batch(tuner, ratios, demands, caps)
+            accept = (
+                objective.reward_batch(b4_pathset, tuned, demands, caps)
+                >= scored
+            )
+            expected = (
+                objective.reward_batch(b4_pathset, reference, demands, caps)
+                >= scored
+            )
+            assert np.array_equal(accept, expected)
+            refined = tuner.refine(objective, ratios, demands, caps)
+            assert np.array_equal(
+                refined, np.where(accept[:, None, None], tuned, ratios)
+            )
+
+    def test_rows_do_not_depend_on_stack_size(
+        self, b4_pathset, reference_stack
+    ):
+        demands, (ratios, _) = reference_stack
+        caps = _capacity_stack(b4_pathset, demands, True)
+        tuner = AdmmFineTuner(b4_pathset, AdmmConfig(iterations=12))
+        stacked = tuner.fine_tune_batch(ratios, demands, caps)
+        halves = [
+            tuner.fine_tune_batch(ratios[s], demands[s], caps[s])
+            for s in (slice(0, 3), slice(3, 6))
+        ]
+        assert np.array_equal(stacked, np.concatenate(halves))
+        for t in range(demands.shape[0]):
+            single = tuner.fine_tune(ratios[t], demands[t], caps[t])
+            assert np.array_equal(stacked[t], single)

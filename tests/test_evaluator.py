@@ -160,6 +160,54 @@ class TestCapacityInvariant:
         assert more.delivered_total >= base.delivered_total - 1e-9
 
 
+class TestPathBottleneck:
+    """The padded gather-max over ``PathSet.path_edge_index`` equals the
+    zero-initialised scatter-max over the COO incidence bit for bit."""
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_matches_scatter_max(self, b4_pathset, b4_trace, failed):
+        from repro.core.batching import Workspace
+        from repro.simulation import evaluate_allocations_batch
+        from repro.simulation.evaluator import _path_max_utilization_batch
+
+        pathset = b4_pathset
+        demands = np.stack(
+            [pathset.demand_volumes(m.values) for m in b4_trace[:4]]
+        )
+        rng = np.random.default_rng(5)
+        ratios = (
+            rng.dirichlet(np.ones(4), size=demands.shape) * pathset.path_mask
+        )
+        caps = np.tile(pathset.topology.capacities, (4, 1)) * rng.uniform(
+            0.2, 1.0, (4, pathset.topology.num_edges)
+        )
+        if failed:
+            caps[:, :6] = 0.0
+        loads = pathset.edge_loads_batch(
+            pathset.split_ratios_to_path_flows_batch(ratios, demands)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            util = np.where(
+                caps > 0, loads / caps, np.where(loads > 0, np.inf, 0.0)
+            )
+        assert np.isinf(util).any() == failed
+        coo = pathset.edge_path_incidence.tocoo()
+        scatter = np.zeros((pathset.num_paths, 4))
+        np.maximum.at(scatter, coo.col, util.T[coo.row])
+        workspace = Workspace()
+        for ws in (None, workspace, workspace):
+            assert np.array_equal(
+                _path_max_utilization_batch(pathset, util, ws), scatter.T
+            )
+        plain = evaluate_allocations_batch(pathset, ratios, demands, caps)
+        reused = evaluate_allocations_batch(
+            pathset, ratios, demands, caps, workspace=workspace
+        )
+        assert np.array_equal(
+            plain.delivered_path_flows, reused.delivered_path_flows
+        )
+
+
 class TestDegenerateInputs:
     """Every scheme on B4 gets a defined, NaN-free answer on degenerate
     inputs; utilizations are inf exactly where load meets a dead link."""

@@ -624,19 +624,21 @@ class TestFloat32InferenceCopy:
 
 
 # ----------------------------------------------------------------------
-# Parity at Kdl-class scale (where the (T, I) ADMM arrays dominate)
+# Parity at Kdl-class scale
 # ----------------------------------------------------------------------
 class TestKdlScaleParity:
     """float32 vs float64 on a Kdl-class carrier backbone.
 
     The small-topology parity cases above leave the fused kernels'
     accumulation behaviour mostly untested at the sizes where the win
-    matters: on a Kdl-class instance the (T, I) ADMM iterates (I ≈
-    thousands of path variables) dominate the compute, and rounding
-    error compounds across far more segment-sum terms than on B4. This
-    pins the documented 1e-4 relative tolerance at that scale, through
-    the full float32 inference chain (fused forward + single-precision
-    ADMM with float64-accumulated segment sums).
+    matters: on a Kdl-class instance the forward's sparse aggregations
+    sum over thousands of path variables, and rounding error compounds
+    across far more terms than on B4. The ADMM iterates are O(P + E)
+    per matrix and always float64, so a float32 chain differs from a
+    float64 one only through its forward pass and the returned ratios'
+    dtype. This pins the documented 1e-4 relative tolerance at that
+    scale, through the full float32 inference chain (fused forward +
+    ADMM + float32 ratios).
     """
 
     @pytest.fixture(scope="class")
@@ -658,7 +660,7 @@ class TestKdlScaleParity:
         """The case really is beyond the small parity topologies."""
         pathset, _ = kdl_case
         assert pathset.topology.num_nodes >= 60
-        assert pathset.num_paths >= 1000  # the ADMM I axis
+        assert pathset.num_paths >= 1000  # the ADMM P axis
 
     def test_fused_forward_parity_at_scale(self, kdl_case):
         pathset, demands = kdl_case
