@@ -50,11 +50,19 @@ from repro.topology.failures import sample_link_failures
 
 def best_of(fn, repeats: int) -> float:
     """Fastest wall-clock seconds of ``repeats`` calls (sheds scheduler noise)."""
-    best = float("inf")
+    return best_of_each({"fn": fn}, repeats)["fn"]
+
+
+def best_of_each(fns: dict, repeats: int) -> dict:
+    """Fastest wall-clock seconds of each callable over ``repeats``
+    interleaved rounds: a slow phase of the host slows every variant it
+    overlaps, not one variant's whole measurement."""
+    best = dict.fromkeys(fns, float("inf"))
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for name, fn in fns.items():
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
     return best
 
 
@@ -213,17 +221,27 @@ def test_fused_forward(precision_batch):
     """Fused forward: float64 >= 1.05x and float32 >= 1.2x the naive
     float64 Tensor path, with a smaller float32 temporary footprint."""
     scenario, demands, _ = precision_batch
-    seconds, peak = {}, {}
+    capacities = scenario.capacities
+    runs = {}
     for name, dtype, fused in (
         ("naive64", np.float64, False),
         ("fused64", np.float64, True),
         ("fused32", np.float32, True),
     ):
         model = TealModel(scenario.pathset, seed=0).astype(dtype)
-        run = functools.partial(model.split_ratios_batch, demands, fused=fused)
-        run()  # warm-up: first-call costs, workspace buffers
-        seconds[name] = best_of(run, 7)
-        peak[name] = _peak_bytes(run)
+        if fused:
+            runs[name] = functools.partial(model.split_ratios_batch, demands)
+        else:
+            def naive(model=model):
+                return model.forward_batch(demands, capacities).numpy()
+
+            runs[name] = naive
+        runs[name]()  # warm-up: first-call costs, workspace buffers
+    # After the training gates ran in this process the naive path is
+    # ~2.5x faster than in a fresh one, so the float64 margin is narrow:
+    # interleave the variants' rounds.
+    seconds = best_of_each(runs, 15)
+    peak = {name: _peak_bytes(run) for name, run in runs.items()}
     assert seconds["naive64"] / seconds["fused64"] >= 1.05, seconds
     assert seconds["naive64"] / seconds["fused32"] >= 1.2, seconds
     assert peak["fused32"] < peak["naive64"], peak
@@ -271,9 +289,10 @@ def test_fused_float32_end_to_end(precision_batch):
         transfer_weights(trained.model, scheme.model)
         scheme.trained = True
         if not fused:
-            scheme.model.split_ratios_batch = functools.partial(
-                TealModel.split_ratios_batch, scheme.model, fused=False
-            )
+            def naive(demands, capacities, model=scheme.model):
+                return model.forward_batch(demands, capacities).numpy()
+
+            scheme.model.split_ratios_batch = naive
         run = functools.partial(
             run_failure_sweep, scenario, {"Teal": scheme}, capacity_sets,
             matrices=scenario.split.train,

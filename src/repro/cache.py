@@ -2,9 +2,9 @@
 
 The harness's on-disk tier (:func:`repro.harness.build_scenario` and
 :func:`repro.harness.trained_teal` with ``cache_dir=``) and the grid
-engine's per-cell checkpoints (:mod:`repro.sweep.checkpoint`) all store
-their entries in one format, and this module is the only one that knows
-it:
+engine's per-job checkpoints (:func:`repro.sweep.grid.run_scenario_grid`)
+all store their entries in one format, and this module is the only one
+that knows it:
 
 - :func:`entry_path` names an entry ``{kind}-{hash}.npz``, where the
   hash is a SHA-256 prefix of ``repr(key)`` and ``kind`` is one of
@@ -17,15 +17,20 @@ it:
   stored under another key) raises :class:`ReproError`, which every
   cache tier treats as a miss.
 
-The scenario, model and grid-cell code only (de)serialise their
+The scenario, model and grid-job code only (de)serialise their
 payloads through these three functions.
 
+:func:`lookup` is the one memory -> disk -> build lookup both harness
+tiers run: the caller supplies its in-memory dict and its own load,
+build and save callables, and an unusable disk entry becomes a
+``RuntimeWarning`` plus a rebuild that overwrites it.
+
 The directory grows without bound: every distinct scenario, training
-configuration or grid cell adds an entry that is never deleted.
+configuration or grid job adds an entry that is never deleted.
 :func:`prune_cache_dir` adds the bound — least-recently-used eviction
-down to a byte budget. Recency is tracked through file mtimes: the
-harness calls :func:`touch` on every disk-tier hit, so an entry's mtime
-is the last time it was either written or read. :func:`stale_entries`
+down to a byte budget. Recency is tracked through file mtimes:
+:func:`lookup` calls :func:`touch` on every disk-tier hit, so an entry's
+mtime is the last time it was either written or read. :func:`stale_entries`
 finds entries whose stamp no longer matches :data:`CACHE_FORMAT` (they
 would be misses anyway). Both are exposed as ``repro.cli cache prune``.
 
@@ -41,6 +46,8 @@ import hashlib
 import io
 import json
 import os
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +65,7 @@ CACHE_FORMAT = 3
 
 #: Entry kinds this module manages (``{kind}-*.npz``). Anything else in
 #: the directory (user files, other artifacts) is left alone.
-CACHE_KINDS = ("scenario", "teal", "gridcell")
+CACHE_KINDS = ("scenario", "teal", "gridjob")
 
 #: Archive member holding an entry's JSON metadata.
 _META = "meta"
@@ -111,7 +118,7 @@ def parse_size(text: str | int) -> int:
 def touch(path: str | Path) -> None:
     """Mark a cache entry as just-used (best effort).
 
-    Called by the harness on disk-tier hits so LRU pruning sees reads,
+    Called by :func:`lookup` on disk-tier hits so LRU pruning sees reads,
     not only writes. A concurrently pruned entry is not an error.
     """
     try:
@@ -269,6 +276,65 @@ def read_entry(
             f"expected {key!r}"
         )
     return _Members(path, meta), _Members(path, arrays)
+
+
+def lookup(
+    memory: dict,
+    key: object,
+    entry: Path | None,
+    load: Callable[[Path], object],
+    build: Callable[[], object],
+    save: Callable[[object, Path], object],
+    use_cache: bool,
+):
+    """The memory -> disk -> build lookup of one cached value.
+
+    1. A memory hit returns at once, first writing the disk entry if it
+       is missing (the caller asked for persistence after the value was
+       built without it).
+    2. A disk hit loads the entry and :func:`touch`-es it.
+    3. An unusable entry (``load`` raised :class:`ReproError`) warns
+       with a ``RuntimeWarning`` naming the entry and the reason, then
+       falls through to a rebuild that overwrites it.
+    4. A miss builds the value and stores it in both tiers.
+
+    Args:
+        memory: The caller's in-memory tier.
+        key: The in-memory key.
+        entry: The disk entry (from :func:`entry_path`), or ``None`` for
+            no disk tier.
+        load: Reads a value from an entry; raises :class:`ReproError`
+            when the entry is unusable.
+        build: Computes the value from scratch.
+        save: Writes a value to an entry.
+        use_cache: ``False`` means "do not reuse": neither tier is
+            read and the memory tier is not filled; the value is built
+            and its disk entry overwritten.
+    """
+    if use_cache and key in memory:
+        value = memory[key]
+        if entry is not None and not entry.exists():
+            save(value, entry)
+        return value
+    if use_cache and entry is not None and entry.exists():
+        try:
+            value = load(entry)
+        except ReproError as error:
+            warnings.warn(
+                f"cache entry {entry} is unusable ({error}); rebuilding",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        else:
+            touch(entry)  # LRU recency for ``repro.cli cache prune``
+            memory[key] = value
+            return value
+    value = build()
+    if entry is not None:
+        save(value, entry)
+    if use_cache:
+        memory[key] = value
+    return value
 
 
 def cache_entries(cache_dir: str | Path) -> list[CacheEntry]:

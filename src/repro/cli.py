@@ -15,9 +15,9 @@ Usage (installed as ``teal-repro`` or via ``python -m repro.cli``):
     teal-repro cache prune --cache-dir .cache --evict-stale  # drop old formats
 
 Interrupted sweeps resume: ``sweep --cache-dir .cache`` checkpoints every
-completed grid cell, and re-running with ``--resume`` loads the completed
-cells and executes only the remainder (bit-identical results). Scenarios,
-model checkpoints and grid cells share one ``{kind}-<hash>.npz`` entry
+completed grid job, and re-running with ``--resume`` loads the completed
+jobs and executes only the remainder (bit-identical results). Scenarios,
+model checkpoints and grid jobs share one ``{kind}-<hash>.npz`` entry
 format (:mod:`repro.cache`).
 """
 
@@ -516,13 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None,
         help="persistent cache directory: re-runs load scenarios and "
         "trained Teal checkpoints from disk instead of "
-        "rebuilding/retraining, and every completed grid cell is "
+        "rebuilding/retraining, and every completed grid job is "
         "checkpointed there (bit-identical results)",
     )
     add_precision(p_sweep)
     p_sweep.add_argument(
         "--resume", action="store_true",
-        help="load completed grid cells checkpointed under --cache-dir by "
+        help="load completed grid jobs checkpointed under --cache-dir by "
         "an earlier (possibly interrupted) run of the same suite and "
         "execute only the remainder; the merged result is bit-identical "
         "to an uninterrupted run (requires --cache-dir)",

@@ -12,7 +12,7 @@ from .direct_loss import (
     surrogate_loss_batch,
 )
 from .flowgnn import DemandDNNLayer, FlowGNN, FlowGNNLayer
-from .model import AllocatorModel, TealModel, grid_scatter_index
+from .model import AllocatorModel, TealModel
 from .policy import ActionHead, PolicyNetwork
 from .teal import TealScheme
 
@@ -24,7 +24,6 @@ __all__ = [
     "PolicyNetwork",
     "AllocatorModel",
     "TealModel",
-    "grid_scatter_index",
     "ComaTrainer",
     "DecomposableReward",
     "TrainingHistory",

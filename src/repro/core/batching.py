@@ -53,7 +53,6 @@ kernel                   writes            inout        scratch     may alias
 ``admm_f_solve_into``    out               —            —           —
 ``admm_slack_into``      out               —            tmp         —
 ``admm_dual_step_``      —                 dual         tmp         —
-``SegmentOps.expand_into`` out             —            —           —
 ======================== ================= ============ =========== ==============
 
 "may alias" pairs are exact-view aliases only (same base pointer,
@@ -110,53 +109,28 @@ class SegmentOps:
             self._tiled[batch] = cached
         return cached
 
-    def sum(self, weights: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
-        """Per-segment sums: (T, N) weights -> (T, S) totals.
+    def sum(self, weights: np.ndarray) -> np.ndarray:
+        """Per-segment sums: (T, N) weights -> (T, S) float64 totals.
 
         Row ``t`` equals ``np.bincount(index, weights[t], minlength=S)``
-        bit for bit (same accumulation order per segment). Accumulation
-        is always float64 (bincount's accumulator); ``dtype`` selects the
-        storage dtype of the result (default: float64, the historic
-        behaviour).
+        bit for bit (same accumulation order per segment).
         """
         weights = np.asarray(weights)
         batch = weights.shape[0]
-        out = np.bincount(
+        return np.bincount(
             self.tiled_index(batch),
             weights=weights.reshape(-1),
             minlength=batch * self.num_segments,
         ).reshape(batch, self.num_segments)
-        if dtype is not None and out.dtype != np.dtype(dtype):
-            out = out.astype(dtype)
-        return out
 
-    def max(
-        self,
-        values: np.ndarray,
-        initial: float = 0.0,
-        dtype: np.dtype | None = None,
-    ) -> np.ndarray:
-        """Per-segment maxima: (T, N) values -> (T, S), empty segments
-        keep ``initial``. ``dtype`` selects the result dtype (default:
-        the values' own dtype)."""
+    def max(self, values: np.ndarray, initial: float = 0.0) -> np.ndarray:
+        """Per-segment maxima: (T, N) values -> (T, S) in the values'
+        dtype; empty segments keep ``initial``."""
         values = np.asarray(values)
         batch = values.shape[0]
-        out = np.full(
-            batch * self.num_segments,
-            initial,
-            dtype=values.dtype if dtype is None else dtype,
-        )
+        out = np.full(batch * self.num_segments, initial, dtype=values.dtype)
         np.maximum.at(out, self.tiled_index(batch), values.reshape(-1))
         return out.reshape(batch, self.num_segments)
-
-    def expand(self, per_segment: np.ndarray) -> np.ndarray:
-        """Gather per-segment values back to elements: (T, S) -> (T, N)."""
-        return np.asarray(per_segment)[:, self.index]
-
-    def expand_into(self, per_segment: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fused :meth:`expand`: gather (T, S) -> (T, N) into ``out``."""
-        np.take(per_segment, self.index, axis=-1, out=out)
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -468,8 +442,7 @@ class KernelContract(NamedTuple):
     """Aliasing/clobber contract of one ``out=``-style kernel.
 
     Attributes:
-        params: Parameter names in positional order (``self`` included
-            for method kernels).
+        params: Parameter names in positional order.
         writes: Parameters fully overwritten by the kernel (finite on
             exit under the sanitizer).
         inout: Parameters read *and* updated in place (finite on exit).
@@ -477,9 +450,6 @@ class KernelContract(NamedTuple):
             rely on.
         may_alias: Pairs allowed to be the exact same view (elementwise
             safe); partial overlap is never legal.
-        method: True for method kernels registered as
-            ``"Owner.method"`` — the sanitizer wraps the class
-            attribute and lint binds call-site args without ``self``.
     """
 
     params: tuple[str, ...]
@@ -487,7 +457,6 @@ class KernelContract(NamedTuple):
     inout: tuple[str, ...] = ()
     scratch: tuple[str, ...] = ()
     may_alias: tuple[tuple[str, str], ...] = ()
-    method: bool = False
 
 
 #: Contract per kernel — the single source RL002 (static) and the
@@ -550,11 +519,6 @@ KERNEL_CONTRACTS: dict[str, KernelContract] = {
         params=("dual", "total", "slack", "bound", "rho", "tmp"),
         inout=("dual",),
         scratch=("tmp",),
-    ),
-    "SegmentOps.expand_into": KernelContract(
-        params=("self", "per_segment", "out"),
-        writes=("out",),
-        method=True,
     ),
 }
 

@@ -68,7 +68,7 @@ def model_path_flows_batch(
     flows_grid = ratios * Tensor(demand_grid)
     num_matrices = demands.shape[0]
     flat = flows_grid.reshape(num_matrices, ps.num_demands * ps.max_paths, 1)
-    return F.take_rows(flat, model.scatter_index).reshape(
+    return F.take_rows(flat, ps.path_grid_index).reshape(
         num_matrices, ps.num_paths
     )
 

@@ -194,14 +194,10 @@ class FlowGNN(Module):
         self.edge_agg_t = self.edge_agg.T.tocsr()
         self.path_agg_t = self.path_agg.T.tocsr()
 
-        # Gather/scatter indices for the per-demand DNN layers; -1 marks
-        # padding slots (they gather zeros, see take_rows_padded).
+        # Gather index for the per-demand DNN layers; -1 marks padding
+        # slots (they gather zeros, see take_rows_padded). The way back
+        # is pathset.path_grid_index.
         self.gather_index = pathset.demand_path_ids
-        positions = np.flatnonzero(pathset.demand_path_ids.reshape(-1) >= 0)
-        order = pathset.demand_path_ids.reshape(-1)[positions]
-        scatter = np.empty(pathset.num_paths, dtype=int)
-        scatter[order] = positions
-        self.scatter_index = scatter
         # Flat gather index with -1s clamped to 0, plus the flat padding
         # positions — the static inputs of the fused padded gather.
         flat_gather = self.gather_index.reshape(-1)
@@ -330,7 +326,7 @@ class FlowGNN(Module):
                 self.path_agg_t,
             )
             path_emb = self.dnn_layers[layer](
-                path_emb, self.gather_index, self.scatter_index
+                path_emb, self.gather_index, self.pathset.path_grid_index
             )
             if layer < self.num_layers - 1:
                 # Embedding growth: re-append the initialization value.
@@ -420,7 +416,7 @@ class FlowGNN(Module):
             tanh_(updated)
             grid = updated.reshape(lead + (num_demands * k, dim))
             path_out = ws.buffer(("path_out", layer), lead + (num_paths, dim), dtype)
-            take_rows_into(grid, self.scatter_index, path_out)
+            take_rows_into(grid, self.pathset.path_grid_index, path_out)
             if layer < self.num_layers - 1:
                 # Embedding growth: re-append the initialization value.
                 grown_e = ws.buffer(

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..config import TealHyperparameters
 from ..exceptions import ModelError
-from ..nn.layers import Linear, Module, ReLU
+from ..nn.layers import Linear, Module
 from ..nn.precision import EVALUATION_DTYPE
 from ..nn.tensor import Tensor
 from ..paths.pathset import PathSet
@@ -19,19 +19,6 @@ from ..topology.graph import broadcast_capacities
 from .batching import linear_into, masked_softmax_into, relu_
 from .flowgnn import FlowGNN
 from .policy import PolicyNetwork
-
-
-def grid_scatter_index(pathset: PathSet) -> np.ndarray:
-    """(P,) flat position of each path inside the (D, k) ratio grid.
-
-    Shared by the models and the direct-loss trainer to move values
-    between per-path and per-demand-grid layouts.
-    """
-    flat_ids = pathset.demand_path_ids.reshape(-1)
-    positions = np.flatnonzero(flat_ids >= 0)
-    scatter = np.empty(pathset.num_paths, dtype=int)
-    scatter[flat_ids[positions]] = positions
-    return scatter
 
 
 class AllocatorModel(Module):
@@ -48,15 +35,6 @@ class AllocatorModel(Module):
 
     def logits(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
         raise NotImplementedError
-
-    @property
-    def scatter_index(self) -> np.ndarray:
-        """(P,) flat grid position of each path (cached)."""
-        cached = getattr(self, "_scatter_index", None)
-        if cached is None:
-            cached = grid_scatter_index(self.pathset)
-            self._scatter_index = cached
-        return cached
 
     def forward(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
         """Deterministic split ratios (D, k) — the deployment path."""
@@ -204,6 +182,7 @@ class TealModel(AllocatorModel):
         """Raw-array policy MLP through the FlowGNN workspace buffers."""
         ws = self.flow_gnn.workspace
         x = features
+        # ``mlp`` builds only Linear and ReLU layers.
         for i, module in enumerate(self.policy.net.modules):
             if isinstance(module, Linear):
                 out = ws.buffer(
@@ -217,10 +196,8 @@ class TealModel(AllocatorModel):
                     None if bias is None else bias.data, out,
                 )
                 x = out
-            elif isinstance(module, ReLU):
+            else:
                 relu_(x)
-            else:  # pragma: no cover - TealModel policies are relu MLPs
-                x = module(Tensor(x)).numpy()
         return x
 
     def _split_ratios_fused(
@@ -251,34 +228,24 @@ class TealModel(AllocatorModel):
         return logits.copy()
 
     def split_ratios(
-        self,
-        demands: np.ndarray,
-        capacities: np.ndarray | None = None,
-        fused: bool = True,
+        self, demands: np.ndarray, capacities: np.ndarray | None = None
     ) -> np.ndarray:
         """Numpy (D, k) split ratios: the fused forward on a batch of one.
 
-        ``fused=False`` runs the tape-building Tensor forward instead
-        (the naive-elementwise reference the equivalence tests compare
-        against).
+        Bit-identical to ``forward(...).numpy()``, the tape-building
+        Tensor forward the equivalence tests compare against.
         """
         if capacities is None:
             capacities = self.pathset.topology.capacities
-        if not fused:
-            return self.forward(demands, capacities).numpy()
         return self._split_ratios_fused(np.asarray(demands)[None], capacities)[0]
 
     def split_ratios_batch(
-        self,
-        demands: np.ndarray,
-        capacities: np.ndarray | None = None,
-        fused: bool = True,
+        self, demands: np.ndarray, capacities: np.ndarray | None = None
     ) -> np.ndarray:
-        """Numpy (B, D, k) split ratios via one fused batched forward."""
+        """Numpy (B, D, k) split ratios via one fused batched forward
+        (bit-identical to ``forward_batch(...).numpy()``)."""
         if capacities is None:
             capacities = self.pathset.topology.capacities
-        if not fused:
-            return self.forward_batch(demands, capacities).numpy()
         demands = np.asarray(demands)
         if demands.ndim == 2 and demands.shape[0] == 0:
             return np.zeros(

@@ -26,14 +26,13 @@ substrate in place of PyTorch (:mod:`repro.nn`).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import LpAll, LpTop, NCFlow, Pop, TeavarStar
-from .cache import entry_path, read_entry, touch, write_entry
+from .cache import entry_path, lookup, read_entry, write_entry
 from .config import POP_REPLICAS, AdmmConfig, TrainingConfig
 from .core import TealScheme
 from .core.batching import Workspace
@@ -291,64 +290,47 @@ def build_scenario(
     if scale is None:
         scale = BENCH_SCALES.get(name, 1.0)
     key = (name, scale, seed, max_pairs, train, validation, test, headroom)
-    entry = entry_path(cache_dir, "scenario", key) if cache_dir is not None else None
-    if use_cache and key in _SCENARIO_CACHE:
-        scenario = _SCENARIO_CACHE[key]
-        if entry is not None and not entry.exists():
-            # The caller asked for persistence after an in-memory hit:
-            # materialize the on-disk entry now.
-            save_scenario(scenario, entry)
-        return scenario
-    # Disk tier: use_cache=False means "do not reuse" here too — build
-    # fresh and overwrite the stored entry instead of loading it.
-    if use_cache and entry is not None and entry.exists():
-        try:
-            scenario = load_scenario(entry, expected_key=key)
-        except ReproError as error:
-            warnings.warn(
-                f"scenario cache entry {entry} is unusable ({error}); "
-                "rebuilding",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            touch(entry)  # LRU recency for ``repro.cli cache prune``
-            _SCENARIO_CACHE[key] = scenario
-            return scenario
 
-    topology = get_topology(name, scale=scale, seed=seed)
-    trace = TrafficTrace.generate(
-        topology.num_nodes, train + validation + test, seed=seed + 17
+    def build() -> Scenario:
+        topology = get_topology(name, scale=scale, seed=seed)
+        trace = TrafficTrace.generate(
+            topology.num_nodes, train + validation + test, seed=seed + 17
+        )
+        split = trace.split(train, validation, test)
+        pathset = PathSet.from_topology(
+            topology, max_pairs=max_pairs, seed=seed + 29
+        )
+        # §5.1: capacities are set so the best scheme satisfies most
+        # demand, calibrated on the train split only (see the docstring
+        # above).
+        train_mean = np.stack([m.values for m in split.train]).mean(axis=0)
+        loads = pathset.shortest_path_loads(train_mean)
+        provisioned = provision_capacities(topology, loads, headroom=headroom)
+        # Rebind the pathset to the provisioned topology (same structure).
+        pathset = PathSet(
+            provisioned,
+            pathset.pairs,
+            [pathset.paths_of_demand(d) for d in range(pathset.num_demands)],
+            max_paths=pathset.max_paths,
+        )
+        return Scenario(
+            name=name,
+            topology=provisioned,
+            pathset=pathset,
+            split=split,
+            seed=seed,
+            build_key=key,
+        )
+
+    return lookup(
+        _SCENARIO_CACHE,
+        key,
+        entry_path(cache_dir, "scenario", key) if cache_dir is not None else None,
+        load=lambda path: load_scenario(path, expected_key=key),
+        build=build,
+        save=save_scenario,
+        use_cache=use_cache,
     )
-    split = trace.split(train, validation, test)
-    pathset = PathSet.from_topology(
-        topology, max_pairs=max_pairs, seed=seed + 29
-    )
-    # §5.1: capacities are set so the best scheme satisfies most demand,
-    # calibrated on the train split only (see the docstring above).
-    train_mean = np.stack([m.values for m in split.train]).mean(axis=0)
-    loads = pathset.shortest_path_loads(train_mean)
-    provisioned = provision_capacities(topology, loads, headroom=headroom)
-    # Rebind the pathset to the provisioned topology (same structure).
-    pathset = PathSet(
-        provisioned,
-        pathset.pairs,
-        [pathset.paths_of_demand(d) for d in range(pathset.num_demands)],
-        max_paths=pathset.max_paths,
-    )
-    scenario = Scenario(
-        name=name,
-        topology=provisioned,
-        pathset=pathset,
-        split=split,
-        seed=seed,
-        build_key=key,
-    )
-    if use_cache:
-        _SCENARIO_CACHE[key] = scenario
-    if entry is not None:
-        save_scenario(scenario, entry)
-    return scenario
 
 
 def make_baselines(
@@ -414,7 +396,8 @@ def trained_teal(
             keyed by the full config (``teal-*.npz``, see
             :mod:`repro.cache`) and
             later calls — including fresh processes and CI runs — skip
-            retraining by loading the checkpoint.
+            retraining by loading the checkpoint. An unusable checkpoint
+            warns (``RuntimeWarning``) and is retrained over.
         **teal_kwargs: Extra arguments forwarded to :class:`TealScheme`.
 
     Returns:
@@ -449,47 +432,34 @@ def trained_teal(
     # is float64; float32 inference runs a cast copy), so the disk key
     # drops the precision component of the in-memory key.
     disk_key = key[:7] + key[8:]
-    checkpoint = None
-    if cache_dir is not None:
-        checkpoint = entry_path(cache_dir, "teal", disk_key)
-    if use_cache and key in _TEAL_CACHE:
-        cached = _TEAL_CACHE[key]
-        if checkpoint is not None and not checkpoint.exists():
-            # The caller asked for persistence after an in-memory hit:
-            # materialize the checkpoint now (the model is float64).
-            save_model(cached.model, checkpoint, key=disk_key)
-        return cached
-    objective = get_objective(objective_name)
-    teal = TealScheme(
-        scenario.pathset, objective=objective, seed=seed,
-        precision=precision, **teal_kwargs,
-    )
-    # use_cache=False means "do not reuse" for the disk tier too: train
-    # fresh and overwrite the stored entry instead of loading it.
-    loaded = False
-    if use_cache and checkpoint is not None and checkpoint.exists():
-        try:
-            load_model(teal.model, checkpoint, key=disk_key)
-        except ReproError as error:
-            # Stale stamp, foreign key, corrupt file, or a config drift
-            # the fingerprint caught: a cache miss, not a crash.
-            warnings.warn(
-                f"model checkpoint {checkpoint} is unusable ({error}); "
-                "retraining",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            touch(checkpoint)  # LRU recency for ``repro.cli cache prune``
-            teal.trained = True
-            loaded = True
-    if not loaded:
+
+    def untrained() -> TealScheme:
+        return TealScheme(
+            scenario.pathset, objective=get_objective(objective_name),
+            seed=seed, precision=precision, **teal_kwargs,
+        )
+
+    def load(path: Path) -> TealScheme:
+        teal = untrained()
+        load_model(teal.model, path, key=disk_key)
+        teal.trained = True
+        return teal
+
+    def build() -> TealScheme:
+        teal = untrained()
         teal.train(scenario.split.train, config=config)
-        if checkpoint is not None:
-            save_model(teal.model, checkpoint, key=disk_key)
-    if use_cache:
-        _TEAL_CACHE[key] = teal
-    return teal
+        return teal
+
+    return lookup(
+        _TEAL_CACHE,
+        key,
+        entry_path(cache_dir, "teal", disk_key) if cache_dir is not None else None,
+        load=load,
+        build=build,
+        # The model is float64 whatever the inference precision.
+        save=lambda teal, path: save_model(teal.model, path, key=disk_key),
+        use_cache=use_cache,
+    )
 
 
 def _objective_values(

@@ -55,7 +55,7 @@ def _exact_alias(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def wrap_kernel(func, contract, name: str | None = None):
+def wrap_kernel(func, contract):
     """A checking wrapper around ``func`` enforcing ``contract``.
 
     ``contract`` is a :class:`repro.core.batching.KernelContract`. The
@@ -64,7 +64,7 @@ def wrap_kernel(func, contract, name: str | None = None):
     post-checks described in the module docstring, and otherwise
     delegates verbatim (same return value).
     """
-    kernel_name = name if name is not None else func.__name__
+    kernel_name = func.__name__
     clobbered = contract.writes + contract.inout + contract.scratch
     checked = contract.writes + contract.inout
     allowed = frozenset(frozenset(pair) for pair in contract.may_alias)
@@ -123,20 +123,9 @@ def install_sanitizers(namespace: dict) -> None:
     Called by ``batching`` itself at import time when
     :func:`sanitize_enabled`. ``namespace`` is the batching module's
     globals: every function named in its ``KERNEL_CONTRACTS`` is
-    rebound to a checking wrapper (method contracts wrap the attribute
-    on the owning class instead), and ``_SANITIZE`` is set so
+    rebound to a checking wrapper, and ``_SANITIZE`` is set so
     ``Workspace.buffer`` NaN-poisons fresh allocations.
     """
     for kernel_name, contract in namespace["KERNEL_CONTRACTS"].items():
-        if contract.method:
-            owner_name, _, attr = kernel_name.partition(".")
-            owner = namespace[owner_name]
-            wrapped = wrap_kernel(
-                getattr(owner, attr), contract, name=kernel_name
-            )
-            setattr(owner, attr, wrapped)
-        else:
-            namespace[kernel_name] = wrap_kernel(
-                namespace[kernel_name], contract, name=kernel_name
-            )
+        namespace[kernel_name] = wrap_kernel(namespace[kernel_name], contract)
     namespace["_SANITIZE"] = True

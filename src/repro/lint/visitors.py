@@ -157,38 +157,19 @@ class KernelAliasVisitor(_RuleVisitor):
 
     rule = "RL002"
 
-    _contracts: dict | None = None
-
     @classmethod
     def applies(cls, path: str) -> bool:
         return True
 
-    @classmethod
-    def contracts(cls) -> dict:
-        if cls._contracts is None:
-            from repro.core.batching import KERNEL_CONTRACTS
-
-            # Method contracts are registered as "Owner.method"; call
-            # sites only show the attribute name.
-            cls._contracts = {
-                key.split(".")[-1]: contract
-                for key, contract in KERNEL_CONTRACTS.items()
-            }
-        return cls._contracts
-
     def visit_Call(self, node: ast.Call) -> None:
+        from repro.core.batching import KERNEL_CONTRACTS
+
         name = _call_name(node.func)
-        contract = self.contracts().get(name) if name else None
+        contract = KERNEL_CONTRACTS.get(name) if name else None
         if contract is not None and not any(
             isinstance(a, ast.Starred) for a in node.args
         ):
-            params = contract.params
-            # Method kernels (e.g. SegmentOps.expand_into) are called
-            # with ``self`` bound; drop it when binding an attribute
-            # call's positionals.
-            if contract.method and isinstance(node.func, ast.Attribute):
-                params = params[1:]
-            bound: dict[str, ast.expr] = dict(zip(params, node.args))
+            bound: dict[str, ast.expr] = dict(zip(contract.params, node.args))
             for keyword in node.keywords:
                 if keyword.arg is not None:
                     bound[keyword.arg] = keyword.value

@@ -76,6 +76,8 @@ class PathSet:
         path_edge_ids: For each path, the numpy array of edge ids along it.
         path_demand: (P,) demand id of each path.
         demand_path_ids: (D, k) int array of path ids, -1 padded.
+        path_grid_index: (P,) flat position of each path inside the
+            (D, k) grid (the inverse of ``demand_path_ids``).
         path_mask: (D, k) bool array; True where a real path exists.
         edge_path_incidence: (E, P) CSR incidence matrix.
         path_hop_counts: (P,) number of edges on each path.
@@ -102,6 +104,7 @@ class PathSet:
 
         self.path_nodes: list[list[int]] = []
         path_demand: list[int] = []
+        path_grid_index: list[int] = []
         demand_path_ids = np.full((self.num_demands, max_paths), -1, dtype=np.int64)
 
         for d, ((s, t), paths) in enumerate(zip(self.pairs, paths_per_demand)):
@@ -117,8 +120,10 @@ class PathSet:
                 demand_path_ids[d, slot] = len(self.path_nodes)
                 self.path_nodes.append([int(n) for n in path])
                 path_demand.append(d)
+                path_grid_index.append(d * max_paths + slot)
 
         self.path_demand = np.array(path_demand, dtype=np.int64)
+        self.path_grid_index = np.array(path_grid_index, dtype=np.int64)
         self.demand_path_ids = demand_path_ids
         self.path_mask = demand_path_ids >= 0
         self.num_paths = len(self.path_nodes)

@@ -8,10 +8,10 @@ level of a (topology, seed) job shares one stacked kernel invocation
 per scheme. The :mod:`~repro.sweep.analytics` layer reduces
 one-or-many saved results into the paper's aggregate curves (speedup
 vs topology size, satisfied demand by failure level, phase-time
-breakdowns, precision tables). The :mod:`~repro.sweep.checkpoint` layer
-persists completed cells into the cache dir so interrupted grids resume
-(``resume=True`` / ``repro.cli sweep --resume``) bit-identically, and
-the :mod:`~repro.sweep.plotting` layer renders analytics into the
+breakdowns, precision tables). With a cache dir, each completed job is
+checkpointed as one entry so interrupted grids resume (``resume=True`` /
+``repro.cli sweep --resume``) bit-identically, and the
+:mod:`~repro.sweep.plotting` layer renders analytics into the
 paper's figures as SVG (``repro.cli plot``).
 """
 
@@ -30,21 +30,19 @@ from .analytics import (
     scheme_distributions,
     speedup_curve,
 )
-from .checkpoint import (
-    cell_key,
-    load_cell_checkpoint,
-    load_completed_cells,
-    save_cell_checkpoint,
-    suite_token,
-)
 from .grid import (
     EXECUTORS,
     GridCell,
     GridResult,
     ScenarioSuite,
     cell_seed,
+    job_key,
+    load_completed_cells,
+    load_job_checkpoint,
     run_scenario_grid,
+    save_job_checkpoint,
     single_topology,
+    suite_token,
 )
 from .plotting import (
     FigureSpec,
@@ -73,12 +71,12 @@ __all__ = [
     "analyze",
     "build_figures",
     "cdf_figure",
-    "cell_key",
     "cell_seed",
     "format_analytics",
-    "load_cell_checkpoint",
+    "job_key",
     "load_completed_cells",
     "load_grid_results",
+    "load_job_checkpoint",
     "phase_breakdown",
     "precision_table",
     "render_figures",
@@ -86,7 +84,7 @@ __all__ = [
     "robustness_figure",
     "run_scenario_grid",
     "satisfied_samples",
-    "save_cell_checkpoint",
+    "save_job_checkpoint",
     "scheme_colors",
     "scheme_distributions",
     "single_topology",

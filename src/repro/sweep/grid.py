@@ -29,18 +29,36 @@ failure sampling from :func:`cell_seed` (a CRC32 of the cell
 coordinates, stable across processes, unlike Python's randomized string
 ``hash``). A parallel run therefore reproduces a serial run bit for bit,
 which the test suite verifies.
+
+Resumable grids: paper-scale grids outlive a process. With a
+``cache_dir``, every completed (topology, seed) job is written as one
+atomic ``gridjob-*.npz`` entry in the shared :mod:`repro.cache` format,
+holding the job's cells and its timing, so an interrupt never leaves
+half a job on disk. The entry is keyed by :func:`job_key`: the suite
+hash (:func:`suite_token`), the topology and the seed. The key is also
+stored inside the entry and checked on load, and a loaded job must hold
+exactly the suite's cell coordinates for that job, so a suite edit, a
+hash-prefix collision or a foreign entry is a miss, never wrong cells.
+``resume=True`` loads every job whose entry verifies and executes only
+the rest. Cells and timing are JSON metadata: Python floats round-trip
+through ``repr`` bit for bit, and recomputed jobs are deterministic, so
+a resumed :class:`GridResult` is bit-identical to an uninterrupted run
+under either executor (``tests/test_grid_resume.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
+import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
-from ..cache import atomic_write_json
+from ..cache import atomic_write_json, entry_path, read_entry, write_entry
 from ..config import TE_INTERVAL_SECONDS, TrainingConfig
 from ..exceptions import ReproError
 from ..nn.precision import resolve_precision
@@ -49,6 +67,9 @@ from ..simulation.streaming import EventSchedule, LinkFailure
 
 #: Executors accepted by :func:`run_scenario_grid`.
 EXECUTORS = ("serial", "process")
+
+#: Cell coordinates: (topology, seed, failure_count, scheme).
+Coords = tuple[str, int, int, str]
 
 
 def cell_seed(topology: str, seed: int, failure_count: int) -> int:
@@ -158,6 +179,14 @@ class ScenarioSuite:
         """(topology, seed) pairs in deterministic grid order."""
         return [(t, s) for t in self.topologies for s in self.seeds]
 
+    def job_coords(self, topology: str, seed: int) -> list[Coords]:
+        """Cell coordinates of one job, in grid order."""
+        return [
+            (topology, seed, count, scheme)
+            for count in self.failure_counts
+            for scheme in self.schemes
+        ]
+
     def to_dict(self) -> dict:
         """JSON-ready dict (inverse of :meth:`from_dict`)."""
         record = asdict(self)
@@ -200,7 +229,7 @@ class GridCell:
     extras: dict = field(default_factory=dict)
 
     @property
-    def coords(self) -> tuple[str, int, int, str]:
+    def coords(self) -> Coords:
         """(topology, seed, failure_count, scheme) lookup key."""
         return (self.topology, self.seed, self.failure_count, self.scheme)
 
@@ -497,6 +526,110 @@ def _run_topology_job(
     return cells, timing
 
 
+def suite_token(suite: ScenarioSuite) -> str:
+    """Content hash of a suite spec (the grid's identity on disk).
+
+    Canonical-JSON SHA-256 over :meth:`ScenarioSuite.to_dict`, so two
+    processes — or two library versions agreeing on the spec fields —
+    compute the same token for the same grid, and *any* spec change
+    (an extra failure level, a different training budget) yields a
+    different token: checkpoints never leak across suites.
+    """
+    payload = json.dumps(suite.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def job_key(token: str, topology: str, seed: int) -> tuple:
+    """Cache key of one job's ``gridjob`` entry (see
+    :func:`repro.cache.entry_path`)."""
+    return (token, topology, seed)
+
+
+def save_job_checkpoint(
+    cache_dir: str | Path, token: str, cells: list[GridCell], timing: dict
+) -> Path:
+    """Atomically persist one completed job: its cells plus its timing."""
+    key = job_key(token, cells[0].topology, cells[0].seed)
+    return write_entry(
+        entry_path(cache_dir, "gridjob", key),
+        {"cells": [cell.to_dict() for cell in cells], "timing": dict(timing)},
+        {},
+        key=key,
+    )
+
+
+def load_job_checkpoint(
+    path: str | Path, token: str, coords: list[Coords]
+) -> tuple[list[GridCell], dict]:
+    """Load and verify one job checkpoint.
+
+    Args:
+        path: The entry.
+        token: The suite's :func:`suite_token`.
+        coords: The job's cell coordinates in grid order
+            (:meth:`ScenarioSuite.job_coords`).
+
+    Raises:
+        ReproError: On an unusable entry (see
+            :func:`repro.cache.read_entry`), including one stored under
+            another suite token or job, a malformed cell record, or an
+            entry whose cells are not exactly ``coords``. Resume treats
+            every such failure as a miss and recomputes the job.
+    """
+    topology, seed = coords[0][:2]
+    meta, _ = read_entry(path, key=job_key(token, topology, seed))
+    try:
+        cells = [GridCell.from_dict(record) for record in meta["cells"]]
+        timing = dict(meta["timing"])
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise ReproError(
+            f"malformed grid job entry {path}: {type(error).__name__}: {error}"
+        ) from error
+    stored = [cell.coords for cell in cells]
+    if stored != list(coords):
+        raise ReproError(
+            f"grid job entry {path} holds cells {stored}, expected {coords}"
+        )
+    return cells, timing
+
+
+def load_completed_cells(
+    cache_dir: str | Path, suite: ScenarioSuite, token: str | None = None
+) -> dict[tuple[str, int], tuple[list[GridCell], dict]]:
+    """Verified completed cells of a suite, by (topology, seed) job.
+
+    Probes each job's entry and loads it only if it verifies (see
+    :func:`load_job_checkpoint`). Unusable entries — truncated or
+    garbage files, stale format stamps, wrong cells — are counted,
+    reported once as a ``RuntimeWarning``, and treated as misses.
+
+    Returns:
+        ``{(topology, seed): (cells, timing)}`` for every loaded job.
+    """
+    token = token if token is not None else suite_token(suite)
+    completed = {}
+    unusable = 0
+    for topology, seed in suite.jobs():
+        path = entry_path(cache_dir, "gridjob", job_key(token, topology, seed))
+        if not path.exists():
+            continue
+        try:
+            completed[topology, seed] = load_job_checkpoint(
+                path, token, suite.job_coords(topology, seed)
+            )
+        except ReproError:
+            unusable += 1
+    if unusable:
+        warnings.warn(
+            f"{unusable} grid checkpoint entr"
+            f"{'y is' if unusable == 1 else 'ies are'} unusable under "
+            f"{cache_dir}; the affected jobs will recompute",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return completed
+
+
 def run_scenario_grid(
     suite: ScenarioSuite,
     executor: str = "serial",
@@ -515,15 +648,13 @@ def run_scenario_grid(
     docstring), so ``executor="process"`` reproduces ``"serial"`` bit
     for bit.
 
-    With a ``cache_dir``, every completed job's cells are checkpointed
-    to disk *as jobs complete* (one atomic ``gridcell-*.npz`` entry per
-    cell — see :mod:`repro.sweep.checkpoint`), so an interrupted grid
-    keeps its finished work. ``resume=True`` then loads every job whose
-    cells all verify and executes only the remaining jobs; because
-    checkpointed cells round-trip exactly and recomputed cells are
-    deterministic, the merged result is bit-identical to an
-    uninterrupted run. A job with a missing or unusable cell entry
-    recomputes whole.
+    With a ``cache_dir``, every completed job is checkpointed to disk
+    *as jobs complete* (one atomic ``gridjob-*.npz`` entry per job — see
+    the module docstring), so an interrupted grid keeps its finished
+    work. ``resume=True`` then loads every job whose entry verifies and
+    executes only the remaining jobs; because checkpointed cells
+    round-trip exactly and recomputed cells are deterministic, the
+    merged result is bit-identical to an uninterrupted run.
 
     Args:
         suite: The grid spec.
@@ -537,7 +668,7 @@ def run_scenario_grid(
             and re-runs — including fresh processes — skip rebuilds and
             retraining. A cache hit reproduces the rebuilt scenario bit
             for bit, so cached grids equal cold grids exactly. Also the
-            home of the per-cell grid checkpoints above.
+            home of the per-job grid checkpoints above.
         resume: Load verified completed jobs from ``cache_dir`` and
             execute only the remainder (requires ``cache_dir``).
 
@@ -558,37 +689,16 @@ def run_scenario_grid(
     jobs = suite.jobs()
 
     checkpointing = cache_dir is not None
-    token = None
-    completed: dict = {}
-    if checkpointing:
-        # Deferred import: checkpoint.py imports this module's types.
-        from .checkpoint import (
-            load_completed_cells,
-            save_cell_checkpoint,
-            suite_token,
-        )
-
-        token = suite_token(suite)
-        if resume:
-            completed = load_completed_cells(cache_dir, suite, token)
+    token = suite_token(suite) if checkpointing else None
+    completed = load_completed_cells(cache_dir, suite, token) if resume else {}
 
     start = time.perf_counter()
 
-    outputs: list[tuple[list[GridCell], dict] | None] = [None] * len(jobs)
-    run_indices: list[int] = []
-    loaded_cells = 0
-    for index, (topology, seed) in enumerate(jobs):
-        coords = [
-            (topology, seed, count, scheme)
-            for count in suite.failure_counts
-            for scheme in suite.schemes
-        ]
-        if all(c in completed for c in coords):
-            job_cells = [completed[c][0] for c in coords]
-            outputs[index] = (job_cells, dict(completed[coords[0]][1]))
-            loaded_cells += len(job_cells)
-        else:
-            run_indices.append(index)
+    outputs: list[tuple[list[GridCell], dict] | None] = [
+        completed.get(job) for job in jobs
+    ]
+    run_indices = [i for i, output in enumerate(outputs) if output is None]
+    loaded_cells = sum(len(output[0]) for output in completed.values())
 
     def record_job(index: int, job_cells: list[GridCell], timing: dict) -> None:
         # Called as each executed job completes (any completion order):
@@ -596,8 +706,7 @@ def run_scenario_grid(
         # loses nothing.
         outputs[index] = (job_cells, timing)
         if checkpointing:
-            for cell in job_cells:
-                save_cell_checkpoint(cache_dir, token, cell, timing)
+            save_job_checkpoint(cache_dir, token, job_cells, timing)
 
     if executor == "serial" or not run_indices:
         workers = 1

@@ -58,7 +58,9 @@ def diamond_topology() -> Topology:
 
 @pytest.fixture(scope="session")
 def entry_payloads():
-    """One payload per cache entry kind: (scenario, model, grid cell)."""
+    """One payload per cache entry kind: (scenario, model, grid cell).
+
+    The grid cell stands for a one-cell ``gridjob`` entry."""
     from pathlib import Path
 
     from repro.core import TealModel

@@ -28,7 +28,7 @@ def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 #: The cache entry kinds of :mod:`repro.cache`, in test-id order.
-ENTRY_KINDS = ("scenario", "teal", "gridcell")
+ENTRY_KINDS = ("scenario", "teal", "gridjob")
 
 
 def entry_io(kind: str, cache_dir, scenario, model, cell):
@@ -42,7 +42,7 @@ def entry_io(kind: str, cache_dir, scenario, model, cell):
     from repro.cache import entry_path
     from repro.core import load_model, save_model
     from repro.harness import load_scenario, save_scenario
-    from repro.sweep import load_cell_checkpoint, save_cell_checkpoint
+    from repro.sweep import load_job_checkpoint, save_job_checkpoint
 
     if kind == "scenario":
         key = scenario.build_key
@@ -72,13 +72,13 @@ def entry_io(kind: str, cache_dir, scenario, model, cell):
         token = "0" * 16
 
         def write():
-            return save_cell_checkpoint(
-                cache_dir, token, cell, {"train_seconds": 1.0}
+            return save_job_checkpoint(
+                cache_dir, token, [cell], {"train_seconds": 1.0}
             )
 
         def load(path, foreign=False):
-            return load_cell_checkpoint(
-                path, "1" * 16 if foreign else token, cell.coords
+            return load_job_checkpoint(
+                path, "1" * 16 if foreign else token, [cell.coords]
             )
 
     return write, load

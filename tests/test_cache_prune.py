@@ -128,7 +128,7 @@ def _stamped_entry(cache_dir, name: str, meta):
 
 
 def _grid_entry(cache_dir, name: str, version):
-    return _stamped_entry(cache_dir, name, {"format": version, "cell": {}})
+    return _stamped_entry(cache_dir, name, {"format": version, "cells": []})
 
 
 class TestEntryFormat:
@@ -217,7 +217,7 @@ class TestSchemaVersions:
     def test_expected_versions_per_prefix(self, tmp_path):
         """Every kind is stamped with the one CACHE_FORMAT, which is
         above the pre-shared-format version 1."""
-        assert CACHE_KINDS == ("scenario", "teal", "gridcell")
+        assert CACHE_KINDS == ("scenario", "teal", "gridjob")
         assert CACHE_FORMAT > 1
         for kind in CACHE_KINDS:
             path = write_entry(entry_path(tmp_path, kind, (kind,)), {}, {})
@@ -225,11 +225,11 @@ class TestSchemaVersions:
 
     def test_json_entry_versions(self, tmp_path):
         """The stamp is read from the entry's JSON metadata member."""
-        current = _grid_entry(tmp_path, "gridcell-a.npz", CACHE_FORMAT)
-        unstamped = _stamped_entry(tmp_path, "gridcell-b.npz", {"cell": {}})
-        corrupt = tmp_path / "gridcell-c.npz"
+        current = _grid_entry(tmp_path, "gridjob-a.npz", CACHE_FORMAT)
+        unstamped = _stamped_entry(tmp_path, "gridjob-b.npz", {"cells": []})
+        corrupt = tmp_path / "gridjob-c.npz"
         np.savez(corrupt, meta=np.array("{broken"))
-        nondict = tmp_path / "gridcell-d.npz"
+        nondict = tmp_path / "gridjob-d.npz"
         np.savez(nondict, meta=np.array("[1, 2]"))
         assert entry_schema_version(current) == CACHE_FORMAT
         assert entry_schema_version(unstamped) == 0
@@ -248,13 +248,14 @@ class TestSchemaVersions:
         assert entry_schema_version(teal_bad) is None
 
     def test_stale_entries_finds_only_mismatches(self, tmp_path):
-        fresh = _grid_entry(tmp_path, "gridcell-fresh.npz", CACHE_FORMAT)
-        old = _grid_entry(tmp_path, "gridcell-old.npz", 1)
+        fresh = _grid_entry(tmp_path, "gridjob-fresh.npz", CACHE_FORMAT)
+        old = _grid_entry(tmp_path, "gridjob-old.npz", 1)
         corrupt = tmp_path / "teal-bad.npz"
         corrupt.write_bytes(b"not a zip")
         _make_entry(tmp_path, "unrelated.json", 5, 100.0)  # not ours
-        # Grid files of the old JSON layout are no longer cache entries.
-        _make_entry(tmp_path, "gridcell-legacy.json", 5, 100.0)
+        # Files of retired entry kinds are no longer cache entries.
+        _make_entry(tmp_path, "gridmanifest-legacy.json", 5, 100.0)
+        _grid_entry(tmp_path, "gridmanifest-legacy.npz", 1)
         stale = {entry.path for entry in stale_entries(tmp_path)}
         assert stale == {old, corrupt}
         assert fresh not in stale
@@ -299,7 +300,7 @@ class TestCliCachePrune:
         assert "nothing to do" in capsys.readouterr().err
 
     def test_stale_entries_reported_without_eviction(self, tmp_path, capsys):
-        stale = _grid_entry(tmp_path, "gridcell-old.npz", 0)
+        stale = _grid_entry(tmp_path, "gridjob-old.npz", 0)
         rc = main(
             ["cache", "prune", "--cache-dir", str(tmp_path),
              "--max-bytes", "1G"]
@@ -311,19 +312,19 @@ class TestCliCachePrune:
         assert stale.exists()
 
     def test_evict_stale_removes_only_stale_entries(self, tmp_path, capsys):
-        stale = _grid_entry(tmp_path, "gridcell-old.npz", 0)
-        fresh = _grid_entry(tmp_path, "gridcell-new.npz", CACHE_FORMAT)
+        stale = _grid_entry(tmp_path, "gridjob-old.npz", 0)
+        fresh = _grid_entry(tmp_path, "gridjob-new.npz", CACHE_FORMAT)
         rc = main(
             ["cache", "prune", "--cache-dir", str(tmp_path), "--evict-stale"]
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "gridcell-old.npz" in out
+        assert "gridjob-old.npz" in out
         assert not stale.exists()
         assert fresh.exists()
 
     def test_evict_stale_dry_run_keeps_files(self, tmp_path, capsys):
-        stale = _grid_entry(tmp_path, "gridcell-old.npz", 0)
+        stale = _grid_entry(tmp_path, "gridjob-old.npz", 0)
         rc = main(
             ["cache", "prune", "--cache-dir", str(tmp_path),
              "--evict-stale", "--dry-run"]
@@ -334,10 +335,10 @@ class TestCliCachePrune:
         assert stale.exists()
 
     def test_evict_stale_composes_with_byte_budget(self, tmp_path):
-        stale = _grid_entry(tmp_path, "gridcell-old.npz", 0)
-        lru = _grid_entry(tmp_path, "gridcell-a.npz", CACHE_FORMAT)
+        stale = _grid_entry(tmp_path, "gridjob-old.npz", 0)
+        lru = _grid_entry(tmp_path, "gridjob-a.npz", CACHE_FORMAT)
         os.utime(lru, (100.0, 100.0))
-        keep = _grid_entry(tmp_path, "gridcell-b.npz", CACHE_FORMAT)
+        keep = _grid_entry(tmp_path, "gridjob-b.npz", CACHE_FORMAT)
         os.utime(keep, (200.0, 200.0))
         rc = main(
             ["cache", "prune", "--cache-dir", str(tmp_path),
@@ -370,3 +371,63 @@ class TestHarnessTouchesOnHit:
         trained_teal(scenario, config=config, cache_dir=tmp_path)
         for entry in cache_entries(tmp_path):
             assert entry.path.stat().st_mtime > stale
+
+
+class TestLookup:
+    """``repro.cache.lookup``: the one memory -> disk -> build lookup."""
+
+    def run(self, memory, entry, use_cache=True):
+        calls = []
+
+        def load(path):
+            calls.append("load")
+            meta, _ = read_entry(path, key=("k",))
+            return meta["value"]
+
+        def build():
+            calls.append("build")
+            return 7
+
+        def save(value, path):
+            calls.append("save")
+            write_entry(path, {"value": value}, {}, key=("k",))
+
+        value = cache_mod.lookup(
+            memory, "k", entry, load, build, save, use_cache
+        )
+        return value, calls
+
+    def test_miss_builds_and_fills_both_tiers(self, tmp_path):
+        memory, entry = {}, tmp_path / "teal-x.npz"
+        assert self.run(memory, entry) == (7, ["build", "save"])
+        assert memory == {"k": 7} and entry.exists()
+
+    def test_memory_hit_writes_a_missing_entry(self, tmp_path):
+        memory, entry = {"k": 7}, tmp_path / "teal-x.npz"
+        assert self.run(memory, entry) == (7, ["save"])
+        assert self.run(memory, entry) == (7, [])
+        assert self.run(memory, None) == (7, [])
+
+    def test_disk_hit_loads_and_touches(self, tmp_path):
+        entry = tmp_path / "teal-x.npz"
+        write_entry(entry, {"value": 5}, {}, key=("k",))
+        os.utime(entry, (1000.0, 1000.0))
+        memory = {}
+        assert self.run(memory, entry) == (5, ["load"])
+        assert memory == {"k": 5}
+        assert entry.stat().st_mtime > 1000.0
+
+    def test_unusable_entry_warns_and_rebuilds(self, tmp_path):
+        entry = tmp_path / "teal-x.npz"
+        entry.write_bytes(b"garbage")
+        with pytest.warns(RuntimeWarning, match=r"teal-x\.npz is unusable"):
+            assert self.run({}, entry) == (7, ["load", "build", "save"])
+        assert self.run({}, entry) == (7, ["load"])
+
+    def test_use_cache_false_builds_and_overwrites(self, tmp_path):
+        entry = tmp_path / "teal-x.npz"
+        write_entry(entry, {"value": 5}, {}, key=("k",))
+        memory = {"k": 5}
+        assert self.run(memory, entry, use_cache=False) == (7, ["build", "save"])
+        assert memory == {"k": 5}
+        assert read_entry(entry)[0]["value"] == 7

@@ -140,7 +140,7 @@ class TestCheckpoint:
 
         clear_caches()  # force the disk tier
         scenario = build_scenario("B4", seed=0, **kwargs)
-        with pytest.warns(RuntimeWarning, match="retraining"):
+        with pytest.warns(RuntimeWarning, match=r"teal-\w+\.npz is unusable"):
             teal = trained_teal(scenario, config=config, cache_dir=tmp_path)
         assert teal.trained
         # The retrain re-saved a freshly stamped checkpoint.
@@ -174,7 +174,7 @@ class TestCheckpoint:
 
         clear_caches()  # force the disk tier
         scenario = build_scenario("B4", seed=0, **kwargs)
-        with pytest.warns(RuntimeWarning, match="retraining"):
+        with pytest.warns(RuntimeWarning, match=r"teal-\w+\.npz is unusable"):
             teal = trained_teal(scenario, config=config, cache_dir=tmp_path)
         assert teal.trained
         # The retrain rewrote a loadable entry over the corrupt one.

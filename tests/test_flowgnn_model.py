@@ -10,7 +10,6 @@ from repro.core import (
     FlowGNN,
     PolicyNetwork,
     TealModel,
-    grid_scatter_index,
 )
 from repro.exceptions import ModelError
 from repro.nn import Tensor
@@ -134,10 +133,12 @@ class TestTealModel:
         assert emb.shape == (b4_pathset.num_paths, 6)
 
     def test_scatter_index_roundtrip(self, b4_pathset):
-        scatter = grid_scatter_index(b4_pathset)
+        scatter = b4_pathset.path_grid_index
         grid = b4_pathset.demand_path_ids.reshape(-1)
-        for pid in range(0, b4_pathset.num_paths, 50):
-            assert grid[scatter[pid]] == pid
+        assert np.array_equal(grid[scatter], np.arange(b4_pathset.num_paths))
+        assert np.array_equal(
+            np.sort(scatter), np.flatnonzero(b4_pathset.path_mask.reshape(-1))
+        )
 
     def test_fixed_computation_independent_of_values(self, b4_pathset):
         """Flop count is input-independent — the basis of Figure 7a.

@@ -1,10 +1,12 @@
-"""Tests for resumable checkpointed grid runs (``repro.sweep.checkpoint``).
+"""Tests for resumable checkpointed grid runs (``repro.sweep.grid``).
 
-The contract under test: a grid interrupted at *any* cell boundary and
+The contract under test: every completed (topology, seed) job is one
+``gridjob`` cache entry; a grid interrupted at *any* cell boundary and
 resumed with ``resume=True`` produces a :class:`GridResult` bit-identical
 to an uninterrupted run — across precisions and executors — and every
 persistence failure mode (truncated writes, stale schema versions,
-foreign suites) degrades to a recompute, never to wrong data.
+foreign suites, entries holding the wrong cells) degrades to a
+recompute, never to wrong data.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from repro.harness import clear_caches
 from repro.sweep import (
     GridResult,
     ScenarioSuite,
-    cell_key,
-    load_cell_checkpoint,
+    job_key,
     load_completed_cells,
+    load_job_checkpoint,
     run_scenario_grid,
-    save_cell_checkpoint,
+    save_job_checkpoint,
     suite_token,
 )
 
@@ -54,9 +56,14 @@ def tiny_suite(**overrides) -> ScenarioSuite:
     return ScenarioSuite(**defaults)
 
 
-def cell_path(cache_dir, token, coords):
-    """The ``gridcell`` entry of one cell."""
-    return entry_path(cache_dir, "gridcell", cell_key(token, coords))
+def job_path(cache_dir, token, topology, seed):
+    """The ``gridjob`` entry of one (topology, seed) job."""
+    return entry_path(cache_dir, "gridjob", job_key(token, topology, seed))
+
+
+def job_cells(result: GridResult, topology, seed) -> list:
+    """The cells of one job, in grid order."""
+    return [c for c in result.cells if (c.topology, c.seed) == (topology, seed)]
 
 
 def comparable(result: GridResult) -> list[tuple]:
@@ -106,25 +113,33 @@ def checkpointed(tmp_path_factory):
 
 
 class TestCellCheckpointEntries:
+    """One ``gridjob`` entry per job holds the job's cells and timing."""
+
     def test_every_cell_has_a_verified_entry(self, checkpointed):
         suite, token, result, cache_dir = checkpointed
-        for cell in result.cells:
-            path = cell_path(cache_dir, token, cell.coords)
-            assert path.exists()
-            loaded, timing = load_cell_checkpoint(path, token, cell.coords)
-            assert loaded.coords == cell.coords
-            assert loaded.run.satisfied == cell.run.satisfied
+        assert len(list(cache_dir.glob("gridjob-*.npz"))) == suite.num_jobs
+        for topology, seed in suite.jobs():
+            path = job_path(cache_dir, token, topology, seed)
+            cells, timing = load_job_checkpoint(
+                path, token, suite.job_coords(topology, seed)
+            )
+            expected = job_cells(result, topology, seed)
+            assert [c.to_dict() for c in cells] == [
+                c.to_dict() for c in expected
+            ]
             assert timing["train_seconds"] > 0.0
 
     def test_save_then_load_roundtrip(self, checkpointed, tmp_path):
         suite, token, result, _ = checkpointed
-        cell = result.cells[0]
-        path = save_cell_checkpoint(
-            tmp_path, token, cell, {"train_seconds": 1.0}
+        cells = job_cells(result, "B4", 1)
+        path = save_job_checkpoint(
+            tmp_path, token, cells, {"train_seconds": 1.0}
         )
-        assert path == cell_path(tmp_path, token, cell.coords)
-        loaded, timing = load_cell_checkpoint(path, token, cell.coords)
-        assert loaded.to_dict() == cell.to_dict()
+        assert path == job_path(tmp_path, token, "B4", 1)
+        loaded, timing = load_job_checkpoint(
+            path, token, suite.job_coords("B4", 1)
+        )
+        assert [c.to_dict() for c in loaded] == [c.to_dict() for c in cells]
         assert timing == {"train_seconds": 1.0}
 
     def test_no_temp_residue(self, checkpointed):
@@ -133,57 +148,72 @@ class TestCellCheckpointEntries:
 
     def test_foreign_suite_token_is_rejected(self, checkpointed):
         suite, token, result, cache_dir = checkpointed
-        coords = result.cells[0].coords
-        path = cell_path(cache_dir, token, coords)
+        path = job_path(cache_dir, token, "B4", 0)
         with pytest.raises(ReproError, match="key mismatch"):
-            load_cell_checkpoint(path, "0" * 16, coords)
+            load_job_checkpoint(path, "0" * 16, suite.job_coords("B4", 0))
 
     def test_foreign_coords_are_rejected(self, checkpointed):
         suite, token, result, cache_dir = checkpointed
-        coords = result.cells[0].coords
-        path = cell_path(cache_dir, token, coords)
-        other = (coords[0], coords[1], coords[2], "NCFlow")
+        path = job_path(cache_dir, token, "B4", 0)
         with pytest.raises(ReproError, match="key mismatch"):
-            load_cell_checkpoint(path, token, other)
+            load_job_checkpoint(path, token, suite.job_coords("B4", 1))
+        fewer_schemes = tiny_suite(schemes=("LP-all",))
+        with pytest.raises(ReproError, match="holds cells"):
+            load_job_checkpoint(
+                path, token, fewer_schemes.job_coords("B4", 0)
+            )
 
     def test_stale_schema_version_is_rejected(
         self, checkpointed, tmp_path, monkeypatch
     ):
         suite, token, result, _ = checkpointed
-        cell = result.cells[0]
+        cells = job_cells(result, "B4", 0)
         monkeypatch.setattr(cache_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
-        stale = save_cell_checkpoint(tmp_path, token, cell, {})
+        stale = save_job_checkpoint(tmp_path, token, cells, {})
         monkeypatch.undo()
         with pytest.raises(ReproError, match="stale cache entry"):
-            load_cell_checkpoint(stale, token, cell.coords)
+            load_job_checkpoint(stale, token, suite.job_coords("B4", 0))
 
-    def test_cell_seed_mismatch_is_rejected(self, checkpointed, tmp_path):
+    def test_wrong_cells_are_rejected(self, checkpointed, tmp_path):
+        """An entry under the right key must hold exactly the job's
+        cells: a missing, extra or foreign cell fails verification."""
         suite, token, result, _ = checkpointed
-        cell = result.cells[0]
-        key = cell_key(token, cell.coords)
+        coords = suite.job_coords("B4", 0)
+        cells = job_cells(result, "B4", 0)
+        for wrong in (
+            cells[:-1],
+            cells + cells[:1],
+            cells[:-1] + job_cells(result, "B4", 1)[-1:],
+        ):
+            path = save_job_checkpoint(tmp_path, token, wrong, {})
+            with pytest.raises(ReproError, match="holds cells"):
+                load_job_checkpoint(path, token, coords)
+
+    def test_malformed_cell_record_is_rejected(self, checkpointed, tmp_path):
+        suite, token, _, _ = checkpointed
+        key = job_key(token, "B4", 0)
         bad = write_entry(
-            tmp_path / "gridcell-seed.npz",
-            {"cell": cell.to_dict(), "timing": {}},
+            tmp_path / "gridjob-bad.npz",
+            {"cells": [{"topology": "B4"}], "timing": {}},
             {},
-            key=(key[0], key[1] + 1, *key[2:]),
+            key=key,
         )
-        with pytest.raises(ReproError, match="key mismatch"):
-            load_cell_checkpoint(bad, token, cell.coords)
+        with pytest.raises(ReproError, match="malformed grid job entry"):
+            load_job_checkpoint(bad, token, suite.job_coords("B4", 0))
 
     def test_truncated_entry_is_a_clean_error(self, checkpointed, tmp_path):
         suite, token, result, cache_dir = checkpointed
-        coords = result.cells[0].coords
-        data = cell_path(cache_dir, token, coords).read_bytes()
-        truncated = tmp_path / "gridcell-cut.npz"
+        data = job_path(cache_dir, token, "B4", 0).read_bytes()
+        truncated = tmp_path / "gridjob-cut.npz"
         truncated.write_bytes(data[: len(data) // 2])
         with pytest.raises(ReproError, match="cannot read cache entry"):
-            load_cell_checkpoint(truncated, token, coords)
+            load_job_checkpoint(truncated, token, suite.job_coords("B4", 0))
 
     def test_missing_file_is_a_clean_error(self, checkpointed, tmp_path):
         suite, token, result, _ = checkpointed
         with pytest.raises(ReproError, match="cannot read cache entry"):
-            load_cell_checkpoint(
-                tmp_path / "absent.npz", token, result.cells[0].coords
+            load_job_checkpoint(
+                tmp_path / "absent.npz", token, suite.job_coords("B4", 0)
             )
 
 
@@ -237,7 +267,9 @@ class TestLoadCompletedCells:
     def test_full_cache_loads_every_cell(self, checkpointed):
         suite, token, result, cache_dir = checkpointed
         completed = load_completed_cells(cache_dir, suite, token)
-        assert set(completed) == {c.coords for c in result.cells}
+        assert list(completed) == suite.jobs()
+        loaded = [c.coords for cells, _ in completed.values() for c in cells]
+        assert loaded == [c.coords for c in result.cells]
 
     def test_empty_dir_loads_nothing(self, checkpointed, tmp_path):
         suite, _, _, _ = checkpointed
@@ -246,14 +278,26 @@ class TestLoadCompletedCells:
     def test_unusable_entries_warn_and_miss(self, checkpointed, tmp_path):
         suite, token, result, cache_dir = checkpointed
         # Clone the cache, then corrupt one entry in the clone.
-        for path in cache_dir.glob("gridcell-*.npz"):
+        for path in cache_dir.glob("gridjob-*.npz"):
             (tmp_path / path.name).write_bytes(path.read_bytes())
-        victim = cell_path(tmp_path, token, result.cells[0].coords)
+        victim = job_path(tmp_path, token, "B4", 0)
         victim.write_bytes(victim.read_bytes()[:10])
         with pytest.warns(RuntimeWarning, match="1 grid checkpoint entry is"):
             completed = load_completed_cells(tmp_path, suite, token)
-        assert len(completed) == suite.num_cells - 1
-        assert result.cells[0].coords not in completed
+        assert list(completed) == [("B4", 1)]
+
+    def test_wrong_coordinates_are_a_miss(self, checkpointed, tmp_path):
+        """A verified entry holding another job's cells is not loaded."""
+        suite, token, result, _ = checkpointed
+        foreign = job_cells(result, "B4", 1)
+        write_entry(
+            job_path(tmp_path, token, "B4", 0),
+            {"cells": [c.to_dict() for c in foreign], "timing": {}},
+            {},
+            key=job_key(token, "B4", 0),
+        )
+        with pytest.warns(RuntimeWarning, match="1 grid checkpoint entry is"):
+            assert load_completed_cells(tmp_path, suite, token) == {}
 
 
 class TestResumeValidation:
@@ -270,25 +314,26 @@ class TestResumeDeterminism:
         clear_caches()
         return run_scenario_grid(tiny_suite())
 
-    # The checkpoints an interrupt leaves after the first k cell writes:
-    # 2 = mid-job (partial job recomputes whole), 4 = clean job
-    # boundary, 6 = one full job + a partial one.
+    # The checkpoints an interrupt leaves after the first k cells were
+    # computed: only whole jobs are ever on disk. 2 = mid-job (nothing),
+    # 4 = clean job boundary, 6 = one full job + a partial one (the
+    # full one).
     @pytest.mark.parametrize("k", (2, 4, 6))
     def test_interrupt_then_resume_is_bit_identical(
         self, k, reference, tmp_path
     ):
         suite = tiny_suite()
         token = suite_token(suite)
-        full = run_scenario_grid(suite, cache_dir=tmp_path)
-        for cell in full.cells[k:]:
-            cell_path(tmp_path, token, cell.coords).unlink()
-        assert len(load_completed_cells(tmp_path, suite, token)) == k
+        run_scenario_grid(suite, cache_dir=tmp_path)
+        cells_per_job = len(suite.failure_counts) * len(suite.schemes)
+        finished = suite.jobs()[: k // cells_per_job]
+        for topology, seed in suite.jobs()[len(finished):]:
+            job_path(tmp_path, token, topology, seed).unlink()
+        assert list(load_completed_cells(tmp_path, suite, token)) == finished
         resumed = run_scenario_grid(suite, cache_dir=tmp_path, resume=True)
         assert comparable(resumed) == comparable(reference)
         info = resumed.metadata["checkpointing"]
-        # Only fully-checkpointed jobs load; partial jobs recompute whole.
-        cells_per_job = len(suite.failure_counts) * len(suite.schemes)
-        assert info["loaded_cells"] == (k // cells_per_job) * cells_per_job
+        assert info["loaded_cells"] == len(finished) * cells_per_job
         assert resumed.metadata["resumed"] is True
 
     def test_real_interrupt_keeps_finished_jobs(
@@ -298,27 +343,31 @@ class TestResumeDeterminism:
         token = suite_token(suite)
         interrupted_run(suite, tmp_path, monkeypatch)
         # The first job checkpointed as it finished; nothing of the second.
-        first_job = [coords for coords, *_ in comparable(reference)[:4]]
-        assert sorted(load_completed_cells(tmp_path, suite, token)) == sorted(
-            first_job
-        )
+        assert list(load_completed_cells(tmp_path, suite, token)) == [
+            ("B4", 0)
+        ]
         resumed = run_scenario_grid(suite, cache_dir=tmp_path, resume=True)
         assert comparable(resumed) == comparable(reference)
         info = resumed.metadata["checkpointing"]
         assert (info["loaded_cells"], info["executed_jobs"]) == (4, 1)
 
     def test_partial_job_recomputes_whole(self, reference, tmp_path):
+        """An entry missing one of its job's cells is a miss: the job
+        recomputes whole and the entry is rewritten complete."""
         suite = tiny_suite()
         token = suite_token(suite)
         full = run_scenario_grid(suite, cache_dir=tmp_path)
-        victim = cell_path(tmp_path, token, full.cells[1].coords)
-        victim.unlink()
-        resumed = run_scenario_grid(suite, cache_dir=tmp_path, resume=True)
+        victim = save_job_checkpoint(
+            tmp_path, token, job_cells(full, "B4", 0)[:-1], {}
+        )
+        with pytest.warns(RuntimeWarning, match="1 grid checkpoint entry is"):
+            resumed = run_scenario_grid(
+                suite, cache_dir=tmp_path, resume=True
+            )
         assert comparable(resumed) == comparable(reference)
         info = resumed.metadata["checkpointing"]
-        # The first job lost one entry: all four of its cells recompute.
         assert (info["loaded_cells"], info["executed_jobs"]) == (4, 1)
-        assert victim.exists()
+        load_job_checkpoint(victim, token, suite.job_coords("B4", 0))
 
     @pytest.mark.parametrize("cell_batch", (0, 1, 2))
     def test_resume_matches_across_cell_batches(
@@ -374,7 +423,7 @@ class TestResumeDeterminism:
         token = suite_token(suite)
         full = run_scenario_grid(suite, cache_dir=tmp_path)
         monkeypatch.setattr(cache_mod, "CACHE_FORMAT", CACHE_FORMAT + 1)
-        save_cell_checkpoint(tmp_path, token, full.cells[0], {})
+        save_job_checkpoint(tmp_path, token, job_cells(full, "B4", 0), {})
         monkeypatch.undo()
         with pytest.warns(RuntimeWarning, match="unusable"):
             resumed = run_scenario_grid(
@@ -387,11 +436,11 @@ class TestResumeDeterminism:
     def test_garbage_entry_recomputes_bit_identically(
         self, reference, tmp_path
     ):
-        """Regression: a non-UTF-8 cell entry used to abort resume with
+        """Regression: a non-UTF-8 grid entry used to abort resume with
         UnicodeDecodeError instead of reading as a miss."""
         suite = tiny_suite()
         run_scenario_grid(suite, cache_dir=tmp_path)
-        victim = sorted(tmp_path.glob("gridcell-*"))[0]
+        victim = sorted(tmp_path.glob("gridjob-*"))[0]
         victim.write_bytes(b"\xff\xfe" + bytes(range(256)))
         with pytest.warns(RuntimeWarning, match="1 grid checkpoint entry is"):
             resumed = run_scenario_grid(

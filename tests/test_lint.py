@@ -150,18 +150,20 @@ def test_rl002_respects_may_alias_and_distinct_buffers(tmp_path):
     assert "RL002" not in _rules_hit(tmp_path)
 
 
-def test_rl002_method_kernel_binding(tmp_path):
+def test_rl002_binds_attribute_calls(tmp_path):
     _write_module(
         tmp_path,
         "repro/core/mod.py",
         """
-        def f(ops, values, out):
-            ops.expand_into(values, values)   # positive: out aliases values
-            ops.expand_into(values, out)      # negative
+        from . import batching
+
+        def f(grid, index, out):
+            batching.take_rows_into(grid, index, grid)  # positive: out is x
+            batching.take_rows_into(grid, index, out)   # negative
         """,
     )
     findings = [f for f in _lint(tmp_path) if f.rule == "RL002"]
-    assert [f.line for f in findings] == [3]
+    assert [f.line for f in findings] == [5]
 
 
 # ----------------------------------------------------------------------
@@ -410,11 +412,7 @@ def test_cli_lint_repo_src_is_clean():
 
 def test_kernel_contracts_match_signatures():
     for name, contract in KERNEL_CONTRACTS.items():
-        if contract.method:
-            owner_name, _, attr = name.partition(".")
-            func = inspect.unwrap(getattr(getattr(batching, owner_name), attr))
-        else:
-            func = inspect.unwrap(getattr(batching, name))
+        func = inspect.unwrap(getattr(batching, name))
         params = tuple(inspect.signature(func).parameters)
         assert params == contract.params, name
         declared = set(
@@ -485,7 +483,7 @@ from repro.core import batching
 
 assert batching._SANITIZE, "REPRO_SANITIZE=1 must arm the module flag"
 assert getattr(batching.pair_linear_into, "__repro_sanitized__", False)
-assert getattr(batching.SegmentOps.expand_into, "__repro_sanitized__", False)
+assert getattr(batching.take_rows_into, "__repro_sanitized__", False)
 
 # Workspace poisoning: fresh float buffers are NaN, reuse keeps contents.
 ws = batching.Workspace()

@@ -23,7 +23,6 @@ import scipy.sparse as sp
 from repro.config import AdmmConfig, TrainingConfig
 from repro.core import AdmmFineTuner, TealModel, TealScheme
 from repro.core.batching import (
-    SegmentOps,
     Workspace,
     csr_matmul_into,
     linear_into,
@@ -232,12 +231,13 @@ class TestFusedKernels:
         demands = np.stack(
             [b4_pathset.demand_volumes(m.values) for m in b4_trace[:4]]
         )
-        naive = model.split_ratios_batch(demands, fused=False)
-        fused = model.split_ratios_batch(demands, fused=True)
+        capacities = b4_pathset.topology.capacities
+        naive = model.forward_batch(demands, capacities).numpy()
+        fused = model.split_ratios_batch(demands)
         assert fused.dtype == dtype
         assert np.array_equal(naive, fused)
-        one_naive = model.split_ratios(demands[2], fused=False)
-        one_fused = model.split_ratios(demands[2], fused=True)
+        one_naive = model.forward(demands[2], capacities).numpy()
+        one_fused = model.split_ratios(demands[2])
         assert np.array_equal(one_naive, one_fused)
 
     def test_fused_forward_reuses_buffers(self, dtype, b4_pathset, b4_trace):
@@ -351,28 +351,12 @@ def test_fused_bit_identical_to_tensor_path_end_to_end(name, dtype):
     bit, batched and single-matrix, across topologies and precisions."""
     pathset, demands = _small_case(name)
     model = TealModel(pathset, seed=3).astype(dtype)
-    fused = model.split_ratios_batch(demands, fused=True)
+    capacities = pathset.topology.capacities
+    fused = model.split_ratios_batch(demands)
     assert fused.dtype == dtype
-    assert np.array_equal(fused, model.split_ratios_batch(demands, fused=False))
-    one = model.split_ratios(demands[0], fused=True)
-    assert np.array_equal(one, model.split_ratios(demands[0], fused=False))
-
-
-class TestSegmentOpsDtype:
-    def test_sum_storage_dtype(self):
-        ops = SegmentOps(np.array([0, 1, 0, 2]), 3)
-        weights = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
-        default = ops.sum(weights)
-        assert default.dtype == np.float64  # historic behaviour
-        stored = ops.sum(weights, dtype=np.float32)
-        assert stored.dtype == np.float32
-        assert np.array_equal(stored.astype(np.float64), default)
-
-    def test_max_dtype_follows_values(self):
-        ops = SegmentOps(np.array([0, 0, 1]), 2)
-        values = np.array([[1.0, 5.0, 2.0]], dtype=np.float32)
-        assert ops.max(values).dtype == np.float32
-        assert ops.max(values, dtype=np.float64).dtype == np.float64
+    assert np.array_equal(fused, model.forward_batch(demands, capacities).numpy())
+    one = model.split_ratios(demands[0])
+    assert np.array_equal(one, model.forward(demands[0], capacities).numpy())
 
 
 # ----------------------------------------------------------------------
