@@ -24,7 +24,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import REFERENCE_TOL, naive_admm_batch
+from helpers import REFERENCE_TOL, naive_admm_batch, scatter_add_regroup
 
 from repro.config import AdmmConfig, TrainingConfig
 from repro.core import (
@@ -42,6 +42,8 @@ from repro.harness import (
     trained_teal,
 )
 from repro.lp import TotalFlowObjective
+from repro.nn import Parameter
+from repro.nn import functional as F
 from repro.simulation import evaluate_allocation, evaluate_allocations_batch
 from repro.simulation.streaming import EventSchedule, StreamingEngine
 from repro.sweep import ScenarioSuite, analyze, run_scenario_grid
@@ -132,6 +134,33 @@ def test_batched_admm_not_slower_than_loop(training_batch):
     )
     batched_s = best_of(lambda: tuner.fine_tune_batch(ratios, demands), 3)
     assert looped_s / batched_s > 0.9, (looped_s, batched_s)
+
+
+# ----------------------------------------------------------------------
+# The path <-> grid regroup backward (ASN, width 6, one matrix)
+# ----------------------------------------------------------------------
+def test_regroup_backward():
+    """``F.regroup``'s gather backward >= 5x the scatter-add it replaced,
+    on ASN's path -> (D, k) grid regroup at the last layer's width."""
+    pathset = build_scenario(
+        "ASN", train=1, validation=1, test=1, seed=0
+    ).pathset
+    index, inverse = pathset.demand_path_ids, pathset.path_grid_index
+    rng = np.random.default_rng(0)
+    x = Parameter(rng.normal(size=(1, pathset.num_paths, 6)))
+    grad = rng.normal(size=(1,) + index.shape + (6,))
+    runs = {}
+    for name, op in (("gather", F.regroup), ("scatter_add", scatter_add_regroup)):
+        out = op(x, index, inverse)
+
+        def backward(out=out):
+            out.grad = x.grad = None
+            out.backward(grad)
+
+        runs[name] = backward
+        backward()  # warm-up
+    seconds = best_of_each(runs, 15)
+    assert seconds["scatter_add"] / seconds["gather"] >= 5.0, seconds
 
 
 # ----------------------------------------------------------------------

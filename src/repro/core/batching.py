@@ -303,8 +303,8 @@ def relu_(x: np.ndarray) -> np.ndarray:
 def take_rows_into(x: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Gather rows along the second-to-last axis into ``out``.
 
-    Raw-array twin of :func:`repro.nn.functional.take_rows` (forward
-    only — the fast path never needs the scatter-add backward).
+    Raw-array twin of the forward of :func:`repro.nn.functional.regroup`
+    on an index without padding (the fast path needs no backward).
     """
     np.take(x, indices, axis=-2, out=out)
     return out
@@ -318,7 +318,7 @@ def padded_take_rows_into(
 ) -> np.ndarray:
     """Gather rows with padding slots zeroed, into ``out``.
 
-    Raw-array twin of :func:`repro.nn.functional.take_rows_padded`:
+    Raw-array twin of the forward of :func:`repro.nn.functional.regroup`:
     ``safe_indices`` is the flat index array with -1s replaced by 0 and
     ``invalid_rows`` the flat positions of those padding slots (both
     precomputed once per model — the masks are static).

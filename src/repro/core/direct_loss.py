@@ -53,9 +53,9 @@ def model_path_flows_batch(
 ) -> Tensor:
     """Differentiable (T, P) intended path flows for a minibatch.
 
-    One ``forward_batch`` pass produces the whole stack; the gather to
-    per-path layout is shared across the batch (``take_rows`` scatters
-    gradients per batch element).
+    One ``forward_batch`` pass produces the whole stack and one regroup
+    moves it to per-path layout; the regroup's backward gathers each
+    matrix's gradient back into the (D, k) grid.
 
     Args:
         model: The model (provides ratios differentiably).
@@ -67,10 +67,11 @@ def model_path_flows_batch(
     demand_grid = demands[:, :, None] * ps.path_mask  # (T, D, k)
     flows_grid = ratios * Tensor(demand_grid)
     num_matrices = demands.shape[0]
-    flat = flows_grid.reshape(num_matrices, ps.num_demands * ps.max_paths, 1)
-    return F.take_rows(flat, ps.path_grid_index).reshape(
-        num_matrices, ps.num_paths
-    )
+    # The batch rides the feature axis: one regroup of (D * k, T) slot
+    # rows yields path-major (T, P) flows, whose per-matrix sums in the
+    # losses below keep the summation order of a path-major stack.
+    slots = flows_grid.reshape(num_matrices, ps.num_demands * ps.max_paths).T
+    return F.regroup(slots, ps.path_grid_index, ps.demand_path_ids).T
 
 
 def surrogate_loss_batch(
@@ -99,7 +100,9 @@ def surrogate_loss_batch(
     path_flows = model_path_flows_batch(model, demands, capacities)
     value = (path_flows * Tensor(path_values)).sum(axis=-1)  # (T,)
     loads = F.sparse_matmul(
-        ps.edge_path_incidence, path_flows.reshape(num_matrices, ps.num_paths, 1)
+        ps.edge_path_incidence,
+        path_flows.reshape(num_matrices, ps.num_paths, 1),
+        transposed=ps.path_edge_incidence,
     ).reshape(num_matrices, ps.topology.num_edges)
     overuse = F.relu(loads - Tensor(capacities)).sum(axis=-1)  # (T,)
     scale = np.maximum(demands.sum(axis=-1), 1e-9)
@@ -130,7 +133,9 @@ def mlu_surrogate_loss_batch(
     num_matrices = demands.shape[0]
     path_flows = model_path_flows_batch(model, demands, capacities)
     loads = F.sparse_matmul(
-        ps.edge_path_incidence, path_flows.reshape(num_matrices, ps.num_paths, 1)
+        ps.edge_path_incidence,
+        path_flows.reshape(num_matrices, ps.num_paths, 1),
+        transposed=ps.path_edge_incidence,
     ).reshape(num_matrices, ps.topology.num_edges)
     inverse_caps = np.where(
         capacities > 0, 1.0 / np.maximum(capacities, 1e-12), 0.0

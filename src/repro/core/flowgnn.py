@@ -130,7 +130,8 @@ class DemandDNNLayer(Module):
         Padding slots gather zeros on the way in (-1 indices); on the way
         out no masking is needed because ``scatter_index`` only reads the
         grid positions of real paths — padding positions never reach the
-        result or the gradient.
+        result or the gradient. The two indices invert each other, so
+        both regroups backpropagate by gathering with the other one.
 
         Args:
             path_emb: (P, dim) PathNode embeddings, optionally with
@@ -144,12 +145,12 @@ class DemandDNNLayer(Module):
         """
         lead = path_emb.shape[:-2]
         num_demands = gather_index.shape[0]
-        grouped = F.take_rows_padded(path_emb, gather_index)  # (..., D, k, dim)
+        grouped = F.regroup(path_emb, gather_index, scatter_index)  # (..., D, k, dim)
         flat = grouped.reshape(lead + (num_demands, self.num_paths * self.dim))
         updated = F.tanh(self.transform(flat))
         # Scatter the grid back to per-path rows.
         grid = updated.reshape(lead + (num_demands * self.num_paths, self.dim))
-        return F.take_rows(grid, scatter_index)
+        return F.regroup(grid, scatter_index, gather_index)
 
 
 class FlowGNN(Module):
@@ -176,27 +177,27 @@ class FlowGNN(Module):
         self.num_layers = num_layers
         rng = np.random.default_rng(seed)
 
-        self.incidence = pathset.edge_path_incidence.tocsr()
-        self.incidence_t = self.incidence.T.tocsr()
-        edge_degree = np.asarray(self.incidence.sum(axis=1)).reshape(-1, 1)
-        path_degree = np.asarray(self.incidence_t.sum(axis=1)).reshape(-1, 1)
+        incidence = pathset.edge_path_incidence
+        incidence_t = pathset.path_edge_incidence
+        edge_degree = np.asarray(incidence.sum(axis=1)).reshape(-1, 1)
+        path_degree = np.asarray(incidence_t.sum(axis=1)).reshape(-1, 1)
         self.edge_scale = 1.0 / np.maximum(edge_degree, 1.0)
         self.path_scale = 1.0 / np.maximum(path_degree, 1.0)
         # Degree normalization folded into the aggregation matrices (one
         # sparse product per direction instead of product + rescale), with
         # transposes precomputed for the backward pass.
         self.edge_agg = sp.csr_matrix(
-            self.incidence.multiply(self.edge_scale)
+            incidence.multiply(self.edge_scale)
         )
         self.path_agg = sp.csr_matrix(
-            self.incidence_t.multiply(self.path_scale)
+            incidence_t.multiply(self.path_scale)
         )
         self.edge_agg_t = self.edge_agg.T.tocsr()
         self.path_agg_t = self.path_agg.T.tocsr()
 
         # Gather index for the per-demand DNN layers; -1 marks padding
-        # slots (they gather zeros, see take_rows_padded). The way back
-        # is pathset.path_grid_index.
+        # slots (they gather zeros, see F.regroup). The way back is
+        # pathset.path_grid_index.
         self.gather_index = pathset.demand_path_ids
         # Flat gather index with -1s clamped to 0, plus the flat padding
         # positions — the static inputs of the fused padded gather.
@@ -462,7 +463,9 @@ class FlowGNN(Module):
         """
         dim = self.embedding_dim
         lead = path_emb.shape[:-2]
-        grouped = F.take_rows_padded(path_emb, self.gather_index)
+        grouped = F.regroup(
+            path_emb, self.gather_index, self.pathset.path_grid_index
+        )
         return grouped.reshape(
             lead + (self.pathset.num_demands, self.pathset.max_paths * dim)
         )

@@ -1,9 +1,9 @@
 """Differentiable operations beyond the Tensor dunder methods.
 
 Includes everything Teal's models need: activations, (masked) softmax,
-sparse aggregation for FlowGNN message passing, row gathering for
-per-demand embedding lookup, concatenation, and Gaussian log-densities
-for the stochastic policy (Appendix B).
+sparse aggregation for FlowGNN message passing, row gathers and the
+path <-> grid regroup of per-demand embeddings, concatenation, and
+Gaussian log-densities for the stochastic policy (Appendix B).
 """
 
 from __future__ import annotations
@@ -203,6 +203,10 @@ def pair_linear(
 def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows along the second-to-last axis with scatter-add backward.
 
+    For indices that may repeat (the naive-GNN ablation gathers each
+    node once per incident edge); a one-to-one regroup between layouts
+    that invert each other is :func:`regroup`, whose backward gathers.
+
     Args:
         x: (N, F) tensor, or a batched (..., N, F) tensor; the gather
             indexes the N axis and is shared across batch elements.
@@ -238,48 +242,59 @@ def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def take_rows_padded(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Like :func:`take_rows` but negative indices yield zero rows.
+def _gather_rows(arr: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Rows of ``arr`` (second-to-last axis) at ``index``; -1 gives zeros.
 
-    The gather primitive for padded (D, k) path grids: padding slots are
-    marked -1 and produce zeros (forward) and receive no gradient
-    (backward), without materializing a sentinel zero row via concat.
+    Shape ``arr.shape[:-2] + index.shape + arr.shape[-1:]``. One
+    ``np.take``, then the padding slots zeroed through their flat
+    positions: the two steps of ``batching.padded_take_rows_into``.
+    """
+    flat = index.reshape(-1)
+    invalid = flat < 0
+    padding = np.flatnonzero(invalid)
+    out = np.take(arr, np.where(invalid, 0, flat) if padding.size else flat, axis=-2)
+    if padding.size:
+        out[..., padding, :] = 0.0
+    return out.reshape(arr.shape[:-2] + index.shape + arr.shape[-1:])
+
+
+def regroup(x: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
+    """Move rows between two layouts that are exact inverses of each other.
+
+    The path <-> grid regroup of FlowGNN: with ``index`` the (D, k) path
+    ids of each grid slot (-1 for padding) and ``inverse`` the (P,) grid
+    slot of each path, ``regroup`` lays per-path rows out as per-demand
+    grids; with the two swapped it reads them back. Because every real
+    row lands in exactly one slot, the backward of a gather by ``index``
+    is a gather by ``inverse`` — no scatter-add.
 
     Args:
-        x: (N, F) tensor, or a batched (..., N, F) tensor.
-        indices: Integer row indices (any shape); -1 marks padding.
+        x: (N, F) tensor, or a batched (..., N, F) tensor; the regroup
+            acts on the N axis and is shared across batch elements.
+        index: Integer row indices (any shape, ``index.size`` slots);
+            -1 yields a zero row. Real entries must be distinct.
+        inverse: Integer array of N entries (any shape), the inverse of
+            ``index``: entry ``r`` is the flat slot of ``index`` that
+            holds ``r``, -1 where none does.
+
+    Returns:
+        ``x.shape[:-2] + index.shape + (F,)`` tensor.
     """
     x = as_tensor(x)
-    indices = np.asarray(indices, dtype=int)
+    index = np.asarray(index)
+    inverse = np.asarray(inverse)
     if x.ndim < 2:
-        raise ModelError("take_rows_padded expects a tensor with at least 2 dims")
-    invalid = indices < 0
-    safe = np.where(invalid, 0, indices)
-    data = x.data[..., safe, :]
-    if invalid.any():
-        data[..., invalid, :] = 0.0
-    out = Tensor(data, parents=(x,))
+        raise ModelError("regroup expects a tensor with at least 2 dims")
+    if inverse.size != x.data.shape[-2]:
+        raise ModelError(
+            f"inverse has {inverse.size} entries for {x.data.shape[-2]} rows"
+        )
+    out = Tensor(_gather_rows(x.data, index), parents=(x,))
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        acc = np.zeros_like(x.data)
-        flat_idx = safe.reshape(-1)
-        keep = ~invalid.reshape(-1)
-        features = x.data.shape[-1]
-        if x.ndim == 2:
-            grad_flat = grad.reshape(-1, features)
-            np.add.at(acc, flat_idx[keep], grad_flat[keep])
-        else:
-            lead = int(np.prod(x.data.shape[:-2]))
-            acc_view = acc.reshape(lead, x.data.shape[-2], features)
-            grad_flat = grad.reshape(lead, flat_idx.size, features)
-            np.add.at(
-                acc_view,
-                (np.arange(lead)[:, None], flat_idx[keep][None, :]),
-                grad_flat[:, keep],
-            )
-        x._accumulate(acc)
+        if x.requires_grad:
+            slots = grad.reshape(x.data.shape[:-2] + (index.size, grad.shape[-1]))
+            x._accumulate(_gather_rows(slots, inverse).reshape(x.data.shape))
 
     out._backward_fn = backward
     return out
@@ -297,10 +312,10 @@ def _sparse_apply(csr: sp.csr_matrix, arr: np.ndarray) -> np.ndarray:
         return csr @ arr
     lead = arr.shape[:-2]
     n, features = arr.shape[-2:]
-    folded = np.moveaxis(arr.reshape(-1, n, features), 0, 1).reshape(n, -1)
+    folded = arr.reshape(-1, n, features).transpose(1, 0, 2).reshape(n, -1)
     product = csr @ folded
     m = product.shape[0]
-    return np.moveaxis(product.reshape(m, -1, features), 1, 0).reshape(
+    return product.reshape(m, -1, features).transpose(1, 0, 2).reshape(
         lead + (m, features)
     )
 

@@ -7,6 +7,8 @@ the sparse incidence structures every downstream component needs:
 - ``edge_path_incidence`` — (E, P) CSR 0/1 matrix; entry (e, p) = 1 iff
   edge ``e`` lies on path ``p``. Used by the LP builder, the feasible-flow
   evaluator, FlowGNN message passing, and ADMM.
+- ``path_edge_incidence`` — its (P, E) CSR transpose, built once for
+  FlowGNN and the backward of the training surrogates' load products.
 - ``path_demand`` — (P,) map from path id to demand id.
 - ``demand_path_ids`` — (D, k) grid of path ids, right-padded with -1 for
   demands that have fewer than ``k`` distinct paths (small or failed
@@ -80,6 +82,8 @@ class PathSet:
             (D, k) grid (the inverse of ``demand_path_ids``).
         path_mask: (D, k) bool array; True where a real path exists.
         edge_path_incidence: (E, P) CSR incidence matrix.
+        path_edge_incidence: (P, E) CSR transpose of
+            ``edge_path_incidence`` (the backward of its products).
         path_hop_counts: (P,) number of edges on each path.
         path_edge_index: (P, max hops) edge ids of each path, padded
             with E.
@@ -143,6 +147,7 @@ class PathSet:
         self.edge_path_incidence = sp.csr_matrix(
             (data, (rows, cols)), shape=(topology.num_edges, self.num_paths)
         )
+        self.path_edge_incidence = self.edge_path_incidence.T.tocsr()
         self.path_hop_counts = np.array(
             [len(e) for e in self.path_edge_ids], dtype=np.int64
         )

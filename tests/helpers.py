@@ -27,6 +27,53 @@ def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def scatter_add_rows(grad: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+    """``np.add.at`` adjoint of a row gather by ``index`` (-1 = padding).
+
+    ``grad`` is (..., *index.shape, F); returns the (..., num_rows, F)
+    sum of each gathered row's gradients, padding slots dropped. The
+    reference :func:`repro.nn.functional.regroup`'s gather backward is
+    tested against.
+    """
+    flat = index.reshape(-1)
+    keep = flat >= 0
+    features = grad.shape[-1]
+    lead = grad.shape[: grad.ndim - index.ndim - 1]
+    slots = grad.reshape(-1, flat.size, features)
+    acc = np.zeros((slots.shape[0], num_rows, features), dtype=grad.dtype)
+    np.add.at(
+        acc,
+        (np.arange(slots.shape[0])[:, None], flat[keep][None, :]),
+        slots[:, keep],
+    )
+    return acc.reshape(lead + (num_rows, features))
+
+
+def scatter_add_regroup(x, index: np.ndarray, inverse: np.ndarray):
+    """:func:`repro.nn.functional.regroup` with a scatter-add backward.
+
+    Same forward (padding slots are zero rows); the backward ignores
+    ``inverse`` and scatters through :func:`scatter_add_rows`, the form
+    the gather replaced. Patched in for ``F.regroup`` it gives the
+    reference gradients and timings of the regroup.
+    """
+    from repro.nn.tensor import Tensor, as_tensor
+
+    x = as_tensor(x)
+    index = np.asarray(index)
+    padding = index < 0
+    data = x.data[..., np.where(padding, 0, index), :]
+    data[..., padding, :] = 0.0
+    out = Tensor(data, parents=(x,))
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(scatter_add_rows(grad, index, x.data.shape[-2]))
+
+    out._backward_fn = backward
+    return out
+
+
 #: The cache entry kinds of :mod:`repro.cache`, in test-id order.
 ENTRY_KINDS = ("scenario", "teal", "gridjob")
 

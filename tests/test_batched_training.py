@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import scatter_add_regroup
 
 from repro.config import AdmmConfig, TealHyperparameters, TrainingConfig
 from repro.core import (
@@ -32,6 +33,7 @@ from repro.core.coma import sample_training_capacities, training_minibatches
 from repro.exceptions import TrainingError
 from repro.lp import MinMaxLinkUtilizationObjective, TotalFlowObjective
 from repro.lp.objectives import DelayPenalizedFlowObjective
+from repro.nn import functional as F
 from repro.paths import PathSet
 from repro.topology import b4
 from repro.traffic import TrafficTrace
@@ -217,6 +219,39 @@ class TestMluSurrogateStability:
         norm = float(np.sum(u ** 8.0) ** (1.0 / 8.0))
         expected = (u / norm) ** 7.0
         assert np.allclose(x.grad, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("trainer_cls", [DirectLossTrainer, ComaTrainer])
+def test_regroup_gradients_match_scatter_add(tight_b4, trainer_cls, monkeypatch):
+    """One four-matrix training step on padded B4 gives every parameter
+    the same ``.grad`` with ``F.regroup``'s gather backward as with the
+    scatter-add it replaced (patched in from the test helpers).
+
+    Each real row lands in exactly one slot, so the scatter-add adds each
+    gradient to a zero: the two differ at most in the sign of a zero,
+    which ``np.array_equal`` ignores.
+    """
+    pathset, matrices = tight_b4
+    assert not pathset.path_mask.all()  # the grid has padding slots
+    config = TrainingConfig(
+        steps=1, warm_start_steps=0, log_every=10_000, batch_matrices=4
+    )
+
+    def step_grads():
+        model = TealModel(pathset, seed=0)
+        trainer_cls(model, TotalFlowObjective(), config).train(matrices, steps=1)
+        return [p.grad for p in model.parameters()]
+
+    gathered = step_grads()
+    monkeypatch.setattr(F, "regroup", scatter_add_regroup)
+    scattered = step_grads()
+    assert sum(grad is not None for grad in gathered) > 1
+    for ours, reference in zip(gathered, scattered, strict=True):
+        if ours is None:  # unused by this loss (the COMA* log-std)
+            assert reference is None
+            continue
+        assert ours.dtype == reference.dtype
+        assert np.array_equal(ours, reference)
 
 
 class TestBatchedComa:

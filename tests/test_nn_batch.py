@@ -1,8 +1,8 @@
 """Edge-case tests for the batch dimension in the nn substrate.
 
-The batched scenario engine leans on three primitives: gradient
+The batched scenario engine leans on four primitives: gradient
 unbroadcasting over leading batch axes, batched (sparse) matrix products,
-and batched row gathers. These tests pin their semantics down directly.
+batched row gathers, and the path <-> grid regroup. These tests pin their semantics down directly.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import numerical_gradient
+from helpers import numerical_gradient, scatter_add_rows
 
 from repro.nn import Parameter, Tensor
 from repro.nn import functional as F
@@ -195,40 +195,99 @@ class TestPairLinear:
             )
 
 
-class TestTakeRowsPadded:
-    """Sentinel (-1) gather used for padded path grids."""
+class TestRegroupPadding:
+    """Sentinel (-1) slots of the regroup used for padded path grids."""
+
+    # Four rows into a 2x2 grid: row 1 has no slot, slot (0, 1) is padding.
+    INDEX = np.array([[0, -1], [3, 2]])
+    INVERSE = np.array([0, -1, 3, 2])
 
     def test_padding_slots_are_zero(self):
         x = Tensor(np.arange(12, dtype=float).reshape(4, 3) + 1.0)
-        idx = np.array([[0, -1], [3, 2]])
-        out = F.take_rows_padded(x, idx)
+        out = F.regroup(x, self.INDEX, self.INVERSE)
         assert np.allclose(out.data[0, 0], x.data[0])
         assert np.allclose(out.data[0, 1], 0.0)
         assert np.allclose(out.data[1, 0], x.data[3])
 
     def test_no_gradient_into_padding(self):
         x = Parameter(np.ones((4, 3)))
-        idx = np.array([[0, -1], [0, 2]])
-        F.take_rows_padded(x, idx).sum().backward()
-        expected = np.zeros((4, 3))
-        expected[0] = 2.0  # gathered twice
-        expected[2] = 1.0
-        assert np.allclose(x.grad, expected)
+        F.regroup(x, self.INDEX, self.INVERSE).sum().backward()
+        expected = np.ones((4, 3))
+        expected[1] = 0.0  # row 1 sits in no slot
+        assert np.array_equal(x.grad, expected)
 
     def test_batched_matches_numeric(self):
         rng = np.random.default_rng(22)
         x = Parameter(rng.normal(size=(2, 4, 3)))
-        idx = np.array([[1, -1], [-1, 3]])
         weights = rng.normal(size=(2, 2, 2, 3))
-        (F.take_rows_padded(x, idx) * Tensor(weights)).sum().backward()
+        (F.regroup(x, self.INDEX, self.INVERSE) * Tensor(weights)).sum().backward()
 
         def loss():
-            safe = np.where(idx < 0, 0, idx)
+            safe = np.where(self.INDEX < 0, 0, self.INDEX)
             gathered = x.data[:, safe]
-            gathered[:, idx < 0] = 0.0
+            gathered[:, self.INDEX < 0] = 0.0
             return float((gathered * weights).sum())
 
         assert np.allclose(x.grad, numerical_gradient(loss, x.data), atol=1e-5)
+
+    def test_rejects_wrong_inverse_size(self):
+        from repro.exceptions import ModelError
+
+        with pytest.raises(ModelError):
+            F.regroup(Tensor(np.ones((4, 3))), self.INDEX, self.INVERSE[:3])
+
+
+def _layouts(pathset):
+    """Both regroup directions on a padded path set: (rows, index, inverse)."""
+    grid, slots = pathset.demand_path_ids, pathset.path_grid_index
+    return {
+        "to_grid": (pathset.num_paths, grid, slots),
+        "to_paths": (grid.size, slots, grid),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["P,F", "1,P,F", "3,P,F"])
+@pytest.mark.parametrize("direction", ["to_grid", "to_paths"])
+class TestRegroup:
+    """``F.regroup`` on B4's path <-> grid layouts (two padding slots)."""
+
+    FEATURES = 5
+
+    @pytest.fixture
+    def case(self, b4_pathset, direction, lead, dtype):
+        assert not b4_pathset.path_mask.all()  # the layout has padding
+        rows, index, inverse = _layouts(b4_pathset)[direction]
+        rng = np.random.default_rng(len(lead) + rows)
+        x = rng.normal(size=lead + (rows, self.FEATURES)).astype(dtype)
+        grad = rng.normal(size=lead + index.shape + (self.FEATURES,)).astype(dtype)
+        return x, grad, index, inverse
+
+    def test_forward_is_fancy_indexing_with_zeroed_padding(self, case):
+        x, _, index, inverse = case
+        expected = x[..., np.where(index < 0, 0, index), :]
+        expected[..., index < 0, :] = 0.0
+        out = F.regroup(Tensor(x), index, inverse).data
+        assert out.dtype == x.dtype
+        assert np.array_equal(out, expected)
+
+    def test_backward_is_the_scatter_add(self, case):
+        x, grad, index, inverse = case
+        param = Parameter(x)
+        (F.regroup(param, index, inverse) * Tensor(grad)).sum().backward()
+        expected = scatter_add_rows(grad, index, x.shape[-2])
+        assert param.grad.dtype == x.dtype
+        assert np.array_equal(param.grad, expected)
+
+    def test_adjoint_identity(self, case):
+        x, grad, index, inverse = case
+        forward = F.regroup(Tensor(x), index, inverse).data
+        slots = grad.reshape(x.shape[:-2] + (index.size, self.FEATURES))
+        back = F.regroup(Tensor(slots), inverse, index).data.reshape(x.shape)
+        rtol = 1e-5 if x.dtype == np.float32 else 1e-12
+        assert np.isclose(
+            np.vdot(forward, grad), np.vdot(x, back), rtol=rtol, atol=0.0
+        )
 
 
 class TestBatchedSoftmaxMask:
