@@ -196,6 +196,37 @@ def test_batched_evaluation():
 
 
 # ----------------------------------------------------------------------
+# Acceptance-check rewards vs full reports (B4, T = 1 and a 64-row stack)
+# ----------------------------------------------------------------------
+def test_lean_reward():
+    """``TotalFlowObjective.evaluate_batch`` (the reconciliation core,
+    no post-reconciliation loads) beats a full report's
+    ``delivered_total`` by >= 1.1x, at one matrix and at 64."""
+    scenario = build_scenario("B4", train=2, validation=1, test=64, seed=0)
+    pathset, caps = scenario.pathset, scenario.capacities
+    demands = pathset.demand_volumes_batch(
+        np.stack([m.values for m in scenario.split.test])
+    )
+    ratios = TealScheme(pathset, seed=0, use_admm=False).model.split_ratios_batch(
+        demands
+    )
+    objective = TotalFlowObjective()
+    speedups = {}
+    for rows in (1, 64):
+        r, d = ratios[:rows], demands[:rows]
+        runs = {
+            "lean": lambda: objective.evaluate_batch(pathset, r, d, caps),
+            "report": lambda: evaluate_allocations_batch(
+                pathset, r, d, caps
+            ).delivered_total,
+        }
+        assert np.array_equal(runs["lean"](), runs["report"]())
+        seconds = best_of_each(runs, 50 if rows == 1 else 15)
+        speedups[rows] = seconds["report"] / seconds["lean"]
+    assert min(speedups.values()) >= 1.1, speedups
+
+
+# ----------------------------------------------------------------------
 # Warm vs cold streaming decisions (B4, one link failure, 4 intervals)
 # ----------------------------------------------------------------------
 def test_warm_streaming_decisions_are_faster():

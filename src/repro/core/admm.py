@@ -40,6 +40,30 @@ of T matrices, so each sparse product is one ``csr_matvecs`` call whose
 per-element sums run in a fixed order whatever T is (see
 :func:`~repro.core.batching.csr_matmul_into`).
 
+**Stacked constraint state.** The demand (G1) and capacity (G3) blocks
+obey the same slack and dual updates,
+
+    s   = max(0, (bound - total) - lam / rho)
+    lam = lam + rho (total + s - bound)
+
+with ``total = sum_F`` and ``bound = 1`` for demands, ``total = sum_z``
+and ``bound = c`` for edges. So both live in one (D + E, T) stack per
+quantity — ``lam = [lam1; lam3]``, ``s = [s1; s3]``,
+``total = [sum_F; sum_z]``, ``bound = [1; c]`` — and the named blocks
+are row views of it. One ``admm_slack_into`` and one
+``admm_dual_step_`` call update both blocks with the same per-element
+expressions as two calls each. The three sparse operands (``A``,
+``A^T`` = :attr:`PathSet.path_edge_incidence` and the (D, P)
+demand-path matrix) are bound once per tuner
+(:func:`~repro.core.batching.bind_csr`), and the (P, T) iterate is
+entered and left by one gather and one scatter by
+:attr:`PathSet.path_grid_index`. An iteration then makes four sparse
+products (``A^T (rho h - mu)``, the demand sums of ``b / a`` and of
+``F``, and ``A (F d)``), three row gathers by ``path_demand`` and 33
+elementwise ufunc calls, with no pass over (P, T) arrays beyond the
+updates themselves: at one matrix (a warm streaming decision) numpy's
+per-call overhead is the cost, so the count is what matters.
+
 Warm-starting from the network output is essential: §3.4 notes randomly
 initialized ADMM would need far more iterations (benchmarked in
 ``benchmarks/bench_fig14_ablations.py``).
@@ -69,7 +93,8 @@ from .batching import (
     admm_f_rhs_into,
     admm_f_solve_into,
     admm_slack_into,
-    csr_matmul_into,
+    bind_csr,
+    csr_operand_matmul_into,
 )
 
 _EPS = 1e-9
@@ -84,8 +109,8 @@ def _project_ratios(ratios: np.ndarray) -> np.ndarray:
     row-sum guarantee as the full solver. Operates on the trailing (k,)
     axis, so (D, k) and (T, D, k) inputs both work.
     """
-    ratios = np.clip(ratios, 0.0, 1.0)
-    sums = ratios.sum(axis=-1, keepdims=True)
+    ratios = ratios.clip(0.0, 1.0)
+    sums = np.add.reduce(ratios, axis=-1, keepdims=True)
     return np.where(sums > 1.0, ratios / np.maximum(sums, _EPS), ratios)
 
 
@@ -124,22 +149,26 @@ class AdmmFineTuner:
             pathset.topology.num_nodes
         )
         # Static structure, node-major to match the (N, T) iterates: the
-        # (E, P) incidence A, its transpose, the (D, P) demand-path
-        # membership, and per-path/per-edge columns.
-        self._incidence = pathset.edge_path_incidence
-        self._incidence_t = self._incidence.T.tocsr()
-        self._demand_paths = sp.csr_matrix(
-            (
-                np.ones(pathset.num_paths, dtype=EVALUATION_DTYPE),
-                (pathset.path_demand, np.arange(pathset.num_paths)),
-            ),
-            shape=(pathset.num_demands, pathset.num_paths),
+        # (E, P) incidence A, its (P, E) transpose, the (D, P)
+        # demand-path membership — each bound once for the sparse
+        # products — and per-path/per-edge columns.
+        incidence = pathset.edge_path_incidence
+        self._incidence = bind_csr(incidence)
+        self._incidence_t = bind_csr(pathset.path_edge_incidence)
+        self._demand_paths = bind_csr(
+            sp.csr_matrix(
+                (
+                    np.ones(pathset.num_paths, dtype=EVALUATION_DTYPE),
+                    (pathset.path_demand, np.arange(pathset.num_paths)),
+                ),
+                shape=(pathset.num_demands, pathset.num_paths),
+            )
         )
         hops = pathset.path_hop_counts.astype(EVALUATION_DTYPE)
         self._hops = hops[:, None]
         self._rho_hops = (self.config.rho * hops)[:, None]
         self._w_p = path_values[:, None]
-        self._paths_per_edge = np.asarray(self._incidence.sum(axis=1))  # (E, 1)
+        self._paths_per_edge = np.asarray(incidence.sum(axis=1))  # (E, 1)
         self._one_plus_ppe = 1.0 + self._paths_per_edge
         # Each demand's k path slots, padding pointing at row P (a zero
         # row appended by _demand_max).
@@ -154,7 +183,7 @@ class AdmmFineTuner:
         """Per-demand max of a non-negative (P, T) stack over the demand's
         paths: (D, T), 0 for a demand without paths."""
         padded = np.concatenate([x, np.zeros_like(x[:1])])
-        return padded[self._demand_slots].max(axis=1)
+        return np.maximum.reduce(padded.take(self._demand_slots, axis=0), axis=1)
 
     def fine_tune(
         self,
@@ -226,9 +255,14 @@ class AdmmFineTuner:
             return _project_ratios(split_ratios).astype(self.precision, copy=False)
 
         ws = self._workspace
+        num_demands = ps.num_demands
         shape_p = (ps.num_paths, num_matrices)
         shape_e = (ps.topology.num_edges, num_matrices)
-        shape_d = (ps.num_demands, num_matrices)
+        shape_d = (num_demands, num_matrices)
+        # The demand (G1) and capacity (G3) constraints share one stacked
+        # (D + E, T) state: rows [:D] hold the demand block, rows [D:]
+        # the edge block, so one slack and one dual call cover both.
+        shape_s = (num_demands + ps.topology.num_edges, num_matrices)
         A, A_t, Dm = self._incidence, self._incidence_t, self._demand_paths
         path_demand = ps.path_demand
 
@@ -236,41 +270,46 @@ class AdmmFineTuner:
         # computed row by row so a row's scale is independent of T.
         pos_mean = np.asarray(
             [
-                float(row[row > 0].mean()) if (row > 0).any() else 1.0
-                for row in capacities
+                np.add.reduce(pos) / pos.size if pos.size else 1.0
+                for pos in (row[row > 0] for row in capacities)
             ]
         )
         scale = np.maximum(pos_mean, _EPS)[:, None]  # (T, 1)
         d_norm = np.ascontiguousarray((demands / scale).T)  # (D, T)
-        c_norm = np.ascontiguousarray((capacities / scale).T)  # (E, T)
+        bound = ws.buffer("bound", shape_s, f64)  # [1; c_norm]
+        bound[:num_demands] = 1.0
+        c_norm = bound[num_demands:]  # (E, T)
+        np.divide(capacities.T, scale.T, out=c_norm)
         rho = self.config.rho
 
-        d_p = np.take(d_norm, path_demand, axis=0)  # (P, T)
+        d_p = d_norm.take(path_demand, axis=0)  # (P, T)
+        dw = d_p * self._w_p  # the F-rhs's constant term
         a = np.maximum(d_p * d_p * self._hops, _EPS)
         inv_a = 1.0 / a
         inv_a_over_rho = inv_a / rho
         correction_denom = ws.buffer("correction_denom", shape_d, f64)
-        csr_matmul_into(Dm, inv_a, correction_denom)
+        csr_operand_matmul_into(Dm, inv_a, correction_denom)
         correction_denom += 1.0
 
-        # Warm start (primal): F from the ratios, z = F*d (h = 0).
-        valid = ps.path_mask
-        path_ids = ps.demand_path_ids[valid]
+        # Warm start (primal): F from the ratios by one gather of each
+        # path's grid slot, z = F*d (h = 0).
         F = ws.buffer("F", shape_p, f64)
-        F.fill(0.0)
-        F[path_ids] = np.clip(split_ratios, 0.0, 1.0)[:, valid].T
+        F[...] = split_ratios.reshape(num_matrices, -1).take(
+            ps.path_grid_index, axis=1
+        ).T
+        F.clip(0.0, 1.0, out=F)
         fd = ws.buffer("fd", shape_p, f64)  # F * d, the path flows
         np.multiply(F, d_p, out=fd)
         load = ws.buffer("load", shape_e, f64)  # A @ fd
-        csr_matmul_into(A, fd, load)
-        sum_F = ws.buffer("sum_F", shape_d, f64)
-        csr_matmul_into(Dm, F, sum_F)
-        s1 = ws.buffer("s1", shape_d, f64)
-        np.subtract(1.0, sum_F, out=s1)
-        np.maximum(s1, 0.0, out=s1)
-        s3 = ws.buffer("s3", shape_e, f64)
-        np.subtract(c_norm, load, out=s3)
-        np.maximum(s3, 0.0, out=s3)
+        csr_operand_matmul_into(A, fd, load)
+        total = ws.buffer("total", shape_s, f64)  # [sum_F; sum_z]
+        sum_F, sum_z = total[:num_demands], total[num_demands:]
+        csr_operand_matmul_into(Dm, F, sum_F)
+        np.copyto(sum_z, load)
+        s = ws.buffer("s", shape_s, f64)  # [s1; s3]
+        s1, s3 = s[:num_demands], s[num_demands:]
+        np.subtract(bound, total, out=s)
+        np.maximum(s, 0.0, out=s)
         # Dual warm start via complementary slackness: lam1_d estimates
         # the marginal value of demand d's constraint. Saturated edges
         # carry a unit congestion price; a demand's marginal value is its
@@ -287,13 +326,13 @@ class AdmmFineTuner:
             )
         congestion_price = (warm_util > 1.0).astype(f64)
         b = ws.buffer("b", shape_p, f64)  # F-rhs; path_price at warm start
-        csr_matmul_into(A_t, congestion_price, b)
+        csr_operand_matmul_into(A_t, congestion_price, b)
         reduced_value = np.maximum(0.0, self._w_p - b)
-        lam1 = ws.buffer("lam1", shape_d, f64)
+        lam = ws.buffer("lam", shape_s, f64)  # [lam1; lam3]
+        lam1, lam3 = lam[:num_demands], lam[num_demands:]
         np.multiply(
             self._demand_max(d_p), self._demand_max(reduced_value), out=lam1
         )
-        lam3 = ws.buffer("lam3", shape_e, f64)
         mu = ws.buffer("mu", shape_e, f64)  # lam4_pe = mu_e
         h = ws.buffer("h", shape_e, f64)  # z_pe = F_p d_p + h_e
         for buf in (lam3, mu, h):
@@ -305,50 +344,52 @@ class AdmmFineTuner:
         lam1_g = ws.buffer("lam1_g", shape_p, f64)
         te = ws.buffer("te", shape_e, f64)
         td = ws.buffer("td", shape_d, f64)
-        sum_z = ws.buffer("sum_z", shape_e, f64)
+        ts = ws.buffer("ts", shape_s, f64)
+        rho_hops, one_plus_ppe = self._rho_hops, self._one_plus_ppe
+        paths_per_edge = self._paths_per_edge
+        # te carries rho*h from the end of one iteration into the next.
+        np.multiply(h, rho, out=te)
 
         for _ in range(iters):
             # ---- F-update: per-demand rank-1 + diagonal system ---------
             # coupling = rho*hops*fd + A^T(rho*h - mu), the z/lam4 terms
-            np.multiply(h, rho, out=te)
             te -= mu
-            csr_matmul_into(A_t, te, coupling)
-            np.multiply(fd, self._rho_hops, out=tp)
+            csr_operand_matmul_into(A_t, te, coupling)
+            np.multiply(fd, rho_hops, out=tp)
             coupling += tp
-            np.take(lam1, path_demand, axis=0, out=lam1_g)
-            np.take(s1, path_demand, axis=0, out=tp)
-            admm_f_rhs_into(d_p, self._w_p, lam1_g, tp, coupling, rho, b, tp)
+            lam1.take(path_demand, axis=0, out=lam1_g)
+            s1.take(path_demand, axis=0, out=tp)
+            admm_f_rhs_into(d_p, dw, lam1_g, tp, coupling, rho, b, tp)
             np.multiply(b, inv_a, out=tp)
-            csr_matmul_into(Dm, tp, td)
+            csr_operand_matmul_into(Dm, tp, td)
             td /= correction_denom
-            np.take(td, path_demand, axis=0, out=tp)
+            td.take(path_demand, axis=0, out=tp)
             admm_f_solve_into(b, inv_a_over_rho, tp, F)
 
             # ---- z-update in edge space: h = (q/rho - load) / (1 + m) ---
             np.multiply(F, d_p, out=fd)
-            csr_matmul_into(A, fd, load)
+            csr_operand_matmul_into(A, fd, load)
             np.subtract(mu, lam3, out=h)
             h /= rho
             h += c_norm
             h -= s3
             h -= load
-            h /= self._one_plus_ppe
+            h /= one_plus_ppe
 
-            # ---- s-updates (non-negative slacks) -------------------------
-            csr_matmul_into(Dm, F, sum_F)
-            np.multiply(h, self._paths_per_edge, out=sum_z)
+            # ---- s-updates (non-negative slacks), both blocks at once ----
+            csr_operand_matmul_into(Dm, F, sum_F)
+            np.multiply(h, paths_per_edge, out=sum_z)
             sum_z += load
-            admm_slack_into(1.0, sum_F, lam1, rho, s1, td)
-            admm_slack_into(c_norm, sum_z, lam3, rho, s3, te)
+            admm_slack_into(bound, total, lam, rho, s, ts)
 
             # ---- dual updates -------------------------------------------
-            admm_dual_step_(lam1, sum_F, s1, 1.0, rho, td)
-            admm_dual_step_(lam3, sum_z, s3, c_norm, rho, te)
+            admm_dual_step_(lam, total, s, bound, rho, ts)
             np.multiply(h, rho, out=te)
             mu -= te
 
-        ratios = np.zeros_like(split_ratios)
-        ratios[:, valid] = F[path_ids].T
+        # Leave by one scatter into each path's grid slot.
+        ratios = np.zeros_like(split_ratios, order="C")
+        ratios.reshape(num_matrices, -1)[:, ps.path_grid_index] = F.T
         return _project_ratios(ratios).astype(self.precision, copy=False)
 
     def refine(

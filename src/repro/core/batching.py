@@ -41,6 +41,7 @@ see :mod:`repro.lint.sanitize`). Summary:
 kernel                   writes            inout        scratch     may alias
 ======================== ================= ============ =========== ==============
 ``csr_matmul_into``      out               —            —           —
+``csr_operand_matmul_into`` out            —            —           —
 ``pair_linear_into``     out               —            scratch     —
 ``linear_into``          out               —            —           —
 ``tanh_``                —                 x            —           n/a (in-place)
@@ -74,6 +75,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from ..nn.precision import EVALUATION_DTYPE
+
 try:  # scipy's typed C kernels; fall back to `csr @ dense` if moved.
     from scipy.sparse import _sparsetools
 
@@ -81,6 +84,11 @@ try:  # scipy's typed C kernels; fall back to `csr @ dense` if moved.
     _CSR_MATVECS = _sparsetools.csr_matvecs
 except (ImportError, AttributeError):  # pragma: no cover - scipy internal
     _CSR_MATVEC = _CSR_MATVECS = None
+
+try:  # the ufunc behind np.clip, without the wrapper's per-call dispatch
+    from numpy._core.umath import clip as _clip
+except ImportError:  # pragma: no cover - numpy internal
+    _clip = np.clip
 
 #: Armed by repro.lint.sanitize.install_sanitizers (REPRO_SANITIZE=1):
 #: Workspace.buffer NaN-poisons fresh allocations when set.
@@ -257,6 +265,60 @@ def csr_matmul_into(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray) -> n
     return out
 
 
+class CsrOperand(NamedTuple):
+    """A CSR matrix unpacked once for :func:`csr_operand_matmul_into`.
+
+    Build with :func:`bind_csr`. Holds the scipy kernel's arguments so a
+    hot loop stops re-reading them (and re-checking dtypes and layouts)
+    on every product.
+    """
+
+    n_row: int
+    n_col: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    matrix: sp.csr_matrix
+
+
+def bind_csr(matrix: sp.spmatrix) -> CsrOperand:
+    """Bind a float64 sparse matrix for :func:`csr_operand_matmul_into`."""
+    csr = sp.csr_matrix(matrix, dtype=EVALUATION_DTYPE)
+    n_row, n_col = csr.shape
+    return CsrOperand(n_row, n_col, csr.indptr, csr.indices, csr.data, csr)
+
+
+def csr_operand_matmul_into(
+    operand: CsrOperand, dense: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``out = operand @ dense`` for C-contiguous float64 (N, T) stacks.
+
+    :func:`csr_matmul_into` with its per-call checks hoisted to
+    :func:`bind_csr`: the caller guarantees that ``dense`` and ``out``
+    are C-contiguous float64 2-D arrays (workspace buffers and their
+    leading-axis slices are), so their flat views alias them. Same
+    scipy routines, same per-element accumulation order, so the result
+    is bit-identical to ``operand.matrix @ dense``.
+    """
+    n_row, n_col, indptr, indices, data, matrix = operand
+    if _CSR_MATVECS is None:  # pragma: no cover - scipy internal
+        out[...] = matrix @ dense
+        return out
+    out.fill(0.0)
+    width = dense.shape[1]
+    if width == 1:
+        _CSR_MATVEC(
+            n_row, n_col, indptr, indices, data,
+            dense.reshape(-1), out.reshape(-1),
+        )
+    else:
+        _CSR_MATVECS(
+            n_row, n_col, width, indptr, indices, data,
+            dense.reshape(-1), out.reshape(-1),
+        )
+    return out
+
+
 def pair_linear_into(
     a: np.ndarray,
     b: np.ndarray,
@@ -362,7 +424,7 @@ def masked_softmax_into(
 # ----------------------------------------------------------------------
 def admm_f_rhs_into(
     d_p: np.ndarray,
-    w_p: np.ndarray,
+    dw: np.ndarray,
     lam1_g: np.ndarray,
     s1_g: np.ndarray,
     coupling: np.ndarray,
@@ -372,13 +434,13 @@ def admm_f_rhs_into(
 ) -> np.ndarray:
     """F-update right-hand side, fused (consumes ``coupling``).
 
-    ``out = d_p*w_p - lam1_g + rho*(1 - s1_g) + d_p*coupling`` in that
-    (left-associated) order, where ``coupling`` is the edge-space
-    incidence term ``rho*hops*(F*d) + A^T(rho*h - mu)`` (see
-    :mod:`repro.core.admm`).
+    ``out = dw - lam1_g + rho*(1 - s1_g) + d_p*coupling`` in that
+    (left-associated) order, where ``dw = d_p*w_p`` is the objective
+    term (constant across iterations, so computed once per solve) and
+    ``coupling`` the edge-space incidence term
+    ``rho*hops*(F*d) + A^T(rho*h - mu)`` (see :mod:`repro.core.admm`).
     """
-    np.multiply(d_p, w_p, out=out)
-    out -= lam1_g
+    np.subtract(dw, lam1_g, out=out)
     np.subtract(1.0, s1_g, out=tmp)
     tmp *= rho
     out += tmp
@@ -399,7 +461,7 @@ def admm_f_solve_into(
     """
     np.subtract(b, correction_g, out=out)
     out *= inv_a_over_rho
-    np.clip(out, 0.0, 1.0, out=out)
+    _clip(out, 0.0, 1.0, out=out)
     return out
 
 
@@ -467,6 +529,10 @@ KERNEL_CONTRACTS: dict[str, KernelContract] = {
         params=("csr", "dense", "out"),
         writes=("out",),
     ),
+    "csr_operand_matmul_into": KernelContract(
+        params=("operand", "dense", "out"),
+        writes=("out",),
+    ),
     "pair_linear_into": KernelContract(
         params=("a", "b", "weight", "bias", "out", "scratch"),
         writes=("out",),
@@ -500,7 +566,7 @@ KERNEL_CONTRACTS: dict[str, KernelContract] = {
     ),
     "admm_f_rhs_into": KernelContract(
         params=(
-            "d_p", "w_p", "lam1_g", "s1_g", "coupling", "rho", "out", "tmp",
+            "d_p", "dw", "lam1_g", "s1_g", "coupling", "rho", "out", "tmp",
         ),
         writes=("out",),
         scratch=("coupling", "tmp"),

@@ -16,7 +16,14 @@ Every objective exposes:
 - ``path_values(pathset)``: per-path per-unit-flow value used as the LP
   cost vector (flow-type objectives).
 - ``evaluate_batch(pathset, split_ratios, demands, capacities)``: the raw
-  metric of a (T, D, k) stack; ``evaluate`` is its batch of one.
+  metric of a (T, D, k) stack; ``evaluate`` is its batch of one. The
+  flow objectives score the delivered flows of the evaluator's
+  reconciliation core
+  (:func:`~repro.simulation.evaluator.reconcile_flows_batch`) and skip
+  the post-reconciliation loads a full report adds, so each reward
+  costs one sparse load product — equal, bit for bit, to the report's
+  ``delivered_total`` (total flow) or its delivered path flows weighted
+  by ``path_values`` (delay-penalized flow).
 - ``reward(...)``: the metric signed so that *higher is better*, used as
   the RL reward (§3.3 — "the desired TE objective can be used directly
   as the reward").
@@ -30,7 +37,7 @@ import numpy as np
 
 from ..exceptions import SolverError
 from ..paths.pathset import PathSet
-from ..simulation.evaluator import evaluate_allocations_batch
+from ..simulation.evaluator import reconcile_flows_batch
 from ..topology.graph import broadcast_capacities
 
 
@@ -126,10 +133,9 @@ class TotalFlowObjective(Objective):
     def evaluate_batch(
         self, pathset, split_ratios, demands, capacities=None
     ) -> np.ndarray:
-        report = evaluate_allocations_batch(
+        return reconcile_flows_batch(
             pathset, split_ratios, demands, capacities
-        )
-        return report.delivered_total
+        ).delivered_total()
 
 
 class MinMaxLinkUtilizationObjective(Objective):
@@ -197,13 +203,13 @@ class DelayPenalizedFlowObjective(Objective):
     def evaluate_batch(
         self, pathset, split_ratios, demands, capacities=None
     ) -> np.ndarray:
-        report = evaluate_allocations_batch(
+        delivered = reconcile_flows_batch(
             pathset, split_ratios, demands, capacities
-        )
+        ).delivered
         values = self.path_values(pathset)
         # One 1-D dot per row: a (T, P) @ (P,) product may pick a kernel
         # whose rounding depends on T and on the row's offset.
-        return np.array([row @ values for row in report.delivered_path_flows])
+        return np.array([row @ values for row in delivered])
 
 
 #: Registry of the paper's objectives by name.

@@ -189,9 +189,17 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``.grad``.
+
+        The first gradient is stored as is, without a copy: gradients
+        are never written in place (later ones accumulate out of place
+        and the optimizers only read them), so sharing the array — even
+        a view or a read-only broadcast of another node's gradient — is
+        safe.
+        """
         grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad
         else:
             self.grad = self.grad + grad
 

@@ -260,11 +260,8 @@ class PathSet:
                 f"split_ratios shape {split_ratios.shape} != "
                 f"({self.num_demands}, {self.max_paths})"
             )
-        flows = np.zeros(self.num_paths, dtype=float)
-        valid = self.path_mask
-        pids = self.demand_path_ids[valid]
-        flows[pids] = (split_ratios * demands[:, None])[valid]
-        return flows
+        products = split_ratios * demands[:, None]
+        return products.reshape(-1).take(self.path_grid_index)
 
     def split_ratios_to_path_flows_batch(
         self, split_ratios: np.ndarray, demands: np.ndarray
@@ -272,7 +269,7 @@ class PathSet:
         """Convert (T, D, k) ratios and (T, D) volumes to (T, P) flows.
 
         The batched analogue of :meth:`split_ratios_to_path_flows`; one
-        fancy-index assignment covers the whole stack.
+        gather by ``path_grid_index`` covers the whole stack.
         """
         split_ratios = np.asarray(split_ratios, dtype=float)
         demands = np.asarray(demands, dtype=float)
@@ -288,11 +285,11 @@ class PathSet:
             raise PathError(
                 f"demands shape {demands.shape} does not match ratios batch"
             )
-        flows = np.zeros((split_ratios.shape[0], self.num_paths), dtype=float)
-        valid = self.path_mask
-        pids = self.demand_path_ids[valid]
-        flows[:, pids] = (split_ratios * demands[:, :, None])[:, valid]
-        return flows
+        products = split_ratios * demands[:, :, None]
+        grid = products.reshape(
+            products.shape[0], self.num_demands * self.max_paths
+        )
+        return grid.take(self.path_grid_index, axis=1)
 
     def path_flows_to_split_ratios(
         self, path_flows: np.ndarray, demands: np.ndarray

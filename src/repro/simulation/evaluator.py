@@ -11,11 +11,22 @@ the reciprocal of its bottleneck overutilization:
 
 which never exceeds any capacity (property-tested) and reduces to the
 identity for feasible inputs.
+
+:func:`reconcile_flows_batch` is that reconciliation core: clip the
+ratios, gather intended path flows, one sparse product for the
+pre-reconciliation loads, per-path bottlenecks, delivered flows.
+:func:`evaluate_allocations_batch` adds the report (post-reconciliation
+loads, both MLUs, satisfied fraction). Objective rewards
+(:mod:`repro.lp.objectives`) use the core alone and skip the
+post-reconciliation loads, so ADMM's acceptance check pays one sparse
+load product per candidate; their values equal the report's bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,14 +175,14 @@ def _path_max_utilization_batch(
     """
     index = pathset.path_edge_index
     padded = np.concatenate([util, np.zeros_like(util[:, :1])], axis=1)
-    bottleneck = np.take(padded, index[:, 0], axis=1)
+    bottleneck = padded.take(index[:, 0], axis=1)
     hop_util = None
     if workspace is not None:
         hop_util = workspace.buffer(
             ("evaluator", "hop_util"), bottleneck.shape, bottleneck.dtype
         )
     for column in index.T[1:]:
-        hop = np.take(padded, column, axis=1, out=hop_util)
+        hop = padded.take(column, axis=1, out=hop_util)
         np.maximum(bottleneck, hop, out=bottleneck)
     return bottleneck
 
@@ -199,8 +210,8 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 def _clip_ratios_batch(split_ratios: np.ndarray) -> np.ndarray:
     """Batched :meth:`Allocation.clipped`: clip to [0, 1], cap row sums at 1."""
-    ratios = np.clip(split_ratios, 0.0, 1.0)
-    sums = ratios.sum(axis=-1, keepdims=True)
+    ratios = np.asarray(split_ratios).clip(0.0, 1.0)
+    sums = np.add.reduce(ratios, axis=-1, keepdims=True)
     return ratios / np.where(sums > 1.0, sums, 1.0)
 
 
@@ -241,20 +252,45 @@ def evaluate_allocation(
     return batch.report(0)
 
 
-def evaluate_allocations_batch(
+class Reconciliation(NamedTuple):
+    """The reconciliation core of a (T, ...) stack (see
+    :func:`reconcile_flows_batch`).
+
+    Attributes:
+        demands: (T, D) float64 demand volumes.
+        capacities: (T, E) capacities.
+        intended: (T, P) requested flow per path.
+        util: (T, E) pre-reconciliation link utilizations.
+        delivered: (T, P) delivered flow per path.
+    """
+
+    demands: np.ndarray
+    capacities: np.ndarray
+    intended: np.ndarray
+    util: np.ndarray
+    delivered: np.ndarray
+
+    def delivered_total(self) -> np.ndarray:
+        """(T,) delivered flow per matrix (T-invariant row sums)."""
+        return _row_sums(self.delivered)
+
+
+def reconcile_flows_batch(
     pathset: PathSet,
     split_ratios: np.ndarray,
     demands: np.ndarray,
     capacities: np.ndarray | None = None,
     workspace=None,
-) -> BatchFlowReport:
-    """Evaluate a stack of allocations against a stack of traffic matrices.
+) -> Reconciliation:
+    """Delivered path flows of a stack of allocations.
 
-    The vectorized core of the scenario engine: T traffic matrices are
-    scored in a handful of array ops — two sparse products for edge loads,
-    one per-hop gather-max for path bottlenecks — instead of a Python loop per
-    matrix. Semantics are identical to :func:`evaluate_allocation` applied
-    row by row (the per-TM function is a batch-of-one wrapper).
+    The reconciliation core that :func:`evaluate_allocations_batch` and
+    the flow objectives' rewards share: clip and row-normalize the
+    ratios, gather intended path flows by each path's grid slot, one
+    sparse product for the pre-reconciliation loads, the per-path
+    bottleneck, and the delivered flows. Post-reconciliation loads are
+    left to the report (:func:`evaluate_allocations_batch`), so a reward
+    costs one sparse load product, not two.
 
     Args:
         pathset: The path set (supplies incidence structures).
@@ -264,14 +300,11 @@ def evaluate_allocations_batch(
         capacities: (E,) shared capacities, (T, E) per-matrix capacities
             (failure sweeps), or None for the topology defaults.
         workspace: Optional :class:`~repro.core.batching.Workspace` for
-            the internal bottleneck-gather scratch; sweeps that score many
-            stacks in a row (one per scheme) pass a shared
-            per-job workspace so scoring stops re-allocating. Results
-            are unaffected: every returned array is freshly computed,
-            never a workspace view.
+            the internal bottleneck-gather scratch; results are never
+            workspace views.
 
     Returns:
-        A :class:`BatchFlowReport` (empty arrays for T = 0).
+        A :class:`Reconciliation`.
 
     Raises:
         SimulationError: On shape mismatches.
@@ -304,6 +337,51 @@ def evaluate_allocations_batch(
     scale = 1.0 / np.maximum(bottleneck, 1.0)
     scale[~np.isfinite(scale)] = 0.0
     delivered = intended * scale
+    return Reconciliation(demands, capacities, intended, util, delivered)
+
+
+def evaluate_allocations_batch(
+    pathset: PathSet,
+    split_ratios: np.ndarray,
+    demands: np.ndarray,
+    capacities: np.ndarray | None = None,
+    workspace=None,
+) -> BatchFlowReport:
+    """Evaluate a stack of allocations against a stack of traffic matrices.
+
+    The vectorized core of the scenario engine: T traffic matrices are
+    scored in a handful of array ops — the reconciliation core
+    (:func:`reconcile_flows_batch`: one sparse product for the
+    pre-reconciliation loads, one per-hop gather-max for path
+    bottlenecks), then one more sparse product for the
+    post-reconciliation loads of the report — instead of a Python loop
+    per matrix. Semantics are identical to :func:`evaluate_allocation`
+    applied row by row (the per-TM function is a batch-of-one wrapper).
+
+    Args:
+        pathset: The path set (supplies incidence structures).
+        split_ratios: (T, D, k) split ratios; clipped and row-normalized
+            per matrix exactly as in the single-matrix path.
+        demands: (T, D) demand volumes.
+        capacities: (E,) shared capacities, (T, E) per-matrix capacities
+            (failure sweeps), or None for the topology defaults.
+        workspace: Optional :class:`~repro.core.batching.Workspace` for
+            the internal bottleneck-gather scratch; sweeps that score many
+            stacks in a row (one per scheme) pass a shared
+            per-job workspace so scoring stops re-allocating. Results
+            are unaffected: every returned array is freshly computed,
+            never a workspace view.
+
+    Returns:
+        A :class:`BatchFlowReport` (empty arrays for T = 0).
+
+    Raises:
+        SimulationError: On shape mismatches.
+    """
+    core = reconcile_flows_batch(
+        pathset, split_ratios, demands, capacities, workspace
+    )
+    capacities, delivered, util = core.capacities, core.delivered, core.util
     post_loads = pathset.edge_loads_batch(delivered)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -312,8 +390,8 @@ def evaluate_allocations_batch(
             post_loads / np.maximum(capacities, 1e-300),
             np.where(post_loads > 1e-9, _INFINITE_UTILIZATION, 0.0),
         )
-    total_demand = _row_sums(demands)
-    delivered_total = _row_sums(delivered)
+    total_demand = _row_sums(core.demands)
+    delivered_total = core.delivered_total()
     # Per-path flows are rounded products, so a fully routed demand can
     # deliver a hair more than it offers; clamp to keep the fraction in
     # [0, 1].
@@ -330,11 +408,12 @@ def evaluate_allocations_batch(
         max_util = post_util.max(axis=-1)
         intended_mlu = util.max(axis=-1)
     else:
+        num_matrices = len(total_demand)
         max_util = np.zeros(num_matrices)
         intended_mlu = np.zeros(num_matrices)
     return BatchFlowReport(
         delivered_path_flows=delivered,
-        intended_path_flows=intended,
+        intended_path_flows=core.intended,
         edge_loads=post_loads,
         total_demand=total_demand,
         delivered_total=delivered_total,
@@ -342,4 +421,3 @@ def evaluate_allocations_batch(
         max_link_utilization=max_util,
         intended_mlu=intended_mlu,
     )
-

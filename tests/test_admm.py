@@ -135,6 +135,50 @@ class ScriptedObjective:
         return np.asarray(self.rewards[len(self.scored) - 1])
 
 
+class TestCallCounts:
+    """Structural pins of a decision's cost, free of timing noise."""
+
+    def test_refine_runs_two_sparse_load_products(
+        self, tuner, b4_pathset, b4_demands, monkeypatch
+    ):
+        from repro.paths import PathSet
+
+        calls = []
+        product = PathSet.edge_loads_batch
+
+        def counted(self, path_flows):
+            calls.append(path_flows.shape)
+            return product(self, path_flows)
+
+        monkeypatch.setattr(PathSet, "edge_loads_batch", counted)
+        ratios = np.full((1, b4_pathset.num_demands, 4), 0.25)
+        tuner.refine(TotalFlowObjective(), ratios, b4_demands[None])
+        # One pre-reconciliation load product per candidate (tuned,
+        # input); rewards skip the post-reconciliation loads.
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_one_slack_and_one_dual_call_per_iteration(
+        self, b4_pathset, b4_demands, monkeypatch, iterations
+    ):
+        from repro.core import admm
+
+        calls = {"admm_slack_into": 0, "admm_dual_step_": 0}
+        for name in calls:
+            kernel = getattr(admm, name)
+
+            def counted(*args, _name=name, _kernel=kernel, **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(admm, name, counted)
+        tuner = AdmmFineTuner(b4_pathset, AdmmConfig(iterations=iterations))
+        ratios = np.full((2, b4_pathset.num_demands, 4), 0.25)
+        tuner.fine_tune_batch(ratios, np.stack([b4_demands] * 2))
+        # The demand and edge blocks share one stacked state.
+        assert calls == dict.fromkeys(calls, iterations)
+
+
 class TestRefine:
     @pytest.fixture()
     def stack(self, b4_pathset, b4_trace):

@@ -396,3 +396,60 @@ class TestRandomTopologyInvariants:
             ).delivered_total
             assert delivered <= previous * (1 + 1e-6) + 1e-9
             previous = delivered
+
+
+class TestRewardsMatchReports:
+    """Flow-objective rewards come from the reconciliation core alone
+    (no post-reconciliation loads), yet equal, bit for bit, the values a
+    full :func:`evaluate_allocations_batch` report gives."""
+
+    @given(
+        num_nodes=st.integers(6, 15),
+        seed=st.integers(0, 2**16),
+        log_scale=st.floats(-1.0, 3.0),
+        dead_links=st.integers(0, 2),
+        rows=st.integers(1, 4),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_flow_objectives_equal_report_values(
+        self, num_nodes, seed, log_scale, dead_links, rows
+    ):
+        from repro.lp import DelayPenalizedFlowObjective, TotalFlowObjective
+        from repro.simulation import evaluate_allocations_batch
+        from repro.topology.failures import sample_link_failures
+
+        topology, pathset, demands = (
+            TestRandomTopologyInvariants._random_instance(
+                num_nodes, seed, log_scale
+            )
+        )
+        rng = np.random.default_rng(seed)
+        demands = np.tile(demands, (rows, 1))
+        # Zero demands: a random subset in every row, all of row 0.
+        demands[:, rng.random(pathset.num_demands) < 0.2] = 0.0
+        if rows > 1:
+            demands[0] = 0.0
+        caps = np.tile(topology.capacities, (rows, 1))
+        caps[:, sample_link_failures(topology, dead_links, seed=seed)] = 0.0
+        caps[-1, rng.integers(topology.num_edges, size=2)] = 0.0
+        # Negative entries, and rows whose ratios sum above 1.
+        ratios = rng.uniform(
+            -0.2, 0.9, size=(rows, pathset.num_demands, pathset.max_paths)
+        )
+        ratios[:, ::2] *= 2.0
+
+        report = evaluate_allocations_batch(pathset, ratios, demands, caps)
+        total = TotalFlowObjective().evaluate_batch(
+            pathset, ratios, demands, caps
+        )
+        assert total.dtype == report.delivered_total.dtype
+        assert np.array_equal(total, report.delivered_total)
+
+        delay = DelayPenalizedFlowObjective(beta=0.5)
+        values = delay.path_values(pathset)
+        expected = np.array(
+            [row @ values for row in report.delivered_path_flows]
+        )
+        assert np.array_equal(
+            delay.evaluate_batch(pathset, ratios, demands, caps), expected
+        )

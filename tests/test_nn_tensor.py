@@ -115,6 +115,37 @@ class TestGradients:
         out.backward()
         assert np.allclose(x.grad, [5.0])
 
+    def test_first_gradient_is_stored_without_a_copy(self):
+        x = Parameter(np.zeros(3))
+        grad = np.array([1.0, 2.0, 3.0])
+        x._accumulate(grad)
+        assert x.grad is grad
+        x._accumulate(grad)  # later gradients add out of place
+        assert np.array_equal(x.grad, [2.0, 4.0, 6.0])
+        assert np.array_equal(grad, [1.0, 2.0, 3.0])
+
+    def test_self_addition_leaves_the_upstream_gradient_intact(self):
+        x = Parameter(np.array([1.0, -2.0, 3.0]))
+        out = x + x
+        grad = np.array([0.5, 1.5, -2.0])
+        out.backward(grad)
+        assert np.array_equal(x.grad, 2.0 * grad)
+        assert np.array_equal(grad, [0.5, 1.5, -2.0])
+        assert out.grad is grad
+
+    def test_reshape_views_give_correct_gradients(self):
+        x = Parameter(np.arange(6, dtype=float).reshape(2, 3))
+        grad = np.arange(6, dtype=float) + 1.0
+        # A single reshape hands x a view of the upstream gradient ...
+        x.reshape(6).backward(grad)
+        assert np.array_equal(x.grad, grad.reshape(2, 3))
+        assert np.shares_memory(x.grad, grad)
+        # ... and a second use accumulates without writing through it.
+        x.zero_grad()
+        (x.reshape(6) + x.reshape(6)).backward(grad)
+        assert np.array_equal(x.grad, 2.0 * grad.reshape(2, 3))
+        assert np.array_equal(grad, np.arange(6, dtype=float) + 1.0)
+
     @given(
         st.lists(st.floats(-5, 5), min_size=4, max_size=4),
         st.lists(st.floats(-5, 5), min_size=4, max_size=4),
