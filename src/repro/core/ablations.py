@@ -29,6 +29,7 @@ from ..nn.layers import Linear, mlp
 from ..nn.precision import EVALUATION_DTYPE
 from ..nn.tensor import Tensor
 from ..paths.pathset import PathSet
+from ..topology.graph import broadcast_capacities
 from .flowgnn import FlowGNN
 from .model import AllocatorModel
 from .policy import ActionHead
@@ -36,6 +37,15 @@ from .policy import ActionHead
 #: Parameter budget above which the global policy "runs out of memory"
 #: (models the paper's observed failure on large topologies, §5.7).
 GLOBAL_POLICY_PARAM_LIMIT = 40_000_000
+
+
+def _row_scales(capacities: np.ndarray) -> np.ndarray:
+    """(B,) input scales: each capacity row's mean, floored at 1e-9.
+
+    Row by row on purpose: a 1-D mean does not depend on the row's
+    place in the stack, so a row is scaled the same alone or batched.
+    """
+    return np.array([max(float(np.mean(row)), 1e-9) for row in capacities])
 
 
 class NaiveDnnModel(AllocatorModel):
@@ -66,13 +76,19 @@ class NaiveDnnModel(AllocatorModel):
         )
         self.policy = ActionHead(pathset.max_paths, self.hyper.action_log_std)
 
-    def logits(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
-        scale = max(float(np.mean(capacities)), 1e-9)
-        x = Tensor(
-            (np.asarray(demands, EVALUATION_DTYPE) / scale).reshape(1, -1)
-        )
+    def logits_batch(
+        self, demands: np.ndarray, capacities: np.ndarray
+    ) -> Tensor:
+        demands = np.asarray(demands, EVALUATION_DTYPE)
+        batch = demands.shape[0]
+        scale = _row_scales(broadcast_capacities(capacities, batch))
+        # A (B, 1, D) input keeps each row its own (1, D) product, so a
+        # row's logits do not depend on the rest of the stack.
+        x = Tensor((demands / scale[:, None])[:, None, :])
         out = self.net(x)
-        return out.reshape(self.pathset.num_demands, self.pathset.max_paths)
+        return out.reshape(
+            batch, self.pathset.num_demands, self.pathset.max_paths
+        )
 
 
 class NaiveGnnModel(AllocatorModel):
@@ -128,19 +144,23 @@ class NaiveGnnModel(AllocatorModel):
         self.policy = ActionHead(pathset.max_paths, self.hyper.action_log_std)
         self._src = np.array([s for s, _ in pathset.pairs])
         self._dst = np.array([t for _, t in pathset.pairs])
+        self._edge_src = np.array([u for u, _ in topo.edges], dtype=int)
 
-    def logits(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
-        topo = self.pathset.topology
+    def logits_batch(
+        self, demands: np.ndarray, capacities: np.ndarray
+    ) -> Tensor:
         demands = np.asarray(demands, dtype=EVALUATION_DTYPE)
-        capacities = np.asarray(capacities, dtype=EVALUATION_DTYPE)
-        scale = max(float(capacities.mean()), 1e-9)
-        # Node features: total outgoing demand and outgoing capacity.
-        out_demand = np.zeros(topo.num_nodes)
-        np.add.at(out_demand, self._src, demands)
-        out_capacity = np.zeros(topo.num_nodes)
-        for eid, (u, _) in enumerate(topo.edges):
-            out_capacity[u] += capacities[eid]
-        features = np.stack([out_demand / scale, out_capacity / scale], axis=1)
+        batch = demands.shape[0]
+        capacities = broadcast_capacities(capacities, batch)
+        scale = _row_scales(capacities)[:, None]
+        # Node features: total outgoing demand and outgoing capacity,
+        # accumulated in demand / edge order.
+        num_nodes = self.pathset.topology.num_nodes
+        out_demand = np.zeros((batch, num_nodes))
+        np.add.at(out_demand, (slice(None), self._src), demands)
+        out_capacity = np.zeros((batch, num_nodes))
+        np.add.at(out_capacity, (slice(None), self._edge_src), capacities)
+        features = np.stack([out_demand / scale, out_capacity / scale], axis=-1)
 
         h = F.tanh(self.input_proj(Tensor(features)))
         for layer in self.layers:
@@ -191,9 +211,17 @@ class GlobalPolicyModel(AllocatorModel):
         self.net = mlp([in_dim, hidden, out_dim], rng=rng)
         self.policy = ActionHead(pathset.max_paths, self.hyper.action_log_std)
 
-    def logits(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
-        embeddings = self.flow_gnn(demands, capacities)
+    def logits_batch(
+        self, demands: np.ndarray, capacities: np.ndarray
+    ) -> Tensor:
+        embeddings = self.flow_gnn.forward_batch(demands, capacities)
         features = self.flow_gnn.grouped_embeddings(embeddings)
-        flat = features.reshape(1, self.pathset.num_demands * features.shape[1])
+        batch = features.shape[0]
+        # (B, 1, X): one (1, X) product per row, as for the naive DNN.
+        flat = features.reshape(
+            batch, 1, self.pathset.num_demands * features.shape[-1]
+        )
         out = self.net(flat)
-        return out.reshape(self.pathset.num_demands, self.pathset.max_paths)
+        return out.reshape(
+            batch, self.pathset.num_demands, self.pathset.max_paths
+        )

@@ -42,18 +42,27 @@ from ..nn.tensor import Tensor
 from ..paths.pathset import PathSet
 from ..simulation.evaluator import evaluate_allocation
 from ..traffic.matrix import TrafficMatrix
-from .batching import SegmentOps
+from .batching import SegmentOps, masked_softmax_into
 from .model import TealModel
 
 _EPS = 1e-12
 
 
 def masked_softmax_np(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Numpy masked softmax (mirrors the policy's tensor version)."""
-    shifted = np.where(mask, logits, -1e30)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    exps = np.where(mask, np.exp(shifted), 0.0)
-    return exps / np.maximum(exps.sum(axis=-1, keepdims=True), _EPS)
+    """Numpy masked softmax along the last axis, into a fresh array.
+
+    An allocating wrapper over
+    :func:`~repro.core.batching.masked_softmax_into`, which runs the op
+    sequence of the policy's tensor softmax. ``mask`` broadcasts
+    against ``logits``; masked slots get zero probability.
+    """
+    logits = np.asarray(logits)
+    mask = np.asarray(mask, dtype=bool)
+    shape = np.broadcast_shapes(logits.shape, mask.shape)
+    out = np.empty(shape, dtype=np.result_type(logits, 0.0))
+    np.copyto(out, logits)
+    reduce_buf = np.empty(shape[:-1] + (1,), dtype=out.dtype)
+    return masked_softmax_into(out, ~mask, out, reduce_buf)
 
 
 def sample_training_capacities(

@@ -277,30 +277,16 @@ class FlowGNN(Module):
         path_init = demands[:, pathset.path_demand][:, :, None] / scale
         return edge_init, path_init
 
-    def forward(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
-        """Compute (P, embedding_dim) flow embeddings.
-
-        Args:
-            demands: (D,) demand volumes for this interval.
-            capacities: (E,) current link capacities (zero for failed links).
-
-        Returns:
-            PathNode embeddings encoding flows for the downstream policy.
-        """
-        edge_init, path_init = self._initial_embeddings_batch(
-            np.asarray(demands)[None], capacities
-        )
-        return self._propagate(edge_init[0], path_init[0])
-
     def forward_batch(
         self, demands: np.ndarray, capacities: np.ndarray
     ) -> Tensor:
         """Compute (B, P, embedding_dim) flow embeddings for a TM stack.
 
-        One forward pass covers the whole batch: every sparse aggregation
-        and dense layer acts on the stacked embeddings, so replaying a
-        trace costs a handful of vectorized ops instead of a Python loop
-        per interval.
+        The one Tensor entry point of FlowGNN (a single matrix is a
+        batch of one). One forward pass covers the whole batch: every
+        sparse aggregation and dense layer acts on the stacked
+        embeddings, so replaying a trace costs a handful of vectorized
+        ops instead of a Python loop per interval.
 
         Args:
             demands: (B, D) demand volumes, one row per traffic matrix.
@@ -314,7 +300,7 @@ class FlowGNN(Module):
         return self._propagate(edge_init, path_init)
 
     def _propagate(self, edge_init: np.ndarray, path_init: np.ndarray) -> Tensor:
-        """Run the layer stack on (..., E, 1) / (..., P, 1) initializations."""
+        """Run the layer stack on (B, E, 1) / (B, P, 1) initializations."""
         edge_emb = Tensor(edge_init)
         path_emb = Tensor(path_init)
         for layer in range(self.num_layers):
@@ -458,8 +444,7 @@ class FlowGNN(Module):
     def grouped_embeddings(self, path_emb: Tensor) -> Tensor:
         """Arrange path embeddings as (..., D, k * embedding_dim) policy inputs.
 
-        Padding slots contribute zeros. Accepts the (P, dim) single-TM
-        embeddings or the (B, P, dim) batched stack.
+        Padding slots contribute zeros; leading batch axes pass through.
         """
         dim = self.embedding_dim
         lead = path_emb.shape[:-2]

@@ -12,10 +12,8 @@ import numpy as np
 from ..config import TealHyperparameters
 from ..exceptions import ModelError
 from ..nn.layers import Linear, Module
-from ..nn.precision import EVALUATION_DTYPE
 from ..nn.tensor import Tensor
 from ..paths.pathset import PathSet
-from ..topology.graph import broadcast_capacities
 from .batching import linear_into, masked_softmax_into, relu_
 from .flowgnn import FlowGNN
 from .policy import PolicyNetwork
@@ -25,61 +23,36 @@ class AllocatorModel(Module):
     """Protocol base for models that output per-demand action logits.
 
     Subclasses (TealModel and the Figure 14 ablation variants) provide
-    ``logits``; the base supplies the shared deployment conveniences so
-    trainers treat all variants uniformly.
+    one differentiable forward, ``logits_batch``; the base supplies the
+    shared deployment conveniences so trainers treat all variants
+    uniformly. The per-matrix calls are batch-of-one wrappers.
     """
 
     pathset: PathSet
     hyper: TealHyperparameters
     policy: "PolicyNetwork"
 
-    def logits(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
+    def logits_batch(
+        self, demands: np.ndarray, capacities: np.ndarray
+    ) -> Tensor:
+        """(B, D, k) action logits for a (B, D) stack of traffic matrices.
+
+        Args:
+            demands: (B, D) demand volumes, one row per traffic matrix.
+            capacities: (E,) shared or (B, E) per-matrix capacities.
+        """
         raise NotImplementedError
 
     def forward(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
         """Deterministic split ratios (D, k) — the deployment path."""
-        logits = self.logits(demands, capacities)
-        return self.policy.split_ratios(logits, self.pathset.path_mask)
+        ratios = self.forward_batch(np.asarray(demands)[None], capacities)
+        return ratios.reshape(self.pathset.num_demands, self.pathset.max_paths)
 
     def split_ratios(
         self, demands: np.ndarray, capacities: np.ndarray | None = None
     ) -> np.ndarray:
         """Numpy split ratios for deployment (no gradient bookkeeping)."""
-        if capacities is None:
-            capacities = self.pathset.topology.capacities
-        return self.forward(demands, capacities).numpy()
-
-    # ------------------------------------------------------------------
-    # Batched inference (multi-matrix engine)
-    # ------------------------------------------------------------------
-    def logits_batch(
-        self, demands: np.ndarray, capacities: np.ndarray
-    ) -> Tensor:
-        """(B, D, k) action logits for a stack of traffic matrices.
-
-        The base implementation loops :meth:`logits` per matrix so every
-        allocator variant supports the batched API; architectures with a
-        genuinely batched forward (TealModel) override it. The per-matrix
-        logits are stacked on the tape (differentiable), so batched
-        training works uniformly across variants.
-        """
-        from ..nn import functional as F
-
-        demands = np.asarray(demands, dtype=EVALUATION_DTYPE)
-        capacities = broadcast_capacities(capacities, demands.shape[0])
-        num_demands = self.pathset.num_demands
-        max_paths = self.pathset.max_paths
-        if demands.shape[0] == 0:
-            return Tensor(np.zeros((0, num_demands, max_paths)))
-        return F.concat(
-            [
-                self.logits(demands[i], capacities[i]).reshape(
-                    1, num_demands, max_paths
-                )
-                for i in range(demands.shape[0])
-            ],
-            axis=0,
-        )
+        return self.split_ratios_batch(np.asarray(demands)[None], capacities)[0]
 
     def forward_batch(
         self, demands: np.ndarray, capacities: np.ndarray
@@ -144,12 +117,6 @@ class TealModel(AllocatorModel):
             action_log_std=self.hyper.action_log_std,
             seed=seed + 1,
         )
-
-    def logits(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
-        """Per-demand action logits (D, k)."""
-        embeddings = self.flow_gnn(demands, capacities)
-        features = self.flow_gnn.grouped_embeddings(embeddings)
-        return self.policy(features)
 
     def logits_batch(
         self, demands: np.ndarray, capacities: np.ndarray
@@ -260,4 +227,6 @@ class TealModel(AllocatorModel):
         """(P, embedding_dim) learned flow embeddings (for §5.8 analysis)."""
         if capacities is None:
             capacities = self.pathset.topology.capacities
-        return self.flow_gnn(demands, capacities).numpy()
+        return self.flow_gnn.forward_batch(
+            np.asarray(demands)[None], capacities
+        ).numpy()[0]

@@ -35,7 +35,6 @@ from .baselines import LpAll, LpTop, NCFlow, Pop, TeavarStar
 from .cache import entry_path, lookup, read_entry, write_entry
 from .config import POP_REPLICAS, AdmmConfig, TrainingConfig
 from .core import TealScheme
-from .core.batching import Workspace
 from .core.checkpoint import load_model, save_model
 from .exceptions import ReproError
 from .lp.objectives import Objective, TotalFlowObjective, get_objective
@@ -585,13 +584,11 @@ def run_failure_sweep(
     caps_all = np.repeat(
         np.stack([capacity_sets[key] for key in keys]), num_matrices, axis=0
     )
-    workspace = Workspace()
     for name, scheme in schemes.items():
         allocations = allocate_all(scheme, scenario.pathset, demands_all, caps_all)
         ratios_all = np.stack([a.split_ratios for a in allocations])
         batch_report = evaluate_allocations_batch(
-            scenario.pathset, ratios_all, demands_all, caps_all,
-            workspace=workspace,
+            scenario.pathset, ratios_all, demands_all, caps_all
         )
         values = _objective_values(
             objective, scenario.pathset, batch_report, ratios_all,

@@ -1,4 +1,4 @@
-"""Numpy neural-network substrate: autodiff tensors, layers, optimizers.
+"""Numpy neural-network substrate: autodiff tensors, layers, Adam.
 
 The paper implements Teal in PyTorch, which this package does not
 depend on; it provides the equivalent primitives (see the substitution
@@ -8,7 +8,7 @@ policy in :mod:`repro.harness`).
 from . import functional
 from .init import kaiming_uniform, xavier_uniform
 from .layers import Linear, Module, ReLU, Sequential, mlp
-from .optim import Adam, Optimizer
+from .optim import Adam
 from .precision import (
     DEFAULT_INFERENCE_PRECISION,
     DEFAULT_PRECISION,
@@ -29,7 +29,6 @@ __all__ = [
     "Sequential",
     "ReLU",
     "mlp",
-    "Optimizer",
     "Adam",
     "xavier_uniform",
     "kaiming_uniform",

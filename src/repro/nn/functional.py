@@ -204,8 +204,9 @@ def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows along the second-to-last axis with scatter-add backward.
 
     For indices that may repeat (the naive-GNN ablation gathers each
-    node once per incident edge); a one-to-one regroup between layouts
-    that invert each other is :func:`regroup`, whose backward gathers.
+    site once per demand it starts or ends); a one-to-one regroup
+    between layouts that invert each other is :func:`regroup`, whose
+    backward gathers.
 
     Args:
         x: (N, F) tensor, or a batched (..., N, F) tensor; the gather
@@ -225,17 +226,15 @@ def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         acc = np.zeros_like(x.data)
         flat_idx = indices.reshape(-1)
         features = x.data.shape[-1]
-        if x.ndim == 2:
-            np.add.at(acc, flat_idx, grad.reshape(-1, features))
-        else:
-            lead = int(np.prod(x.data.shape[:-2]))
-            acc_view = acc.reshape(lead, x.data.shape[-2], features)
-            grad_flat = grad.reshape(lead, flat_idx.size, features)
-            np.add.at(
-                acc_view,
-                (np.arange(lead)[:, None], flat_idx[None, :]),
-                grad_flat,
-            )
+        # An unbatched (N, F) input is a batch of one (lead 1).
+        lead = int(np.prod(x.data.shape[:-2]))
+        acc_view = acc.reshape(lead, x.data.shape[-2], features)
+        grad_flat = grad.reshape(lead, flat_idx.size, features)
+        np.add.at(
+            acc_view,
+            (np.arange(lead)[:, None], flat_idx[None, :]),
+            grad_flat,
+        )
         x._accumulate(acc)
 
     out._backward_fn = backward

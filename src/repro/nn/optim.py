@@ -1,4 +1,4 @@
-"""Optimizers for the numpy NN substrate (the paper trains with Adam, §4)."""
+"""The optimizer of the numpy NN substrate: Adam, as in the paper (§4)."""
 
 from __future__ import annotations
 
@@ -8,24 +8,7 @@ from ..exceptions import ModelError
 from .tensor import Parameter
 
 
-class Optimizer:
-    """Base optimizer over a fixed parameter list."""
-
-    def __init__(self, parameters: list[Parameter]) -> None:
-        if not parameters:
-            raise ModelError("optimizer needs at least one parameter")
-        self.parameters = list(parameters)
-
-    def zero_grad(self) -> None:
-        """Clear gradients of all managed parameters."""
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam [Kingma & Ba, 2014] — the paper's optimizer (§4).
 
     Args:
@@ -42,12 +25,14 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ) -> None:
-        super().__init__(parameters)
+        if not parameters:
+            raise ModelError("optimizer needs at least one parameter")
         if lr <= 0:
             raise ModelError("learning rate must be positive")
         beta1, beta2 = betas
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ModelError("betas must be in [0, 1)")
+        self.parameters = list(parameters)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -55,6 +40,11 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        """Clear gradients of all managed parameters."""
+        for p in self.parameters:
+            p.zero_grad()
 
     def step(self) -> None:
         """Apply one Adam update; parameters with no gradient are skipped."""

@@ -1,19 +1,19 @@
 """K-shortest-path computation for the path formulation of TE (§2, §5.1).
 
-The paper precomputes 4 shortest paths between every node pair. We provide
-two algorithms:
+The paper precomputes 4 shortest paths between every node pair.
+:class:`~repro.paths.pathset.PathSet` builds them with
+:func:`k_shortest_paths_deviation`, a vectorized *one-deviation*
+enumeration. After two all-sources Dijkstra sweeps (forward graph and
+reversed graph, both via ``scipy.sparse.csgraph``), the shortest path
+through any specific edge ``(u, v)`` costs
+``dist(s, u) + w(u, v) + dist(v, t)``; ranking edges by this cost and
+reconstructing yields k near-shortest, mutually distinct simple paths per
+pair in O(E log E) per pair with numpy, which scales to the large
+topologies.
 
-- ``algorithm="deviation"`` (default): a vectorized *one-deviation*
-  enumeration. After two all-sources Dijkstra sweeps (forward graph and
-  reversed graph, both via ``scipy.sparse.csgraph``), the shortest path
-  through any specific edge ``(u, v)`` costs
-  ``dist(s, u) + w(u, v) + dist(v, t)``; ranking edges by this cost and
-  reconstructing yields k near-shortest, mutually distinct simple paths per
-  pair in O(E log E) per pair with numpy. This is the scalable default used
-  for the large topologies.
-- ``algorithm="yen"``: exact k-shortest *simple* paths via
-  ``networkx.shortest_simple_paths`` for small instances and for
-  cross-validation tests.
+:func:`k_shortest_paths_yen` (exact k-shortest *simple* paths via
+``networkx.shortest_simple_paths``) is the reference the tests compare
+the deviation enumeration against on small graphs.
 
 Both return loop-free paths sorted by cost.
 """

@@ -16,8 +16,8 @@ the sparse incidence structures every downstream component needs:
   lands on a nonexistent path.
 
 Construction cost is dominated by the k-shortest-path sweep; the
-``deviation`` algorithm (see :mod:`repro.paths.ksp`) keeps this tractable
-on the large topologies.
+one-deviation enumeration (see :mod:`repro.paths.ksp`) keeps this
+tractable on the large topologies.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ..topology.graph import Topology
 from .ksp import (
     ShortestPathOracle,
     k_shortest_paths_deviation,
-    k_shortest_paths_yen,
     path_cost,
 )
 
@@ -178,7 +177,6 @@ class PathSet:
         topology: Topology,
         pairs: Sequence[tuple[int, int]] | None = None,
         max_paths: int = NUM_PATHS_PER_DEMAND,
-        algorithm: str = "deviation",
         weight: str = "latency",
         max_pairs: int | None = None,
         seed: int = 0,
@@ -190,7 +188,6 @@ class PathSet:
             pairs: Demand pairs; defaults to all ordered pairs (optionally
                 subsampled via ``max_pairs``). Unreachable pairs are dropped.
             max_paths: Candidate paths per demand (paper: 4).
-            algorithm: ``"deviation"`` (scalable default) or ``"yen"`` (exact).
             weight: Path-ranking weight (``"latency"`` or ``"hops"``).
             max_pairs: If set and ``pairs`` is None, subsample this many pairs.
             seed: Seed for pair subsampling.
@@ -200,17 +197,12 @@ class PathSet:
                 pairs = sampled_pairs(topology.num_nodes, max_pairs, seed)
             else:
                 pairs = all_ordered_pairs(topology.num_nodes)
-        if algorithm not in ("deviation", "yen"):
-            raise PathError(f"unknown algorithm {algorithm!r}")
 
-        oracle = ShortestPathOracle(topology, weight) if algorithm == "deviation" else None
+        oracle = ShortestPathOracle(topology, weight)
         kept_pairs: list[tuple[int, int]] = []
         all_paths: list[list[list[int]]] = []
         for s, t in pairs:
-            if algorithm == "deviation":
-                paths = k_shortest_paths_deviation(oracle, s, t, max_paths)
-            else:
-                paths = k_shortest_paths_yen(topology, s, t, max_paths, weight)
+            paths = k_shortest_paths_deviation(oracle, s, t, max_paths)
             if paths:
                 kept_pairs.append((s, t))
                 all_paths.append(paths)

@@ -159,9 +159,7 @@ class FlowReport:
     intended_mlu: float
 
 
-def _path_max_utilization_batch(
-    pathset: PathSet, util: np.ndarray, workspace=None
-) -> np.ndarray:
+def _path_max_utilization_batch(pathset: PathSet, util: np.ndarray) -> np.ndarray:
     """Per-path bottleneck utilizations (T, P) from per-edge utils (T, E).
 
     Walks the hop columns of the path set's padded ``path_edge_index``:
@@ -169,21 +167,18 @@ def _path_max_utilization_batch(
     a zero column appended (the padding slots read it), and a running
     ``maximum`` folds it in. Max is exact and utilizations are
     non-negative, so the result equals a zero-initialised scatter-max
-    over the incidence entries exactly, with (T, P) temporaries only.
-    With a ``workspace`` the per-hop gather buffer is reused across
-    calls; the returned array is always fresh.
+    over the incidence entries exactly, with two (T, P) arrays: the
+    result and one hop buffer reused across the columns.
     """
     index = pathset.path_edge_index
     padded = np.concatenate([util, np.zeros_like(util[:, :1])], axis=1)
     bottleneck = padded.take(index[:, 0], axis=1)
-    hop_util = None
-    if workspace is not None:
-        hop_util = workspace.buffer(
-            ("evaluator", "hop_util"), bottleneck.shape, bottleneck.dtype
-        )
+    hop_util = np.empty_like(bottleneck)
     for column in index.T[1:]:
-        hop = padded.take(column, axis=1, out=hop_util)
-        np.maximum(bottleneck, hop, out=bottleneck)
+        # Every index is in range by construction; "clip" lets ``take``
+        # write straight into ``out`` ("raise" gathers via a temporary).
+        padded.take(column, axis=1, out=hop_util, mode="clip")
+        np.maximum(bottleneck, hop_util, out=bottleneck)
     return bottleneck
 
 
@@ -280,7 +275,6 @@ def reconcile_flows_batch(
     split_ratios: np.ndarray,
     demands: np.ndarray,
     capacities: np.ndarray | None = None,
-    workspace=None,
 ) -> Reconciliation:
     """Delivered path flows of a stack of allocations.
 
@@ -299,9 +293,6 @@ def reconcile_flows_batch(
         demands: (T, D) demand volumes.
         capacities: (E,) shared capacities, (T, E) per-matrix capacities
             (failure sweeps), or None for the topology defaults.
-        workspace: Optional :class:`~repro.core.batching.Workspace` for
-            the internal bottleneck-gather scratch; results are never
-            workspace views.
 
     Returns:
         A :class:`Reconciliation`.
@@ -333,7 +324,7 @@ def reconcile_flows_batch(
             pre_loads / np.maximum(capacities, 1e-300),
             np.where(pre_loads > 0, _INFINITE_UTILIZATION, 0.0),
         )
-    bottleneck = _path_max_utilization_batch(pathset, util, workspace)
+    bottleneck = _path_max_utilization_batch(pathset, util)
     scale = 1.0 / np.maximum(bottleneck, 1.0)
     scale[~np.isfinite(scale)] = 0.0
     delivered = intended * scale
@@ -345,7 +336,6 @@ def evaluate_allocations_batch(
     split_ratios: np.ndarray,
     demands: np.ndarray,
     capacities: np.ndarray | None = None,
-    workspace=None,
 ) -> BatchFlowReport:
     """Evaluate a stack of allocations against a stack of traffic matrices.
 
@@ -365,12 +355,6 @@ def evaluate_allocations_batch(
         demands: (T, D) demand volumes.
         capacities: (E,) shared capacities, (T, E) per-matrix capacities
             (failure sweeps), or None for the topology defaults.
-        workspace: Optional :class:`~repro.core.batching.Workspace` for
-            the internal bottleneck-gather scratch; sweeps that score many
-            stacks in a row (one per scheme) pass a shared
-            per-job workspace so scoring stops re-allocating. Results
-            are unaffected: every returned array is freshly computed,
-            never a workspace view.
 
     Returns:
         A :class:`BatchFlowReport` (empty arrays for T = 0).
@@ -378,9 +362,7 @@ def evaluate_allocations_batch(
     Raises:
         SimulationError: On shape mismatches.
     """
-    core = reconcile_flows_batch(
-        pathset, split_ratios, demands, capacities, workspace
-    )
+    core = reconcile_flows_batch(pathset, split_ratios, demands, capacities)
     capacities, delivered, util = core.capacities, core.delivered, core.util
     post_loads = pathset.edge_loads_batch(delivered)
 

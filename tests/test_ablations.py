@@ -69,6 +69,50 @@ class TestVariantInterface:
         assert history.rewards
 
 
+@pytest.mark.parametrize(
+    "factory",
+    [TealModel, NaiveDnnModel, NaiveGnnModel, GlobalPolicyModel],
+    ids=["teal", "naive-dnn", "naive-gnn", "global-policy"],
+)
+class TestOneForward:
+    """Every allocator implements one differentiable forward,
+    ``logits_batch``; the per-matrix calls are batch-of-one wrappers."""
+
+    @pytest.fixture()
+    def stack(self, setup):
+        """Three B4 matrices with per-row capacities; row 1 has four
+        dead links."""
+        pathset, matrices = setup
+        demands = np.stack(
+            [pathset.demand_volumes(m.values) for m in matrices[:3]]
+        )
+        num_edges = pathset.topology.num_edges
+        rng = np.random.default_rng(23)
+        caps = pathset.topology.capacities * (0.5 + rng.random((3, num_edges)))
+        caps[1, rng.choice(num_edges, size=4, replace=False)] = 0.0
+        return pathset, demands, caps
+
+    def test_rows_are_independent(self, stack, factory):
+        pathset, demands, caps = stack
+        model = factory(pathset, seed=0)
+        logits = model.logits_batch(demands, caps).numpy()
+        assert logits.shape == (3, pathset.num_demands, pathset.max_paths)
+        for t in range(3):
+            alone = model.logits_batch(demands[t : t + 1], caps[t : t + 1])
+            assert np.array_equal(logits[t], alone.numpy()[0])
+
+    def test_per_matrix_calls_are_a_batch_of_one(self, stack, factory):
+        pathset, demands, caps = stack
+        model = factory(pathset, seed=0)
+        shape = (pathset.num_demands, pathset.max_paths)
+        for t in range(3):
+            one = model.forward(demands[t], caps[t]).numpy()
+            batch = model.forward_batch(demands[t][None], caps[t]).numpy()
+            assert one.shape == shape
+            assert np.array_equal(one, batch.reshape(shape))
+            assert np.array_equal(model.split_ratios(demands[t], caps[t]), one)
+
+
 class TestGlobalPolicyMemoryModel:
     def test_parameter_budget_enforced(self, setup):
         """The paper reports memory errors on ASN: we model this as a

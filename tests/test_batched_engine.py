@@ -191,7 +191,7 @@ class TestBatchedModelForward:
         )
         batched = model.flow_gnn.forward_batch(demands, caps).numpy()
         for t in range(3):
-            looped = model.flow_gnn(demands[t], caps[t]).numpy()
+            looped = model.flow_gnn.forward_batch(demands[t][None], caps[t]).numpy()[0]
             assert np.allclose(batched[t], looped, atol=TOL)
 
     def test_teal_allocate_batch_matches_loop(self, b4_pathset, b4_trace):

@@ -22,34 +22,34 @@ class TestFlowGNN:
 
     def test_forward_shapes(self, b4_pathset, b4_demands):
         gnn = FlowGNN(b4_pathset, num_layers=4)
-        emb = gnn(b4_demands, b4_pathset.topology.capacities)
-        assert emb.shape == (b4_pathset.num_paths, 4)
+        emb = gnn.forward_batch(b4_demands[None], b4_pathset.topology.capacities)
+        assert emb.shape == (1, b4_pathset.num_paths, 4)
 
     def test_grouped_embeddings_shape(self, b4_pathset, b4_demands):
         gnn = FlowGNN(b4_pathset, num_layers=3)
-        emb = gnn(b4_demands, b4_pathset.topology.capacities)
+        emb = gnn.forward_batch(b4_demands[None], b4_pathset.topology.capacities)
         grouped = gnn.grouped_embeddings(emb)
-        assert grouped.shape == (b4_pathset.num_demands, 4 * 3)
+        assert grouped.shape == (1, b4_pathset.num_demands, 4 * 3)
 
     def test_embeddings_depend_on_demands(self, b4_pathset, b4_demands):
         gnn = FlowGNN(b4_pathset, num_layers=3)
         caps = b4_pathset.topology.capacities
-        a = gnn(b4_demands, caps).numpy()
-        b = gnn(b4_demands * 2.0, caps).numpy()
+        a = gnn.forward_batch(b4_demands[None], caps).numpy()
+        b = gnn.forward_batch(b4_demands[None] * 2.0, caps).numpy()
         assert not np.allclose(a, b)
 
     def test_embeddings_depend_on_capacities(self, b4_pathset, b4_demands):
         gnn = FlowGNN(b4_pathset, num_layers=3)
         caps = b4_pathset.topology.capacities
-        a = gnn(b4_demands, caps).numpy()
+        a = gnn.forward_batch(b4_demands[None], caps).numpy()
         failed = caps.copy()
         failed[:4] = 0.0
-        b = gnn(b4_demands, failed).numpy()
+        b = gnn.forward_batch(b4_demands[None], failed).numpy()
         assert not np.allclose(a, b)
 
     def test_gradient_flows_to_all_layers(self, b4_pathset, b4_demands):
         gnn = FlowGNN(b4_pathset, num_layers=2)
-        emb = gnn(b4_demands, b4_pathset.topology.capacities)
+        emb = gnn.forward_batch(b4_demands[None], b4_pathset.topology.capacities)
         emb.sum().backward()
         for p in gnn.parameters():
             assert p.grad is not None
@@ -60,10 +60,15 @@ class TestFlowGNN:
 
     def test_shape_validation(self, b4_pathset):
         gnn = FlowGNN(b4_pathset, num_layers=2)
+        caps = b4_pathset.topology.capacities
+        num_demands = b4_pathset.num_demands
         with pytest.raises(ModelError):
-            gnn(np.ones(3), b4_pathset.topology.capacities)
+            gnn.forward_batch(np.ones((1, 3)), caps)
         with pytest.raises(ModelError):
-            gnn(np.ones(b4_pathset.num_demands), np.ones(3))
+            gnn.forward_batch(np.ones((1, num_demands)), np.ones(3))
+        # A single (D,) matrix must be passed as a batch of one.
+        with pytest.raises(ModelError):
+            gnn.forward_batch(np.ones(num_demands), caps)
 
 
 class TestPolicy:

@@ -178,14 +178,3 @@ class TestPathSet:
             PathSet(
                 b4_topology, [(0, 1)], [[[0, 1], [0, 2, 1]]], max_paths=1
             )
-
-    def test_yen_algorithm_option(self, b4_topology):
-        ps = PathSet.from_topology(
-            b4_topology, pairs=[(0, 11)], algorithm="yen"
-        )
-        assert ps.num_demands == 1
-        assert ps.path_mask[0].sum() == 4
-
-    def test_unknown_algorithm(self, b4_topology):
-        with pytest.raises(PathError):
-            PathSet.from_topology(b4_topology, algorithm="bogus")
