@@ -149,11 +149,11 @@ class AdmmFineTuner:
             pathset.topology.num_nodes
         )
         # Static structure, node-major to match the (N, T) iterates: the
-        # (E, P) incidence A, its (P, E) transpose, the (D, P)
-        # demand-path membership — each bound once for the sparse
-        # products — and per-path/per-edge columns.
+        # (E, P) incidence A (the path set's bound operand), its (P, E)
+        # transpose, the (D, P) demand-path membership — each bound once
+        # for the sparse products — and per-path/per-edge columns.
         incidence = pathset.edge_path_incidence
-        self._incidence = bind_csr(incidence)
+        self._incidence = pathset.incidence_operand
         self._incidence_t = bind_csr(pathset.path_edge_incidence)
         self._demand_paths = bind_csr(
             sp.csr_matrix(

@@ -15,7 +15,7 @@ original order, the tiled result is bit-identical to running the
 per-matrix primitive T times — which is what lets the batched trainers
 reproduce the per-TM loops to machine precision instead of merely
 "close". The ADMM fine-tuner gets the same guarantee from
-:func:`csr_matmul_into` over node-major (N, T) stacks. Segment sums
+:func:`csr_operand_matmul_into` over node-major (N, T) stacks. Segment sums
 always *accumulate* in float64 (``np.bincount``'s accumulator) whatever
 the storage dtype — the "float64 accumulation" half of the precision
 policy (:mod:`repro.nn.precision`).
@@ -30,6 +30,19 @@ fused result is bit-identical to the naive elementwise form at any fixed
 dtype (asserted by ``tests/test_precision.py``). A :class:`Workspace`
 owns the buffers, keyed by call-site name, so repeated inference calls
 (sweeps, ADMM iterations) stop allocating entirely after the first pass.
+
+The fused FlowGNN forward is *node-major*: a B-matrix stack of N-row
+embeddings is one C-contiguous (N, B, F) array, like the ADMM's (N, T)
+iterates. Folded to (N, B * F), each sparse aggregation is one
+:func:`csr_matmul_into` call for the whole batch. :func:`linear_into`
+and :func:`pair_linear_into` take such stacks and run each product on
+the (B, N, F) per-matrix view, so BLAS sees every matrix's (N, F)
+operand exactly as the Tensor path's batched matmul does: a single
+(N * B, F) product may take another BLAS kernel and round differently
+(float64 at large N * B). Their bias add runs over blocks of rows
+against a tiled bias, a wide inner loop instead of an F-wide one. The
+per-demand regroups are :func:`padded_take_rows_into` and
+:func:`take_rows_into` by indices tiled over the batch.
 
 **Kernel aliasing contracts.** Every ``out=``-style kernel declares
 which arguments it clobbers and which pairs may legally alias; the
@@ -231,24 +244,22 @@ class Workspace:
 def csr_matmul_into(csr: sp.csr_matrix, dense: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = csr @ dense`` through a preallocated buffer.
 
-    The sparse-product kernel of the FlowGNN fast path and the ADMM
-    fine-tuner. Uses scipy's ``csr_matvecs`` C routine directly (it
-    *accumulates* into the output buffer, so the buffer is zeroed
-    first); a (B, N, F) batched operand
-    runs one call per batch row — per output element the accumulation
-    order over the row's nonzeros is identical to ``csr @ dense``, so the
-    result is bit-identical to the allocating product. A single column
-    runs ``csr_matvec``: the same per-element accumulation with a third
-    of the loop overhead. Falls back to the allocating product if scipy's
-    internals are unavailable or the operands are not
-    contiguous/dtype-matched.
+    The sparse-product kernel of the FlowGNN fast path, on 2-D operands:
+    the fused forward passes its node-major (N, B, F) stacks folded to
+    (N, B * F), so one call aggregates the whole batch. Uses scipy's
+    ``csr_matvecs`` C routine directly (it *accumulates* into the output
+    buffer, so the buffer is zeroed first); per output element the
+    accumulation order over the row's nonzeros is that of
+    ``csr @ dense`` whatever the column count, so the result is
+    bit-identical to the allocating product and to the Tensor path's
+    folded product. A single column runs ``csr_matvec``: the same
+    per-element accumulation with a third of the loop overhead. Falls
+    back to the allocating product if scipy's internals are unavailable
+    or the operands are not 2-D, contiguous and dtype-matched.
     """
-    if dense.ndim > 2:
-        for b in range(dense.shape[0]):
-            csr_matmul_into(csr, dense[b], out[b])
-        return out
     if (
         _CSR_MATVECS is None
+        or dense.ndim != 2
         or csr.data.dtype != dense.dtype
         or not dense.flags.c_contiguous
         or not out.flags.c_contiguous
@@ -319,6 +330,39 @@ def csr_operand_matmul_into(
     return out
 
 
+def _per_matrix(stack: np.ndarray) -> np.ndarray:
+    """The (B, N, F) per-matrix view of a node-major (N, B, F) stack;
+    the (N, F) rows of one matrix pass through."""
+    return stack if stack.ndim == 2 else stack.transpose(1, 0, 2)
+
+
+#: Rows per block of :func:`_add_bias_`.
+_BIAS_BLOCK_ROWS = 64
+
+
+def _add_bias_(out: np.ndarray, bias: np.ndarray) -> None:
+    """``out += bias`` over the F-wide rows of a C-contiguous ``out``.
+
+    Adds over blocks of :data:`_BIAS_BLOCK_ROWS` rows against the bias
+    tiled as many times, then adds the leftover rows as they are: the
+    same additions, through a wide inner loop instead of an F-wide one
+    per row (F is 1-24 here).
+    """
+    if not out.flags.c_contiguous:
+        out += bias
+        return
+    flat = out.reshape(-1)
+    width = bias.shape[0]
+    block = width * _BIAS_BLOCK_ROWS
+    head = flat.size - flat.size % block
+    if head:
+        blocks = flat[:head].reshape(-1, block)
+        blocks += bias[None].repeat(_BIAS_BLOCK_ROWS, axis=0).reshape(-1)
+    if head < flat.size:
+        rest = flat[head:].reshape(-1, width)
+        rest += bias
+
+
 def pair_linear_into(
     a: np.ndarray,
     b: np.ndarray,
@@ -331,24 +375,30 @@ def pair_linear_into(
 
     The raw-array twin of :func:`repro.nn.functional.pair_linear` with
     the same op order (top product, plus bottom product, plus bias), so
-    forward values are bit-identical at fixed dtype.
+    forward values are bit-identical at fixed dtype. Operands are one
+    matrix's (N, F) rows or C-contiguous node-major (N, B, F) stacks.
+    A stack's products run on its (B, N, F) per-matrix views, so BLAS
+    sees each matrix's (N, F) operand exactly as the Tensor path's
+    batched matmul does (one (N * B, F) product can take another BLAS
+    kernel and round differently).
     """
     split = a.shape[-1]
-    np.matmul(a, weight[:split], out=out)
-    np.matmul(b, weight[split:], out=scratch)
+    np.matmul(_per_matrix(a), weight[:split], out=_per_matrix(out))
+    np.matmul(_per_matrix(b), weight[split:], out=_per_matrix(scratch))
     out += scratch
     if bias is not None:
-        out += bias
+        _add_bias_(out, bias)
     return out
 
 
 def linear_into(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, out: np.ndarray
 ) -> np.ndarray:
-    """``out = x @ weight (+ bias)`` — fused affine map."""
-    np.matmul(x, weight, out=out)
+    """``out = x @ weight (+ bias)`` — fused affine map, on (N, F) rows
+    or node-major (N, B, F) stacks as :func:`pair_linear_into`."""
+    np.matmul(_per_matrix(x), weight, out=_per_matrix(out))
     if bias is not None:
-        out += bias
+        _add_bias_(out, bias)
     return out
 
 
@@ -366,9 +416,11 @@ def take_rows_into(x: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.nd
     """Gather rows along the second-to-last axis into ``out``.
 
     Raw-array twin of the forward of :func:`repro.nn.functional.regroup`
-    on an index without padding (the fast path needs no backward).
+    on an index without padding (the fast path needs no backward). The
+    indices are static and in range, so ``mode="clip"`` only skips
+    ``np.take``'s bounds check and its buffered copy into ``out``.
     """
-    np.take(x, indices, axis=-2, out=out)
+    np.take(x, indices, axis=-2, out=out, mode="clip")
     return out
 
 
@@ -383,9 +435,10 @@ def padded_take_rows_into(
     Raw-array twin of the forward of :func:`repro.nn.functional.regroup`:
     ``safe_indices`` is the flat index array with -1s replaced by 0 and
     ``invalid_rows`` the flat positions of those padding slots (both
-    precomputed once per model — the masks are static).
+    precomputed once per model — the masks are static). Gathers as
+    :func:`take_rows_into`.
     """
-    np.take(x, safe_indices, axis=-2, out=out)
+    np.take(x, safe_indices, axis=-2, out=out, mode="clip")
     if invalid_rows.size:
         out[..., invalid_rows, :] = 0.0
     return out

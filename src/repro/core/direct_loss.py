@@ -71,7 +71,7 @@ def model_path_flows_batch(
     # rows yields path-major (T, P) flows, whose per-matrix sums in the
     # losses below keep the summation order of a path-major stack.
     slots = flows_grid.reshape(num_matrices, ps.num_demands * ps.max_paths).T
-    return F.regroup(slots, ps.path_grid_index, ps.demand_path_ids).T
+    return F.regroup(slots, ps.path_grid_rows, ps.demand_path_rows).T
 
 
 def surrogate_loss_batch(

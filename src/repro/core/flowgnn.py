@@ -122,8 +122,8 @@ class DemandDNNLayer(Module):
     def forward(
         self,
         path_emb: Tensor,
-        gather_index: np.ndarray,
-        scatter_index: np.ndarray,
+        gather_index: np.ndarray | F.RowIndex,
+        scatter_index: np.ndarray | F.RowIndex,
     ) -> Tensor:
         """Update PathNode embeddings demand-by-demand.
 
@@ -136,15 +136,18 @@ class DemandDNNLayer(Module):
         Args:
             path_emb: (P, dim) PathNode embeddings, optionally with
                 leading batch axes (..., P, dim).
-            gather_index: (D, k) path ids with -1 marking padding slots.
+            gather_index: (D, k) path ids with -1 marking padding slots
+                (as an array or prepared by ``F.row_index``).
             scatter_index: (P,) flat position of each real path inside the
-                (D, k) grid.
+                (D, k) grid (likewise).
 
         Returns:
             Updated (..., P, dim) PathNode embeddings.
         """
+        gather_index = F.row_index(gather_index)
+        scatter_index = F.row_index(scatter_index)
         lead = path_emb.shape[:-2]
-        num_demands = gather_index.shape[0]
+        num_demands = gather_index.index.shape[0]
         grouped = F.regroup(path_emb, gather_index, scatter_index)  # (..., D, k, dim)
         flat = grouped.reshape(lead + (num_demands, self.num_paths * self.dim))
         updated = F.tanh(self.transform(flat))
@@ -195,15 +198,11 @@ class FlowGNN(Module):
         self.edge_agg_t = self.edge_agg.T.tocsr()
         self.path_agg_t = self.path_agg.T.tocsr()
 
-        # Gather index for the per-demand DNN layers; -1 marks padding
-        # slots (they gather zeros, see F.regroup). The way back is
-        # pathset.path_grid_index.
-        self.gather_index = pathset.demand_path_ids
-        # Flat gather index with -1s clamped to 0, plus the flat padding
-        # positions — the static inputs of the fused padded gather.
-        flat_gather = self.gather_index.reshape(-1)
-        self.safe_gather_index = np.where(flat_gather < 0, 0, flat_gather)
-        self.invalid_gather_rows = np.flatnonzero(flat_gather < 0)
+        # The per-demand DNN layers regroup path rows into the (D, k)
+        # grid and back through the path set's prepared layouts (-1
+        # slots gather zeros, see F.regroup). The fused forward tiles
+        # them over its node-major batch, once per batch size.
+        self._tiled_indices: dict[int, tuple[np.ndarray, ...]] = {}
 
         # Compute dtype of the forward (see repro.nn.precision); astype()
         # switches it together with the parameters and aggregation
@@ -253,10 +252,11 @@ class FlowGNN(Module):
         self.workspace.clear()
         return self
 
-    def _initial_embeddings_batch(
+    def _scaled_inputs(
         self, demands: np.ndarray, capacities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(B, E, 1) / (B, P, 1) initializations in the model dtype."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated (B, D) demands, (B, E) capacities and (B,) input
+        scales in the model dtype."""
         demands = np.asarray(demands, dtype=self._dtype)
         pathset = self.pathset
         if demands.ndim != 2 or demands.shape[1] != pathset.num_demands:
@@ -272,9 +272,17 @@ class FlowGNN(Module):
         # by its own capacity mean to keep activations in range. Row t's
         # scale depends on row t only, so batched and looped inference
         # agree bit for bit.
-        scale = np.maximum(capacities.mean(axis=-1), 1e-9)[:, None, None]
+        scale = np.maximum(capacities.mean(axis=-1), 1e-9)
+        return demands, capacities, scale
+
+    def _initial_embeddings_batch(
+        self, demands: np.ndarray, capacities: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(B, E, 1) / (B, P, 1) initializations in the model dtype."""
+        demands, capacities, scale = self._scaled_inputs(demands, capacities)
+        scale = scale[:, None, None]
         edge_init = capacities[:, :, None] / scale
-        path_init = demands[:, pathset.path_demand][:, :, None] / scale
+        path_init = demands[:, self.pathset.path_demand][:, :, None] / scale
         return edge_init, path_init
 
     def forward_batch(
@@ -313,7 +321,7 @@ class FlowGNN(Module):
                 self.path_agg_t,
             )
             path_emb = self.dnn_layers[layer](
-                path_emb, self.gather_index, self.pathset.path_grid_index
+                path_emb, self.pathset.demand_path_rows, self.pathset.path_grid_rows
             )
             if layer < self.num_layers - 1:
                 # Embedding growth: re-append the initialization value.
@@ -321,26 +329,91 @@ class FlowGNN(Module):
                 path_emb = F.concat([path_emb, Tensor(path_init)], axis=-1)
         return path_emb
 
+    # ------------------------------------------------------------------
+    # Fused inference: node-major stacks, no tape, workspace buffers
+    # ------------------------------------------------------------------
+    def initial_embeddings_into(
+        self, demands: np.ndarray, capacities: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Node-major (E, B, 1) / (P, B, 1) initializations (workspace
+        buffers): the values of :meth:`_initial_embeddings_batch`,
+        transposed."""
+        demands, capacities, scale = self._scaled_inputs(demands, capacities)
+        ws = self.workspace
+        batch = demands.shape[0]
+        edge_init = ws.buffer(
+            "edge_init", (capacities.shape[1], batch, 1), self._dtype
+        )
+        np.divide(capacities.T[:, :, None], scale[:, None], out=edge_init)
+        path_init = ws.buffer(
+            "path_init", (self.pathset.num_paths, batch, 1), self._dtype
+        )
+        path_demands = demands.take(self.pathset.path_demand, axis=1)
+        np.divide(path_demands.T[:, :, None], scale[:, None], out=path_init)
+        return edge_init, path_init
+
+    def tiled_indices(self, batch: int) -> tuple[np.ndarray, ...]:
+        """The path <-> grid regroups over node-major rows (cached).
+
+        Row (n, b) of a node-major (N, B, F) stack is flat row
+        ``n * B + b``. Returns ``(safe, padding, scatter)``: the gather
+        of the (D, B, k) grid from (P, B) path rows, with the -1 slots
+        clamped to 0, the flat grid positions of those slots, and the
+        gather of the (P, B) path rows back from the grid. At a batch of
+        one they equal the path set's own prepared layouts.
+        """
+        cached = self._tiled_indices.get(batch)
+        if cached is None:
+            pathset = self.pathset
+            k = pathset.max_paths
+            offsets = np.arange(batch)
+            path_ids = pathset.demand_path_ids[:, None, :]  # (D, 1, k)
+            safe = np.maximum(path_ids, 0) * batch + offsets[:, None]
+            padding = np.flatnonzero(np.broadcast_to(path_ids < 0, safe.shape))
+            slot = pathset.path_grid_index[:, None]  # (P, 1)
+            scatter = ((slot // k) * batch + offsets) * k + slot % k
+            cached = (safe.reshape(-1), padding, scatter.reshape(-1))
+            self._tiled_indices[batch] = cached
+        return cached
+
     def _propagate_fused(
         self, edge_init: np.ndarray, path_init: np.ndarray
     ) -> np.ndarray:
-        """Inference-only layer stack on raw arrays through fused kernels.
+        """Inference-only layer stack on node-major raw arrays.
 
         Same math as :meth:`_propagate` — every kernel states the exact
         op order it shares with the Tensor path, so the result is
         bit-identical at the model's dtype — but with no autodiff tape
         and no per-op temporaries: all intermediates live in the
         instance :class:`~repro.core.batching.Workspace`, so repeated
-        calls (sweeps, traces) allocate nothing. The returned array is a
-        workspace buffer — callers copy before retaining it.
+        calls (sweeps, traces) allocate nothing.
+
+        Embeddings are node-major: (E, B, dim) and (P, B, dim), C
+        contiguous. Folded to (N, B * dim), each aggregation is one
+        sparse product for the whole batch (the Tensor path folds its
+        batch the same way), so a forward makes 2 x ``num_layers``
+        sparse-kernel calls whatever B. Each dense update is one
+        ``pair_linear_into`` / ``linear_into`` call on the stack, whose
+        products hand BLAS each matrix's operand as the Tensor path
+        does (see :mod:`repro.core.batching`). The per-demand regroups
+        gather rows by :meth:`tiled_indices`. At B = 1 the layout and
+        ops are those of a single matrix.
+
+        Args:
+            edge_init: (E, B, 1) from :meth:`initial_embeddings_into`.
+            path_init: (P, B, 1) likewise.
+
+        Returns:
+            (P, B, embedding_dim) path embeddings in a workspace buffer;
+            callers copy before retaining it.
         """
         ws = self.workspace
         dtype = edge_init.dtype
-        lead = edge_init.shape[:-2]
-        num_edges = edge_init.shape[-2]
-        num_paths = path_init.shape[-2]
+        num_edges, batch = edge_init.shape[:2]
+        num_paths = path_init.shape[0]
         num_demands = self.pathset.num_demands
         k = self.pathset.max_paths
+        scatter = self.tiled_indices(batch)[2]
 
         edge_emb = edge_init
         path_emb = path_init
@@ -348,13 +421,17 @@ class FlowGNN(Module):
             dim = layer + 1
             gnn = self.gnn_layers[layer]
             dnn = self.dnn_layers[layer]
+            shape_e = (num_edges, batch, dim)
+            shape_p = (num_paths, batch, dim)
             # Paths -> edges, then the fused [own, aggregated] update.
-            agg_e = ws.buffer(("agg_e", layer), lead + (num_edges, dim), dtype)
-            csr_matmul_into(self.edge_agg, path_emb, agg_e)
-            new_edge = ws.buffer(("edge", layer), lead + (num_edges, dim), dtype)
-            scratch_e = ws.buffer(
-                ("edge_scratch", layer), lead + (num_edges, dim), dtype
+            agg_e = ws.buffer(("agg_e", layer), shape_e, dtype)
+            csr_matmul_into(
+                self.edge_agg,
+                path_emb.reshape(num_paths, -1),
+                agg_e.reshape(num_edges, -1),
             )
+            new_edge = ws.buffer(("edge", layer), shape_e, dtype)
+            scratch_e = ws.buffer(("edge_scratch", layer), shape_e, dtype)
             bias = gnn.edge_update.bias
             pair_linear_into(
                 edge_emb,
@@ -366,12 +443,14 @@ class FlowGNN(Module):
             )
             tanh_(new_edge)
             # Edges -> paths.
-            agg_p = ws.buffer(("agg_p", layer), lead + (num_paths, dim), dtype)
-            csr_matmul_into(self.path_agg, new_edge, agg_p)
-            new_path = ws.buffer(("path", layer), lead + (num_paths, dim), dtype)
-            scratch_p = ws.buffer(
-                ("path_scratch", layer), lead + (num_paths, dim), dtype
+            agg_p = ws.buffer(("agg_p", layer), shape_p, dtype)
+            csr_matmul_into(
+                self.path_agg,
+                new_edge.reshape(num_edges, -1),
+                agg_p.reshape(num_paths, -1),
             )
+            new_path = ws.buffer(("path", layer), shape_p, dtype)
+            scratch_p = ws.buffer(("path_scratch", layer), shape_p, dtype)
             bias = gnn.path_update.bias
             pair_linear_into(
                 path_emb,
@@ -383,37 +462,32 @@ class FlowGNN(Module):
             )
             tanh_(new_path)
             # Per-demand DNN layer: gather -> joint transform -> scatter.
-            grouped = ws.buffer(
-                ("grouped", layer), lead + (num_demands * k, dim), dtype
-            )
-            padded_take_rows_into(
-                new_path, self.safe_gather_index, self.invalid_gather_rows, grouped
-            )
-            flat = grouped.reshape(lead + (num_demands, k * dim))
+            grouped = self._grouped_into(("grouped", layer), new_path)
             updated = ws.buffer(
-                ("updated", layer), lead + (num_demands, k * dim), dtype
+                ("updated", layer), (num_demands, batch, k * dim), dtype
             )
             bias = dnn.transform.bias
             linear_into(
-                flat,
+                grouped,
                 dnn.transform.weight.data,
                 None if bias is None else bias.data,
                 updated,
             )
             tanh_(updated)
-            grid = updated.reshape(lead + (num_demands * k, dim))
-            path_out = ws.buffer(("path_out", layer), lead + (num_paths, dim), dtype)
-            take_rows_into(grid, self.pathset.path_grid_index, path_out)
+            path_out = ws.buffer(("path_out", layer), shape_p, dtype)
+            take_rows_into(
+                updated.reshape(-1, dim), scatter, path_out.reshape(-1, dim)
+            )
             if layer < self.num_layers - 1:
                 # Embedding growth: re-append the initialization value.
                 grown_e = ws.buffer(
-                    ("edge_grow", layer), lead + (num_edges, dim + 1), dtype
+                    ("edge_grow", layer), (num_edges, batch, dim + 1), dtype
                 )
                 grown_e[..., :dim] = new_edge
                 grown_e[..., dim:] = edge_init
                 edge_emb = grown_e
                 grown_p = ws.buffer(
-                    ("path_grow", layer), lead + (num_paths, dim + 1), dtype
+                    ("path_grow", layer), (num_paths, batch, dim + 1), dtype
                 )
                 grown_p[..., :dim] = path_out
                 grown_p[..., dim:] = path_init
@@ -422,24 +496,28 @@ class FlowGNN(Module):
                 path_emb = path_out
         return path_emb
 
-    def grouped_embeddings_into(self, path_emb: np.ndarray) -> np.ndarray:
-        """Fused :meth:`grouped_embeddings` on raw arrays (inference).
-
-        Returns a workspace buffer shaped (..., D, k * embedding_dim).
-        """
-        dim = path_emb.shape[-1]
-        lead = path_emb.shape[:-2]
+    def _grouped_into(self, key, path_emb: np.ndarray) -> np.ndarray:
+        """(P, B, dim) node-major path rows -> the (D, B, k * dim) grid
+        of each demand's path slots, padding slots zeroed."""
+        batch, dim = path_emb.shape[1:]
         num_demands = self.pathset.num_demands
         k = self.pathset.max_paths
+        safe, padding, _ = self.tiled_indices(batch)
         grouped = self.workspace.buffer(
-            "features",
-            lead + (num_demands * k, dim),
-            path_emb.dtype,
+            key, (num_demands * batch * k, dim), path_emb.dtype
         )
-        padded_take_rows_into(
-            path_emb, self.safe_gather_index, self.invalid_gather_rows, grouped
-        )
-        return grouped.reshape(lead + (num_demands, k * dim))
+        padded_take_rows_into(path_emb.reshape(-1, dim), safe, padding, grouped)
+        return grouped.reshape(num_demands, batch, k * dim)
+
+    def grouped_embeddings_into(self, path_emb: np.ndarray) -> np.ndarray:
+        """Fused :meth:`grouped_embeddings` on node-major raw arrays.
+
+        Takes the (P, B, embedding_dim) output of
+        :meth:`_propagate_fused`; returns a workspace buffer shaped
+        (D, B, k * embedding_dim): one (D * B, k * embedding_dim) row
+        block for the policy.
+        """
+        return self._grouped_into("features", path_emb)
 
     def grouped_embeddings(self, path_emb: Tensor) -> Tensor:
         """Arrange path embeddings as (..., D, k * embedding_dim) policy inputs.
@@ -449,7 +527,7 @@ class FlowGNN(Module):
         dim = self.embedding_dim
         lead = path_emb.shape[:-2]
         grouped = F.regroup(
-            path_emb, self.gather_index, self.pathset.path_grid_index
+            path_emb, self.pathset.demand_path_rows, self.pathset.path_grid_rows
         )
         return grouped.reshape(
             lead + (self.pathset.num_demands, self.pathset.max_paths * dim)

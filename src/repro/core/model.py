@@ -146,7 +146,12 @@ class TealModel(AllocatorModel):
         return self.flow_gnn.dtype
 
     def _policy_fused(self, features: np.ndarray) -> np.ndarray:
-        """Raw-array policy MLP through the FlowGNN workspace buffers."""
+        """Raw-array policy MLP on node-major (D, B, k * dim) features,
+        through the FlowGNN workspace buffers; returns (D, B, k) logits.
+
+        Each linear is one :func:`~repro.core.batching.linear_into` on
+        the node-major stack (see :meth:`FlowGNN._propagate_fused`).
+        """
         ws = self.flow_gnn.workspace
         x = features
         # ``mlp`` builds only Linear and ReLU layers.
@@ -174,25 +179,27 @@ class TealModel(AllocatorModel):
         to the Tensor path at the model dtype; see
         ``tests/test_precision.py``).
 
-        Uses the model's shared workspace buffers, so one model instance
-        must not run concurrent forwards from multiple threads (see
-        :class:`~repro.core.batching.Workspace`)."""
+        Runs node-major (see :meth:`FlowGNN._propagate_fused`); the
+        softmax acts on the (D, B, k) logits and one transposing copy
+        returns (B, D, k). Uses the model's shared workspace buffers,
+        so one model instance must not run concurrent forwards from
+        multiple threads (see :class:`~repro.core.batching.Workspace`)."""
         fg = self.flow_gnn
-        edge_init, path_init = fg._initial_embeddings_batch(demands, capacities)
+        edge_init, path_init = fg.initial_embeddings_into(demands, capacities)
         embeddings = fg._propagate_fused(edge_init, path_init)
         features = fg.grouped_embeddings_into(embeddings)
         logits = self._policy_fused(features)
         not_mask = getattr(self, "_not_path_mask", None)
         if not_mask is None:
-            not_mask = ~self.pathset.path_mask
+            not_mask = ~self.pathset.path_mask[:, None, :]
             self._not_path_mask = not_mask
         reduce_buf = fg.workspace.buffer(
             "softmax_reduce", tuple(logits.shape[:-1]) + (1,), logits.dtype
         )
         masked_softmax_into(logits, not_mask, logits, reduce_buf)
         # The result lives in a reused workspace buffer: hand the caller
-        # an owned copy so the next forward cannot mutate it.
-        return logits.copy()
+        # an owned (B, D, k) copy so the next forward cannot mutate it.
+        return logits.transpose(1, 0, 2).copy()
 
     def split_ratios(
         self, demands: np.ndarray, capacities: np.ndarray | None = None

@@ -9,6 +9,7 @@ Gaussian log-densities for the stochastic policy (Appendix B).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -241,23 +242,50 @@ def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
-def _gather_rows(arr: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Rows of ``arr`` (second-to-last axis) at ``index``; -1 gives zeros.
+class RowIndex(NamedTuple):
+    """A :func:`regroup` index prepared once (build with :func:`row_index`).
 
-    Shape ``arr.shape[:-2] + index.shape + arr.shape[-1:]``. One
-    ``np.take``, then the padding slots zeroed through their flat
-    positions: the two steps of ``batching.padded_take_rows_into``.
+    Attributes:
+        index: The index itself (any shape; -1 marks a padding slot).
+        safe: Its flat entries with the -1s clamped to 0.
+        padding: The flat positions of the -1 slots.
     """
+
+    index: np.ndarray
+    safe: np.ndarray
+    padding: np.ndarray
+
+
+def row_index(index: np.ndarray | RowIndex) -> RowIndex:
+    """Prepare ``index`` for :func:`regroup` (a :class:`RowIndex` passes
+    through), so a layout used every step pays for its ``np.where`` and
+    ``np.flatnonzero`` once."""
+    if isinstance(index, RowIndex):
+        return index
+    index = np.asarray(index)
     flat = index.reshape(-1)
     invalid = flat < 0
     padding = np.flatnonzero(invalid)
-    out = np.take(arr, np.where(invalid, 0, flat) if padding.size else flat, axis=-2)
-    if padding.size:
-        out[..., padding, :] = 0.0
-    return out.reshape(arr.shape[:-2] + index.shape + arr.shape[-1:])
+    safe = np.where(invalid, 0, flat) if padding.size else flat
+    return RowIndex(index, safe, padding)
 
 
-def regroup(x: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
+def _gather_rows(arr: np.ndarray, index: RowIndex) -> np.ndarray:
+    """Rows of ``arr`` (second-to-last axis) at ``index``; -1 gives zeros.
+
+    Shape ``arr.shape[:-2] + index.index.shape + arr.shape[-1:]``. One
+    ``np.take``, then the padding slots zeroed through their flat
+    positions: the two steps of ``batching.padded_take_rows_into``.
+    """
+    out = np.take(arr, index.safe, axis=-2)
+    if index.padding.size:
+        out[..., index.padding, :] = 0.0
+    return out.reshape(arr.shape[:-2] + index.index.shape + arr.shape[-1:])
+
+
+def regroup(
+    x: Tensor, index: np.ndarray | RowIndex, inverse: np.ndarray | RowIndex
+) -> Tensor:
     """Move rows between two layouts that are exact inverses of each other.
 
     The path <-> grid regroup of FlowGNN: with ``index`` the (D, k) path
@@ -271,7 +299,9 @@ def regroup(x: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
         x: (N, F) tensor, or a batched (..., N, F) tensor; the regroup
             acts on the N axis and is shared across batch elements.
         index: Integer row indices (any shape, ``index.size`` slots);
-            -1 yields a zero row. Real entries must be distinct.
+            -1 yields a zero row. Real entries must be distinct. Either
+            array may come prepared by :func:`row_index` (the path set
+            holds its two layouts that way).
         inverse: Integer array of N entries (any shape), the inverse of
             ``index``: entry ``r`` is the flat slot of ``index`` that
             holds ``r``, -1 where none does.
@@ -280,19 +310,21 @@ def regroup(x: Tensor, index: np.ndarray, inverse: np.ndarray) -> Tensor:
         ``x.shape[:-2] + index.shape + (F,)`` tensor.
     """
     x = as_tensor(x)
-    index = np.asarray(index)
-    inverse = np.asarray(inverse)
+    index = row_index(index)
+    inverse = row_index(inverse)
     if x.ndim < 2:
         raise ModelError("regroup expects a tensor with at least 2 dims")
-    if inverse.size != x.data.shape[-2]:
+    if inverse.safe.size != x.data.shape[-2]:
         raise ModelError(
-            f"inverse has {inverse.size} entries for {x.data.shape[-2]} rows"
+            f"inverse has {inverse.safe.size} entries for {x.data.shape[-2]} rows"
         )
     out = Tensor(_gather_rows(x.data, index), parents=(x,))
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            slots = grad.reshape(x.data.shape[:-2] + (index.size, grad.shape[-1]))
+            slots = grad.reshape(
+                x.data.shape[:-2] + (index.safe.size, grad.shape[-1])
+            )
             x._accumulate(_gather_rows(slots, inverse).reshape(x.data.shape))
 
     out._backward_fn = backward

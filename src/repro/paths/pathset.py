@@ -23,18 +23,34 @@ tractable on the large topologies.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..config import NUM_PATHS_PER_DEMAND
 from ..exceptions import PathError
+from ..nn.functional import row_index
 from ..topology.graph import Topology
 from .ksp import (
     ShortestPathOracle,
     k_shortest_paths_deviation,
     path_cost,
 )
+
+
+_BATCHING = None
+
+
+def _batching():
+    """:mod:`repro.core.batching`, imported on first use: ``repro.core``
+    imports this module, so a top-level import would be circular."""
+    global _BATCHING
+    if _BATCHING is None:
+        from ..core import batching
+
+        _BATCHING = batching
+    return _BATCHING
 
 
 def all_ordered_pairs(num_nodes: int) -> list[tuple[int, int]]:
@@ -79,6 +95,9 @@ class PathSet:
         demand_path_ids: (D, k) int array of path ids, -1 padded.
         path_grid_index: (P,) flat position of each path inside the
             (D, k) grid (the inverse of ``demand_path_ids``).
+        demand_path_rows / path_grid_rows: ``demand_path_ids`` and
+            ``path_grid_index`` prepared once for ``F.regroup``, the
+            path <-> grid regroup of FlowGNN and the direct loss.
         path_mask: (D, k) bool array; True where a real path exists.
         edge_path_incidence: (E, P) CSR incidence matrix.
         path_edge_incidence: (P, E) CSR transpose of
@@ -129,6 +148,8 @@ class PathSet:
         self.path_grid_index = np.array(path_grid_index, dtype=np.int64)
         self.demand_path_ids = demand_path_ids
         self.path_mask = demand_path_ids >= 0
+        self.demand_path_rows = row_index(demand_path_ids)
+        self.path_grid_rows = row_index(self.path_grid_index)
         self.num_paths = len(self.path_nodes)
 
         self.path_edge_ids: list[np.ndarray] = []
@@ -301,17 +322,31 @@ class PathSet:
         """Per-edge load (E,) induced by (P,) path flows."""
         return np.asarray(self.edge_path_incidence @ np.asarray(path_flows, float))
 
+    @cached_property
+    def incidence_operand(self):
+        """``edge_path_incidence`` bound once for
+        ``batching.csr_operand_matmul_into``: the load products of the
+        evaluator, the objectives and ADMM."""
+        return _batching().bind_csr(self.edge_path_incidence)
+
     def edge_loads_batch(self, path_flows: np.ndarray) -> np.ndarray:
         """Per-edge loads (T, E) induced by (T, P) path flows.
 
-        One sparse product scores the entire stack.
+        One sparse product scores the entire stack: the bound incidence
+        times the node-major (P, T) flows, the scipy routine and
+        accumulation order of ``edge_path_incidence @ path_flows.T``.
+        Returns the transposed view of the (E, T) product.
         """
         path_flows = np.asarray(path_flows, dtype=float)
         if path_flows.ndim != 2 or path_flows.shape[1] != self.num_paths:
             raise PathError(
                 f"path_flows shape {path_flows.shape} != (T, {self.num_paths})"
             )
-        return np.asarray((self.edge_path_incidence @ path_flows.T).T)
+        loads = np.empty((self.topology.num_edges, path_flows.shape[0]))
+        _batching().csr_operand_matmul_into(
+            self.incidence_operand, np.ascontiguousarray(path_flows.T), loads
+        )
+        return loads.T
 
     def shortest_path_loads(self, matrix: np.ndarray) -> np.ndarray:
         """Per-edge load when every demand rides its first (shortest) path.

@@ -32,10 +32,16 @@ def broadcast_capacities(capacities: np.ndarray, batch: int) -> np.ndarray:
     The single implementation of the capacity-broadcast contract shared
     by every batched entry point (model forward, evaluator, ADMM,
     objectives, scheme base). A 1-D vector is broadcast read-only across
-    the batch; a 2-D stack is passed through unchanged.
+    the batch; a 2-D stack is passed through unchanged. A batch of one
+    is a read-only ``capacities[None]`` view, which skips
+    ``np.broadcast_to``'s per-call cost on the per-TM paths.
     """
     capacities = np.asarray(capacities, dtype=float)
     if capacities.ndim == 1:
+        if batch == 1:
+            row = capacities[None]
+            row.flags.writeable = False
+            return row
         capacities = np.broadcast_to(capacities, (batch, capacities.shape[0]))
     return capacities
 

@@ -57,10 +57,11 @@ def scatter_add_regroup(x, index: np.ndarray, inverse: np.ndarray):
     the gather replaced. Patched in for ``F.regroup`` it gives the
     reference gradients and timings of the regroup.
     """
+    from repro.nn.functional import row_index
     from repro.nn.tensor import Tensor, as_tensor
 
     x = as_tensor(x)
-    index = np.asarray(index)
+    index = row_index(index).index
     padding = index < 0
     data = x.data[..., np.where(padding, 0, index), :]
     data[..., padding, :] = 0.0

@@ -143,17 +143,22 @@ class TestTensorDtype:
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 class TestFusedKernels:
     def test_pair_linear_into_matches_functional(self, dtype):
+        """A node-major (N, B, F) stack equals the Tensor op on its
+        (B, N, F) per-matrix view."""
         rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 7, 4)).astype(dtype)
-        b = rng.normal(size=(3, 7, 5)).astype(dtype)
+        a = rng.normal(size=(70, 3, 4)).astype(dtype)
+        b = rng.normal(size=(70, 3, 5)).astype(dtype)
         w = rng.normal(size=(9, 6)).astype(dtype)
         bias = rng.normal(size=6).astype(dtype)
-        out = np.empty((3, 7, 6), dtype=dtype)
+        out = np.empty((70, 3, 6), dtype=dtype)
         scratch = np.empty_like(out)
         pair_linear_into(a, b, w, bias, out, scratch)
-        reference = F.pair_linear(Tensor(a), Tensor(b), Tensor(w), Tensor(bias))
+        reference = F.pair_linear(
+            Tensor(a.transpose(1, 0, 2)), Tensor(b.transpose(1, 0, 2)),
+            Tensor(w), Tensor(bias),
+        )
         assert out.dtype == dtype
-        assert np.array_equal(out, reference.numpy())
+        assert np.array_equal(out, reference.numpy().transpose(1, 0, 2))
 
     def test_masked_softmax_into_matches_functional(self, dtype):
         rng = np.random.default_rng(1)
@@ -175,12 +180,14 @@ class TestFusedKernels:
         out = np.empty((6, 3), dtype=dtype)
         csr_matmul_into(csr, x, out)
         assert np.array_equal(out, csr @ x)
-        # Batched operand: one call per batch row, still bit-identical.
-        xb = rng.normal(size=(4, 8, 3)).astype(dtype)
-        outb = np.empty((4, 6, 3), dtype=dtype)
-        csr_matmul_into(csr, xb, outb)
-        expected = np.stack([csr @ xb[i] for i in range(4)])
-        assert np.array_equal(outb, expected)
+        # A node-major (N, B, F) stack folded to (N, B * F): one call for
+        # the whole batch, each matrix's block bit-identical to its own
+        # product.
+        xb = rng.normal(size=(8, 4, 3)).astype(dtype)
+        outb = np.empty((6, 4, 3), dtype=dtype)
+        csr_matmul_into(csr, xb.reshape(8, -1), outb.reshape(6, -1))
+        for b in range(4):
+            assert np.array_equal(outb[:, b], csr @ xb[:, b])
 
     def test_kernels_match_inline_numpy(self, dtype):
         """Each kernel runs the numpy calls its docstring names, in order."""
@@ -252,6 +259,65 @@ class TestFusedKernels:
         # Reused buffers must not alias the returned allocations.
         assert np.array_equal(first, again)
         assert first is not again
+
+
+# ----------------------------------------------------------------------
+# The node-major fused forward: bit-identity and structural call counts
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def stress_stack(b4_pathset):
+    """(64, D) demands with one all-zero row and (64, E) per-row
+    capacities with dead links."""
+    rng = np.random.default_rng(3)
+    demands = rng.exponential(5.0, size=(64, b4_pathset.num_demands))
+    demands[4] = 0.0
+    capacities = np.tile(b4_pathset.topology.capacities, (64, 1))
+    capacities[rng.random(capacities.shape) < 0.1] = 0.0
+    return demands, capacities
+
+
+class TestNodeMajorForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2, 5, 64])
+    def test_equals_tensor_forward(self, b4_pathset, stress_stack, dtype, batch):
+        demands, capacities = stress_stack
+        demands, capacities = demands[:batch], capacities[:batch]
+        model = TealModel(b4_pathset, seed=3).astype(dtype)
+        fused = model.split_ratios_batch(demands, capacities)
+        naive = model.forward_batch(demands, capacities).numpy()
+        assert fused.dtype == naive.dtype == dtype
+        assert fused.flags.c_contiguous
+        assert np.array_equal(fused, naive)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_batches_of_one(self, b4_pathset, stress_stack, dtype):
+        demands, capacities = stress_stack
+        model = TealModel(b4_pathset, seed=3).astype(dtype)
+        batched = model.split_ratios_batch(demands[:9], capacities[:9])
+        for t in range(9):
+            one = model.split_ratios_batch(demands[t : t + 1], capacities[t])
+            assert np.array_equal(batched[t], one[0])
+
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    def test_two_sparse_kernel_calls_per_layer(
+        self, b4_pathset, stress_stack, monkeypatch, batch
+    ):
+        """One scipy kernel call per aggregation, whatever the batch."""
+        from repro.core import batching
+
+        calls = []
+        for name in ("_CSR_MATVEC", "_CSR_MATVECS"):
+            kernel = getattr(batching, name)
+
+            def counted(*args, _kernel=kernel):
+                calls.append(args[0])
+                return _kernel(*args)
+
+            monkeypatch.setattr(batching, name, counted)
+        demands, capacities = stress_stack
+        model = TealModel(b4_pathset, seed=0).astype(np.float32)
+        model.split_ratios_batch(demands[:batch], capacities[:batch])
+        assert len(calls) == 2 * model.flow_gnn.num_layers
 
 
 class TestWorkspace:
@@ -591,6 +657,24 @@ class TestFloat32InferenceCopy:
         assert before.dtype == after.dtype == np.float64
         assert np.array_equal(before, after)
         assert scheme.model.flow_embeddings(b4_demands).dtype == np.float64
+
+    def test_deleted_scheme_frees_its_copy_without_gc(self, b4_pathset, b4_demands):
+        """No reference cycle holds a used float32 copy (and its
+        workspace) alive until the cyclic collector runs."""
+        import gc
+        import weakref
+
+        scheme = TealScheme(b4_pathset, seed=0, precision="float32")
+        scheme.allocate_batch(b4_pathset, np.stack([b4_demands] * 3))
+        copy = weakref.ref(scheme._inference_model())
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del scheme
+            assert copy() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_copy_is_reused_until_weights_change(self, b4_pathset, b4_demands):
         from repro.core import transfer_weights
